@@ -17,6 +17,7 @@ violation, 5 numeric failure.
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import load_config, parse_overrides
-from .errors import ConfigError, ModalMetricError, ProtocolError
+from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import compute_metrics
 from .fsutil import atomic_write_text, write_json
 from .model import embed_forward, load_checkpoint, save_checkpoint
@@ -95,6 +96,41 @@ def evaluate_params(params, test_set, cfg, train_class_ids):
     )
 
 
+def _read_checkpoint(path, d_in):
+    """`load_checkpoint` for a command: a checkpoint that is missing,
+    unreadable or malformed, whose embedder does not fit the data's
+    d_in, or holds non-finite weights, raises DataError naming the path.
+
+    Returns:
+        (params, meta), with an iterable meta["train_class_ids"].
+    """
+    try:
+        params, meta = load_checkpoint(path)
+        set(meta["train_class_ids"])  # read by every caller
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read checkpoint: "
+                        f"{exc.strerror or exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
+    emb = params.embedder
+    if emb.W.ndim != 2 or emb.W.shape[0] != d_in:
+        raise DataError(
+            f"{path}: checkpoint embedder W has shape {emb.W.shape}, "
+            f"the data has d_in = {d_in}"
+        )
+    d_emb = emb.W.shape[1]
+    if emb.b.shape != (d_emb,) or emb.modality_offset.shape != (2, d_emb):
+        raise DataError(
+            f"{path}: checkpoint embedder b {emb.b.shape} and "
+            f"modality_offset {emb.modality_offset.shape} do not fit "
+            f"W {emb.W.shape}"
+        )
+    if not all(np.isfinite(t).all() for t in (emb.W, emb.b,
+                                               emb.modality_offset)):
+        raise DataError(f"{path}: checkpoint embedder has non-finite weights")
+    return params, meta
+
+
 def _train_and_eval(cfg, train_set, test_set, train_config):
     result = train(train_set, train_config)
     metrics = evaluate_params(
@@ -134,7 +170,7 @@ def cmd_eval(cfg, args):
     os.makedirs(cfg.out, exist_ok=True)
     snapshots = []
     for i, path in enumerate(args.checkpoint):
-        params, meta = load_checkpoint(path)
+        params, meta = _read_checkpoint(path, test_set.d_in)
         metrics = evaluate_params(
             params, test_set, cfg, meta["train_class_ids"]
         )
@@ -183,7 +219,7 @@ def cmd_diagnose(cfg, args):
             )
         metas = []
         for method, path in zip(DIAGNOSE_METHODS, given):
-            params, meta = load_checkpoint(path)
+            params, meta = _read_checkpoint(path, test_set.d_in)
             metas.append(meta)
             metrics = evaluate_params(
                 params, test_set, cfg, meta["train_class_ids"]
@@ -233,8 +269,9 @@ def cmd_sweep_lambda(cfg, args):
         lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
     except ValueError:
         raise ConfigError(f"bad --lambdas value: {args.lambdas!r}")
-    if not lambdas or any(lam < 0 for lam in lambdas):
-        raise ConfigError("--lambdas needs comma-separated reals >= 0")
+    if not lambdas or any(not (math.isfinite(lam) and lam >= 0)
+                          for lam in lambdas):
+        raise ConfigError("--lambdas needs comma-separated finite reals >= 0")
     train_set, test_set = cfg.load_data()
     rows = []
     for lam in lambdas:

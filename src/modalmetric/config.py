@@ -8,6 +8,7 @@ and weighting, [eval] for metric knobs, [run] for seeds and output.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -64,11 +65,18 @@ SCHEMA = {
 def _convert(section, key, raw):
     kind, _ = SCHEMA[section][key]
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(
             f"[{section}] {key}: expected {kind.__name__}, got {raw!r}"
         ) from None
+    # nan and inf slip past the range checks (nan <= 0 is False) and only
+    # surface as a non-finite loss once training has started
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(
+            f"[{section}] {key}: expected a finite float, got {raw!r}"
+        )
+    return value
 
 
 def _resolve_key(dotted):

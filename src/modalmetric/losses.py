@@ -18,6 +18,19 @@ which gives w_i = (1/n) * sum_k g_k / g_i over the active set. Losses
 whose g falls below `eps_g` are dropped from the system (weight 0)
 instead of having g clamped upward, so a dead loss cannot be handed an
 inflated weight.
+
+The training path is array-native: `weighted_embedding_loss` mines every
+requested kind with `mining.mine_indices` and scores each with
+`indexed_hinge`, both over (anchor, positive, negative) index arrays.
+`triplet_hinge` and the per-kind wrappers (`cross_modality_loss`, ...)
+are Triplet-list adapters over the same two cores. `indexed_hinge`
+scatters its gradient with one `np.bincount` over the anchor rows, then
+the positive rows, then the negative rows, each in triplet order.
+bincount adds its weights one at a time, in input order, into an output
+that starts at 0.0. That is the order in which three successive
+`numpy.add.at` scatters (anchors, positives, negatives) sum each cell,
+so the gradients, and every training artifact, are bit-identical to
+that scatter.
 """
 
 from dataclasses import dataclass
@@ -26,7 +39,7 @@ from typing import Tuple
 import numpy as np
 
 from .geometry import pairwise_distance
-from .mining import TripletKind, batch_hard_mine
+from .mining import TripletKind, batch_hard_mine, mine_indices
 
 # Floor on distances when dividing by d_ap / d_an in the hinge gradient;
 # only reachable when two embedding rows coincide exactly.
@@ -119,39 +132,57 @@ def triplet_hinge(embeddings, triplets, margin):
     value = (1/N) * sum_t max(0, d_ap - d_an + margin). The active
     fraction counts triplets whose hinge argument is strictly positive;
     a triplet exactly on the boundary contributes zero loss and zero
-    (sub)gradient.
+    (sub)gradient. A Triplet-list adapter over `indexed_hinge`.
     """
-    if len(triplets) == 0:
+    return indexed_hinge(
+        embeddings,
+        np.array([t.anchor for t in triplets], dtype=np.int64),
+        np.array([t.positive for t in triplets], dtype=np.int64),
+        np.array([t.negative for t in triplets], dtype=np.int64),
+        margin,
+    )
+
+
+def indexed_hinge(embeddings, anchors, positives, negatives, margin):
+    """Array core of `triplet_hinge`: the same loss and gradient over
+    triplets given as three equal-length int index arrays.
+
+    Each active triplet adds (u_ap - u_an)/N to its anchor row, -u_ap/N
+    to its positive row and u_an/N to its negative row, scattered by one
+    `np.bincount` in the order the module docstring describes.
+    """
+    n_trip = len(anchors)
+    if n_trip == 0:
         raise ValueError("triplet list is empty")
     e = np.asarray(embeddings, dtype=np.float64)
-    a = np.array([t.anchor for t in triplets], dtype=np.int64)
-    p = np.array([t.positive for t in triplets], dtype=np.int64)
-    n = np.array([t.negative for t in triplets], dtype=np.int64)
-
-    diff_ap = e[a] - e[p]
-    diff_an = e[a] - e[n]
+    diff_ap = e[anchors] - e[positives]
+    diff_an = e[anchors] - e[negatives]
     d_ap = np.linalg.norm(diff_ap, axis=1)
     d_an = np.linalg.norm(diff_an, axis=1)
     hinge = d_ap - d_an + margin
     active = hinge > 0.0
 
-    n_trip = len(triplets)
     value = float(np.maximum(hinge, 0.0).sum() / n_trip)
     g = float(active.sum() / n_trip)
 
-    grad = np.zeros_like(e)
-    if active.any():
-        u_ap = diff_ap[active] / np.maximum(d_ap[active], EPS_DIST)[:, None]
-        u_an = diff_an[active] / np.maximum(d_an[active], EPS_DIST)[:, None]
-        np.add.at(grad, a[active], (u_ap - u_an) / n_trip)
-        np.add.at(grad, p[active], -u_ap / n_trip)
-        np.add.at(grad, n[active], u_an / n_trip)
-    return LossReport(value=value, active_fraction=g, grad=grad)
+    u_ap = diff_ap[active] / np.maximum(d_ap[active], EPS_DIST)[:, None]
+    u_an = diff_an[active] / np.maximum(d_an[active], EPS_DIST)[:, None]
+    b, d = e.shape
+    # negative indices address rows from the end, as in numpy indexing
+    rows = np.concatenate(
+        (anchors[active], positives[active], negatives[active])
+    ) % b
+    terms = np.concatenate(
+        ((u_ap - u_an) / n_trip, -u_ap / n_trip, u_an / n_trip)
+    )
+    cells = (rows[:, None] * d + np.arange(d)).ravel()
+    grad = np.bincount(cells, weights=terms.ravel(), minlength=b * d)
+    return LossReport(value=value, active_fraction=g,
+                      grad=grad.reshape(b, d))
 
 
-def _mined_loss(embeddings, labels, modalities, margin, kind, dist=None):
-    if dist is None:
-        dist = pairwise_distance(embeddings, embeddings)
+def _mined_loss(embeddings, labels, modalities, margin, kind):
+    dist = pairwise_distance(embeddings, embeddings)
     triplets = batch_hard_mine(dist, labels, modalities, kind)
     return triplet_hinge(embeddings, triplets, margin)
 
@@ -202,19 +233,23 @@ def weighted_embedding_loss(
 ):
     """Mine and combine a set of triplet losses over one batch.
 
-    One distance matrix is shared by all kinds. With `use_weighting`
-    the combination weights come from `gradient_weights` on the active
-    fractions; otherwise every included loss gets weight 1 (plain sum).
+    One distance matrix and one set of label/modality masks are shared
+    by all kinds: `mine_indices` mines them as index arrays and
+    `indexed_hinge` scores each kind, with no Triplet objects built.
+    With `use_weighting` the combination weights come from
+    `gradient_weights` on the active fractions; otherwise every included
+    loss gets weight 1 (plain sum).
     The weights are constants of the current step: they are not
     differentiated through.
     """
     if len(kinds) == 0:
         raise ValueError("at least one triplet kind is required")
     e = np.asarray(embeddings, dtype=np.float64)
-    dist = pairwise_distance(e, e)
+    anchors, mined = mine_indices(
+        pairwise_distance(e, e), labels, modalities, kinds
+    )
     reports = tuple(
-        _mined_loss(e, labels, modalities, cfg.margin, kind, dist=dist)
-        for kind in kinds
+        indexed_hinge(e, anchors, pos, neg, cfg.margin) for pos, neg in mined
     )
     if use_weighting:
         weights = gradient_weights(

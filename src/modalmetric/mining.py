@@ -12,9 +12,13 @@ farthest same-class candidate and the negative the nearest other-class
 candidate, restricted to the kind's modality pattern; distance ties are
 broken toward the lowest batch index so the result is deterministic.
 
-`batch_hard_mine` is the vectorized implementation used in training;
-`brute_force_mine` re-derives the same triplets by exhaustive enumeration
-and exists so the two can be checked against each other.
+`mine_indices` is the array core used in training: it builds the label
+and modality masks once per batch, mines every requested kind from them,
+and returns (anchor, positive, negative) index arrays. `batch_hard_mine`
+is a thin adapter over it that mines one kind and returns a list of
+Triplet objects. `brute_force_mine` re-derives the same triplets by
+exhaustive enumeration and exists so the two can be checked against each
+other.
 """
 
 from dataclasses import dataclass
@@ -58,22 +62,30 @@ def _as_arrays(labels, modalities):
     return labels, modalities
 
 
-def batch_hard_mine(dist, labels, modalities, kind, anchors=None):
-    """Mine one hardest triplet per anchor from a precomputed distance matrix.
+def mine_indices(dist, labels, modalities, kinds, anchors=None):
+    """Array core of batch-hard mining: index arrays for several kinds.
+
+    The label and modality masks are built once and shared by every
+    kind; each kind's positive (negative) is the argmax (argmin) of the
+    anchor's distance row over its candidate mask, so ties go to the
+    lowest batch index.
 
     Args:
         dist: (B, B) distance matrix over the batch embeddings.
         labels: (B,) class labels.
         modalities: (B,) modality flags (0 sketch, 1 photo).
-        kind: TripletKind selecting the modality pattern.
+        kinds: sequence of TripletKind to mine.
         anchors: optional iterable of anchor indices; defaults to the
             whole batch.
 
     Returns:
-        list of Triplet, in anchor order.
+        (anchors, [(positives, negatives) per kind]): int64 arrays, one
+        entry per anchor, in anchor order.
 
     Raises:
-        MiningError: if some anchor has no valid positive or negative.
+        MiningError: if some anchor has no valid positive or negative;
+            kinds are checked in order and, within a kind, the first
+            failing anchor is reported, its positive before its negative.
     """
     dist = np.asarray(dist, dtype=np.float64)
     labels, modalities = _as_arrays(labels, modalities)
@@ -82,31 +94,60 @@ def batch_hard_mine(dist, labels, modalities, kind, anchors=None):
         raise ValueError(f"dist must be ({n}, {n}), got {dist.shape}")
     if anchors is None:
         anchors = np.arange(n)
+        d_rows = dist
     else:
         anchors = np.asarray(list(anchors), dtype=np.int64)
+        d_rows = dist[anchors]
 
-    a_mod = modalities[anchors]
-    pos_mod = a_mod if kind is TripletKind.WITHIN else 1 - a_mod
-    neg_mod = 1 - a_mod if kind is TripletKind.CROSS else a_mod
+    a_mod = modalities[anchors][:, None]
+    same_label = labels[anchors][:, None] == labels
+    other_label = ~same_label
+    own_mod = modalities == a_mod
+    other_mod = modalities == 1 - a_mod  # TripletKind's routing, 1 - m
+    own_pos = same_label & own_mod
+    own_pos[np.arange(len(anchors)), anchors] = False  # the anchor itself
+    other_pos = same_label & other_mod
+    own_neg = other_label & own_mod
+    cells = {
+        TripletKind.CROSS: (other_pos, other_label & other_mod),
+        TripletKind.WITHIN: (own_pos, own_neg),
+        TripletKind.HYBRID: (other_pos, own_neg),
+    }
 
-    same_label = labels[anchors][:, None] == labels[None, :]
-    pos_mask = same_label & (modalities[None, :] == pos_mod[:, None])
-    pos_mask[np.arange(len(anchors)), anchors] = False  # the anchor itself
-    neg_mask = (~same_label) & (modalities[None, :] == neg_mod[:, None])
-
-    for row, a in enumerate(anchors):
-        if not pos_mask[row].any():
+    mined = []
+    for kind in kinds:
+        pos_mask, neg_mask = cells[kind]
+        no_pos = ~pos_mask.any(axis=1)
+        no_neg = ~neg_mask.any(axis=1)
+        bad = no_pos | no_neg
+        if bad.any():
+            row = int(np.argmax(bad))
+            role = "positive" if no_pos[row] else "negative"
             raise MiningError(
-                f"anchor {int(a)}: no valid positive for kind {kind.value}"
+                f"anchor {int(anchors[row])}: no valid {role} "
+                f"for kind {kind.value}"
             )
-        if not neg_mask[row].any():
-            raise MiningError(
-                f"anchor {int(a)}: no valid negative for kind {kind.value}"
-            )
+        pos = np.argmax(np.where(pos_mask, d_rows, -np.inf), axis=1)
+        neg = np.argmin(np.where(neg_mask, d_rows, np.inf), axis=1)
+        mined.append((pos, neg))
+    return anchors, mined
 
-    d_rows = dist[anchors]
-    pos = np.argmax(np.where(pos_mask, d_rows, -np.inf), axis=1)
-    neg = np.argmin(np.where(neg_mask, d_rows, np.inf), axis=1)
+
+def batch_hard_mine(dist, labels, modalities, kind, anchors=None):
+    """Mine one hardest triplet per anchor from a precomputed distance matrix.
+
+    A Triplet-list adapter over `mine_indices` for a single kind; same
+    arguments, with `kind` a TripletKind.
+
+    Returns:
+        list of Triplet, in anchor order.
+
+    Raises:
+        MiningError: if some anchor has no valid positive or negative.
+    """
+    anchors, [(pos, neg)] = mine_indices(
+        dist, labels, modalities, (kind,), anchors
+    )
     return [
         Triplet(int(a), int(p), int(m), kind)
         for a, p, m in zip(anchors, pos, neg)

@@ -183,6 +183,73 @@ class TestEvalCommand:
         assert "zero-shot violation" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def good_checkpoint(ini, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    train_once(ini, out)
+    return out / "mathm" / "seed-0" / "checkpoint.json"
+
+
+def _missing(good, bad):
+    """Leave the path empty."""
+
+
+def _truncated(good, bad):
+    data = good.read_bytes()
+    bad.write_bytes(data[: len(data) // 2])
+
+
+def _edit_payload(edit):
+    def corrupt(good, bad):
+        payload = json.loads(good.read_text())
+        edit(payload)
+        bad.write_text(json.dumps(payload))
+    return corrupt
+
+
+CORRUPTIONS = {
+    "missing": (_missing, "cannot read"),
+    "truncated": (_truncated, "malformed"),
+    "wrong_format": (_edit_payload(
+        lambda p: p.update(format="not-a-checkpoint")), "malformed"),
+    "missing_tensor": (_edit_payload(
+        lambda p: p["tensors"].pop("embedder.b")), "malformed"),
+    "d_in_mismatch": (_edit_payload(lambda p: p["tensors"].update({
+        "embedder.W": {"shape": [6, 4], "data": [0.1] * 24}})), "d_in = 8"),
+    "bias_shape": (_edit_payload(lambda p: p["tensors"].update({
+        "embedder.b": {"shape": [3], "data": [0.0] * 3}})), "do not fit"),
+    "nan_weight": (_edit_payload(lambda p: p["tensors"]["embedder.W"][
+        "data"].__setitem__(0, float("nan"))), "non-finite"),
+    "class_ids_not_a_list": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids=5)), "malformed"),
+}
+
+
+class TestBrokenCheckpoints:
+    """Every way a checkpoint file can fail to load is a data error
+    (exit 3) naming the file, for each command that reads checkpoints."""
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_exit_3_without_traceback(self, ini, tmp_path, good_checkpoint,
+                                      command, corruption, capsys):
+        corrupt, message = CORRUPTIONS[corruption]
+        bad = tmp_path / "bad.json"
+        corrupt(good_checkpoint, bad)
+        argv = [command, "--config", ini, "--out", str(tmp_path / "o")]
+        if command == "eval":
+            argv += ["--checkpoint", str(bad)]
+        else:
+            argv += ["--baseline", str(bad), "--mathm", str(good_checkpoint),
+                     "--gan", str(good_checkpoint)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(bad) in err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestDiagnoseCommand:
     def test_in_place(self, ini, tmp_path, capsys):
         out = tmp_path / "diag"
@@ -272,7 +339,8 @@ class TestSweepLambdaCommand:
         assert ((tmp_path / "a" / "sweep-lambda" / "table.csv").read_bytes()
                 == (tmp_path / "b" / "sweep-lambda" / "table.csv").read_bytes())
 
-    @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops"])
+    @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops",
+                                     "inf", "0,nan", "1,-inf"])
     def test_bad_lambdas(self, ini, tmp_path, bad, capsys):
         rc = main(["sweep-lambda", "--config", ini,
                    "--out", str(tmp_path), "--lambdas", bad])
@@ -329,6 +397,18 @@ class TestConfigHandling:
                    "--source", str(tmp_path / "gone.csv")])
         assert rc == 2
         assert "dataset file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma", "nan"), ("margin", "nan"), ("base_lr", "inf"),
+        ("offset_norm", "nan"), ("lam", "nan"), ("eps_g", "nan"),
+        ("disc_lr_scale", "inf")])
+    def test_non_finite_float(self, ini, tmp_path, key, value, capsys):
+        rc = main(["train", "--config", ini, "--out", str(tmp_path),
+                   f"--{key}", value])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "finite" in err and key in err
+        assert not (tmp_path / "mathm").exists()
 
 
 class TestDatasetSources:

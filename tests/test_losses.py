@@ -400,6 +400,96 @@ class TestWeightedEmbeddingLoss:
         assert err < 1e-4
 
 
+def reference_hinge(e, triplets, margin):
+    """The triplet hinge with its gradient scattered by np.add.at over the
+    anchors, then the positives, then the negatives.
+
+    Returns:
+        (value, active_fraction, grad).
+    """
+    a = np.array([t.anchor for t in triplets])
+    p = np.array([t.positive for t in triplets])
+    n = np.array([t.negative for t in triplets])
+    diff_ap = e[a] - e[p]
+    diff_an = e[a] - e[n]
+    d_ap = np.linalg.norm(diff_ap, axis=1)
+    d_an = np.linalg.norm(diff_an, axis=1)
+    hinge = d_ap - d_an + margin
+    active = hinge > 0.0
+    n_trip = len(triplets)
+    grad = np.zeros_like(e)
+    u_ap = diff_ap[active] / np.maximum(d_ap[active], 1e-12)[:, None]
+    u_an = diff_an[active] / np.maximum(d_an[active], 1e-12)[:, None]
+    np.add.at(grad, a[active], (u_ap - u_an) / n_trip)
+    np.add.at(grad, p[active], -u_ap / n_trip)
+    np.add.at(grad, n[active], u_an / n_trip)
+    value = float(np.maximum(hinge, 0.0).sum() / n_trip)
+    return value, float(active.sum() / n_trip), grad
+
+
+def reference_bundle(e, labels, mods, cfg, kinds, use_weighting):
+    """weighted_embedding_loss rebuilt from the exhaustive miner, the
+    add.at hinge and gradient_weights, summing in the same order."""
+    reports = [reference_hinge(e, brute_force_mine(e, labels, mods, kind),
+                               cfg.margin) for kind in kinds]
+    if use_weighting:
+        weights = gradient_weights(np.array([r[1] for r in reports]),
+                                   cfg.eps_g)
+    else:
+        weights = np.ones(len(kinds))
+    value = float(sum(w * r[0] for w, r in zip(weights, reports)))
+    grad = np.zeros_like(e)
+    for w, r in zip(weights, reports):
+        if w != 0.0:
+            grad += w * r[2]
+    return reports, weights, value, grad
+
+
+class TestFusedLossOracle:
+    """The fused training path must reproduce, bit for bit, what mining
+    with the exhaustive reference and scattering with np.add.at give:
+    artifact byte-identity rests on this summation order."""
+
+    RECIPES = ((ALL_KINDS, True), ((TripletKind.CROSS,), False))
+
+    def _check(self, e, labels, mods, cfg):
+        for kinds, use_weighting in self.RECIPES:
+            got = weighted_embedding_loss(e, labels, mods, cfg, kinds,
+                                          use_weighting)
+            reports, weights, value, grad = reference_bundle(
+                e, labels, mods, cfg, kinds, use_weighting)
+            assert got.kinds == kinds
+            for report, (r_value, r_active, r_grad) in zip(got.reports,
+                                                           reports):
+                assert report.value == r_value
+                assert report.active_fraction == r_active
+                assert_array_equal(report.grad, r_grad)
+            assert_array_equal(got.weights, weights)
+            assert got.combined_value == value
+            assert_array_equal(got.combined_grad, grad)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(51)
+        for _ in range(60):
+            p = int(rng.integers(2, 6))
+            k = int(rng.integers(2, 5))
+            e, labels, mods = pk_batch(rng, p, k, int(rng.choice([4, 8, 16])))
+            cfg = LossConfig(margin=float(rng.choice([0.05, 0.2, 0.8])))
+            self._check(e, labels, mods, cfg)
+
+    def test_codebook_batches(self):
+        # rows drawn from a 3-vector codebook: distance ties on nearly
+        # every anchor, repeated rows, and exact zero distances
+        rng = np.random.default_rng(52)
+        codebook = unit_rows(np.random.default_rng(98), 3, 6)
+        for _ in range(60):
+            p = int(rng.integers(2, 6))
+            k = int(rng.integers(2, 5))
+            _, labels, mods = pk_batch(rng, p, k, 6)
+            e = codebook[rng.integers(0, 3, size=len(labels))]
+            self._check(e, labels, mods, LossConfig())
+
+
 class TestTotalLoss:
     def _reports(self):
         cls = LossReport(value=1.0, active_fraction=1.0,

@@ -5,12 +5,15 @@ import pytest
 
 from conftest import pk_batch, unit_rows
 from modalmetric import (
+    ALL_KINDS,
+    LossConfig,
     MiningError,
     Triplet,
     TripletKind,
     batch_hard_mine,
     brute_force_mine,
     pairwise_distance,
+    weighted_embedding_loss,
 )
 
 KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
@@ -59,6 +62,27 @@ class TestBatchHardMine:
         dist = pairwise_distance(e, e)
         with pytest.raises(MiningError, match="anchor 0: no valid positive"):
             batch_hard_mine(dist, labels, mods, TripletKind.WITHIN, anchors=[0])
+
+    def test_weighted_loss_raises_the_same_error(self):
+        # the training path mines without this adapter; a batch with no
+        # candidate must fail there with the same message, naming the
+        # first failing kind, then anchor, positive before negative
+        rng = np.random.default_rng(1)
+        no_within_positive = (unit_rows(rng, 4, 6), np.array([0, 0, 1, 1]),
+                              np.array([0, 1, 0, 1]))
+        no_candidates = (unit_rows(rng, 2, 6), np.array([0, 1]),
+                         np.array([0, 1]))
+        for e, labels, mods in (self._four_sample_batch(),
+                                no_within_positive, no_candidates):
+            dist = pairwise_distance(e, e)
+            for kinds in ((TripletKind.WITHIN,), ALL_KINDS):
+                with pytest.raises(MiningError) as want:
+                    for kind in kinds:
+                        batch_hard_mine(dist, labels, mods, kind)
+                with pytest.raises(MiningError) as got:
+                    weighted_embedding_loss(e, labels, mods, LossConfig(),
+                                            kinds)
+                assert str(got.value) == str(want.value)
 
     def test_tie_break_lowest_index(self):
         # identical embeddings make every candidate tie; the lowest batch
