@@ -15,6 +15,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import DataError
+from .fsutil import atomic_write_text
 
 CSV_MODALITY_TAGS = {"sketch": 0, "photo": 1}
 
@@ -280,30 +281,36 @@ def write_dataset(ds, path):
     for s in ds.samples:
         feats = ",".join(repr(float(x)) for x in s.feature)
         lines.append(f"{s.id},{s.class_label},{s.modality.tag},{feats}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_dataset(path):
     """Parse a CSV dataset written by `write_dataset`.
 
     Raises DataError (with the offending 1-based line number) on malformed
-    rows, unknown modality tags, or non-contiguous labels.
+    rows, unknown modality tags, repeated sample ids, or non-contiguous
+    labels.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
+        # blank lines are skipped but keep their place in the numbering
+        lines = [(lineno, ln.rstrip("\n"))
+                 for lineno, ln in enumerate(fh, start=1) if ln.strip() != ""]
     if not lines:
         raise DataError(f"{path}: no samples")
-    header = lines[0].split(",")
+    header_line, header = lines[0][0], lines[0][1].split(",")
     if header[:3] != ["id", "class", "modality"]:
-        raise DataError(f"{path}:1: header must start with id,class,modality")
+        raise DataError(
+            f"{path}:{header_line}: header must start with id,class,modality"
+        )
     d_in = len(header) - 3
     if d_in < 1:
-        raise DataError(f"{path}:1: header declares no feature columns")
+        raise DataError(
+            f"{path}:{header_line}: header declares no feature columns"
+        )
 
     samples = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    first_line = {}
+    for lineno, raw in lines[1:]:
         fields = raw.split(",")
         if len(fields) != 3 + d_in:
             raise DataError(
@@ -328,6 +335,12 @@ def read_dataset(path):
             raise DataError(f"{path}:{lineno}: non-finite feature value")
         if sid < 0 or label < 0:
             raise DataError(f"{path}:{lineno}: id and class must be non-negative")
+        if sid in first_line:
+            raise DataError(
+                f"{path}:{lineno}: duplicate id {sid} "
+                f"(first on line {first_line[sid]})"
+            )
+        first_line[sid] = lineno
         samples.append(
             SampleRecord(sid, label, Modality(CSV_MODALITY_TAGS[tag]), feat)
         )

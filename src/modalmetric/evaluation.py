@@ -3,49 +3,23 @@ mAP) and embedding-space diagnostics: the within-class modality gap and
 between-class discrepancies under same- and cross-modality pairing.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError
+from .errors import MetricError
 from .geometry import cosine_matrix, pairwise_distance
 
 DEFAULT_PREC_K = 100
 DEFAULT_TRUNCATION = 200
 
 
-def thread_count():
-    """Worker cap for per-query metric loops, from MODALMETRIC_THREADS
-    (0 or unset = auto)."""
-    raw = os.environ.get("MODALMETRIC_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"MODALMETRIC_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if n < 0:
-        raise ConfigError("MODALMETRIC_THREADS must be >= 0")
-    if n == 0:
-        return min(8, os.cpu_count() or 1)
-    return n
-
-
-def _parallel_map(fn, items):
-    workers = thread_count()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass
-class RankedList:
-    """One query's gallery ordering (ascending distance, ties by lowest
-    gallery index) and, when labels were supplied, per-position relevance
-    flags."""
+class Ranking:
+    """Gallery orderings of Q queries as (Q, G) arrays. Row q holds query
+    q's gallery indices by ascending distance (ties by lowest gallery
+    index), the distances in that order and, when labels were supplied,
+    the relevance flags in that order (1 = same class)."""
 
     order: np.ndarray
     distances: np.ndarray
@@ -60,28 +34,22 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
         query_embeddings: (Q, d) unit rows.
         gallery_embeddings: (G, d) unit rows, G >= 1.
         query_labels / gallery_labels: optional class labels; when both
-            are given each RankedList carries relevance flags
+            are given the Ranking carries relevance flags
             (same class = relevant).
 
     Returns:
-        list of Q RankedList.
+        Ranking with (Q, G) arrays.
     """
     gallery = np.asarray(gallery_embeddings, dtype=np.float64)
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a non-empty 2-d array")
     dist = pairwise_distance(query_embeddings, gallery)
-    orders = np.argsort(dist, axis=1, kind="stable")
-    with_labels = query_labels is not None and gallery_labels is not None
-    if with_labels:
-        q_labels = np.asarray(query_labels)
-        g_labels = np.asarray(gallery_labels)
-    ranked = []
-    for q, order in enumerate(orders):
-        rel = None
-        if with_labels:
-            rel = (g_labels[order] == q_labels[q]).astype(np.int64)
-        ranked.append(RankedList(order, dist[q, order], rel))
-    return ranked
+    order = np.argsort(dist, axis=1, kind="stable")
+    relevance = None
+    if query_labels is not None and gallery_labels is not None:
+        relevance = (np.asarray(gallery_labels)[order]
+                     == np.asarray(query_labels)[:, None]).astype(np.int64)
+    return Ranking(order, np.take_along_axis(dist, order, axis=1), relevance)
 
 
 def average_precision(relevance, truncate_at=None):
@@ -108,64 +76,85 @@ def average_precision(relevance, truncate_at=None):
     return float((precisions * head).sum() / denominator)
 
 
-def _require_relevance(ranked):
-    for q, r in enumerate(ranked):
-        if r.relevance is None:
-            raise ValueError(f"ranked list {q} carries no relevance flags")
-        if int(np.sum(r.relevance)) == 0:
-            raise MetricError(f"query {q} has no relevant gallery item")
+def _relevance(ranking):
+    """The ranking's (Q, G) relevance flags and each query's count of
+    relevant items."""
+    if ranking.relevance is None:
+        raise ValueError("ranking carries no relevance flags")
+    rel = np.asarray(ranking.relevance)
+    total = rel.sum(axis=1)
+    empty = np.flatnonzero(total == 0)
+    if empty.size:
+        raise MetricError(f"query {empty[0]} has no relevant gallery item")
+    return rel, total
 
 
-def map_at_all(ranked):
+def _mean_ap(ranking, truncate_at=None):
+    """Mean over queries of `average_precision`, every row at once: the
+    same per-row cumsum, division, product and pairwise row sum, so each
+    row's AP is bit-identical to the 1-d reference."""
+    rel, total = _relevance(ranking)
+    if truncate_at is None:
+        denominator = total
+    else:
+        rel = rel[:, :truncate_at]
+        denominator = np.minimum(total, truncate_at)
+    head = rel.astype(np.float64)
+    precisions = np.cumsum(head, axis=1)
+    precisions /= np.arange(1, head.shape[1] + 1)
+    precisions *= head
+    return float(np.mean(precisions.sum(axis=1) / denominator))
+
+
+def map_at_all(ranking):
     """Mean non-interpolated AP over queries."""
-    _require_relevance(ranked)
-    aps = _parallel_map(lambda r: average_precision(r.relevance), ranked)
-    return float(np.mean(aps))
+    return _mean_ap(ranking)
 
 
-def map_at_n(ranked, n):
+def map_at_n(ranking, n):
     """Mean AP over lists truncated to their top n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _require_relevance(ranked)
-    aps = _parallel_map(
-        lambda r: average_precision(r.relevance, truncate_at=n), ranked
-    )
-    return float(np.mean(aps))
+    return _mean_ap(ranking, truncate_at=n)
 
 
-def prec_at_k(ranked, k):
+def prec_at_k(ranking, k):
     """Mean fraction of relevant items in each query's top min(k, G)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    _require_relevance(ranked)
-    fractions = []
-    for r in ranked:
-        m = min(k, r.relevance.size)
-        fractions.append(float(np.sum(r.relevance[:m])) / m)
-    return float(np.mean(fractions))
+    rel, _ = _relevance(ranking)
+    m = min(k, rel.shape[1])
+    return float(np.mean(rel[:, :m].sum(axis=1) / m))
 
 
 def _class_modality_similarities(embeddings, labels, modalities):
     """Per-class mean cosine over same-modality and cross-modality
-    same-class pairs (unordered, self-pairs excluded)."""
+    same-class pairs (unordered, self-pairs excluded).
+
+    Each class's pairs come from its own block of the N x N cosine
+    matrix. The block's rows and columns are the class's sample indices
+    in increasing order, so its upper triangle lists the pairs in the
+    full matrix's row-major order and the means are those of the full
+    matrix's masked pairs.
+    """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     mods = np.asarray(modalities)
     cos = cosine_matrix(e, e)
-    upper = np.triu(np.ones(cos.shape, dtype=bool), k=1)
-    same_mod = mods[:, None] == mods[None, :]
     s_same, s_cross = [], []
     for c in np.unique(labels):
-        in_class = labels == c
+        idx = np.flatnonzero(labels == c)
+        class_mods = mods[idx]
         for m in (0, 1):
-            if int(np.sum(in_class & (mods == m))) < 2:
+            if int(np.sum(class_mods == m)) < 2:
                 raise MetricError(
                     f"class {c} needs >= 2 samples in each modality"
                 )
-        pair = in_class[:, None] & in_class[None, :] & upper
-        s_same.append(cos[pair & same_mod].mean())
-        s_cross.append(cos[pair & ~same_mod].mean())
+        block = cos[np.ix_(idx, idx)]
+        upper = np.triu(np.ones(block.shape, dtype=bool), k=1)
+        same_mod = class_mods[:, None] == class_mods[None, :]
+        s_same.append(block[upper & same_mod].mean())
+        s_cross.append(block[upper & ~same_mod].mean())
     return np.array(s_same), np.array(s_cross)
 
 
@@ -260,19 +249,24 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
     is_query = mods == query_modality
     if not is_query.any() or is_query.all():
         raise MetricError("evaluation set must contain both modalities")
-    ranked = retrieve(e[is_query], e[~is_query],
-                      labels[is_query], labels[~is_query])
+    ranking = retrieve(e[is_query], e[~is_query],
+                       labels[is_query], labels[~is_query])
+    retrieval = dict(
+        map_at_all=map_at_all(ranking),
+        prec_at_k=prec_at_k(ranking, k),
+        map_at_200=map_at_n(ranking, DEFAULT_TRUNCATION),
+        prec_at_200=prec_at_k(ranking, DEFAULT_TRUNCATION),
+    )
+    # free the (Q, G) ranking before the N x N diagnostics allocate
+    del ranking
     same, cross = between_class_discrepancy(e, labels, mods)
-    w_same, w_cross = within_class_similarity(e, labels, mods)
+    s_same, s_cross = _class_modality_similarities(e, labels, mods)
     return RetrievalMetrics(
-        map_at_all=map_at_all(ranked),
-        prec_at_k=prec_at_k(ranked, k),
+        **retrieval,
         k=k,
-        map_at_200=map_at_n(ranked, DEFAULT_TRUNCATION),
-        prec_at_200=prec_at_k(ranked, DEFAULT_TRUNCATION),
-        modality_gap=modality_gap(e, labels, mods),
+        modality_gap=float(np.mean(s_same - s_cross)),
         between_class_same_modality=same,
         between_class_cross_modality=cross,
-        within_class_same_modality=w_same,
-        within_class_cross_modality=w_cross,
+        within_class_same_modality=float(np.mean(s_same)),
+        within_class_cross_modality=float(np.mean(s_cross)),
     )

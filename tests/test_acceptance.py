@@ -240,7 +240,7 @@ def test_criterion_4_retrieval_metrics():
             assert abs(average_precision(rel, truncate_at=cut)
                        - reference_ap(rel, truncate_at=cut)) <= 1e-12
             k = int(rng.integers(1, n + 5))
-            ranked = [type("R", (), {"relevance": rel})()]
+            ranked = type("R", (), {"relevance": rel[None]})()
             m = min(k, n)
             assert abs(prec_at_k(ranked, k) - rel[:m].sum() / m) <= 1e-12
             lists += 1

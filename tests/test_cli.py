@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import modalmetric
 from modalmetric import (
     NumericError,
     SyntheticConfig,
@@ -434,6 +437,53 @@ class TestDatasetSources:
                    "--source", str(path)])
         assert rc == 3
         assert "unknown modality" in capsys.readouterr().err
+
+    def test_duplicate_id_csv_source(self, tmp_path, capsys):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=6, samples_per_class_per_modality=6, d_in=8, seed=3))
+        path = tmp_path / "dup.csv"
+        write_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        # line 6 takes the id of line 2, the first sample
+        lines[5] = "0" + lines[5][lines[5].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["train", "--out", str(tmp_path / "out"),
+                   "--data.source", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert ":6: duplicate id 0 (first on line 2)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "mathm").exists()
+
+
+class TestBlasThreads:
+    """Artifacts do not depend on how many threads OpenBLAS may use."""
+
+    def _run(self, out, openblas_threads):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        src = os.path.dirname(os.path.dirname(modalmetric.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        ckpt = out / "mathm" / "seed-0" / "checkpoint.json"
+        for argv in (["train", "--out", str(out), "--method", "mathm",
+                      "--total_iters", "200"],
+                     ["eval", "--out", str(out / "eval"),
+                      "--checkpoint", str(ckpt)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "modalmetric.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        return [(out / name).read_bytes() for name in (
+            "mathm/seed-0/training_log.csv", "mathm/seed-0/checkpoint.json",
+            "eval/metrics.json")]
+
+    def test_artifacts_byte_identical(self, tmp_path):
+        single = self._run(tmp_path / "one", "1")
+        default = self._run(tmp_path / "default", None)
+        assert single == default
 
 
 class TestExitCodeMapping:

@@ -252,6 +252,35 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="contiguous"):
             read_dataset(path)
 
+    def test_duplicate_id(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        # the blank line still counts towards the line numbers
+        path.write_text("id,class,modality,f0\n0,0,sketch,1.0\n\n"
+                        "1,0,photo,0.0\n0,0,photo,2.0\n")
+        with pytest.raises(DataError,
+                           match=r":5: duplicate id 0 \(first on line 2\)"):
+            read_dataset(path)
+
+    def test_rewrite_is_atomic_and_byte_stable(self, tmp_path):
+        ds = generate_synthetic(SyntheticConfig(n_classes=3,
+                                                samples_per_class_per_modality=2,
+                                                d_in=5, seed=11))
+        # the bytes the plain open/write writer produced
+        header = "id,class,modality," + ",".join(f"f{i}" for i in range(5))
+        rows = [header] + [
+            f"{s.id},{s.class_label},{s.modality.tag},"
+            + ",".join(repr(float(x)) for x in s.feature)
+            for s in ds.samples
+        ]
+        want = ("\n".join(rows) + "\n").encode("utf-8")
+        path = tmp_path / "ds.csv"
+        path.write_bytes(b"stale contents\n")
+        write_dataset(ds, path)
+        assert path.read_bytes() == want
+        write_dataset(ds, path)
+        assert path.read_bytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv"]
+
 
 class TestDatasetValidate:
     def test_missing_modality(self):

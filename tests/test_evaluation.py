@@ -5,21 +5,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import pk_batch
+from conftest import pk_batch, unit_rows
 from modalmetric import (
-    ConfigError,
     MetricError,
+    Ranking,
     average_precision,
     between_class_discrepancy,
     compute_metrics,
+    cosine_matrix,
     map_at_all,
     map_at_n,
     modality_gap,
+    pairwise_distance,
     prec_at_k,
     retrieve,
     within_class_similarity,
 )
-from modalmetric.evaluation import thread_count
+from modalmetric.evaluation import _class_modality_similarities
 
 
 def reference_ap(rel, truncate_at=None):
@@ -40,33 +42,34 @@ class TestRetrieve:
     def test_hand_ordering(self):
         query = np.array([[1.0, 0.0]])
         gallery = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        ranked = retrieve(query, gallery)
-        assert_array_equal(ranked[0].order, [0, 1, 2])
-        assert_allclose(ranked[0].distances, [0.0, np.sqrt(2.0), 2.0],
+        ranking = retrieve(query, gallery)
+        assert_array_equal(ranking.order[0], [0, 1, 2])
+        assert_allclose(ranking.distances[0], [0.0, np.sqrt(2.0), 2.0],
                         atol=1e-12)
-        assert ranked[0].relevance is None
+        assert ranking.relevance is None
 
     def test_tie_broken_by_gallery_index(self):
         query = np.array([[1.0, 0.0]])
         gallery = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-        ranked = retrieve(query, gallery)
-        assert_array_equal(ranked[0].order, [2, 0, 1])
+        ranking = retrieve(query, gallery)
+        assert_array_equal(ranking.order[0], [2, 0, 1])
 
     def test_relevance_flags(self):
         query = np.array([[1.0, 0.0]])
         gallery = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
-        ranked = retrieve(query, gallery, np.array([7]), np.array([3, 7, 7]))
-        assert_array_equal(ranked[0].order, [1, 0, 2])
-        assert_array_equal(ranked[0].relevance, [1, 0, 1])
+        ranking = retrieve(query, gallery, np.array([7]),
+                           np.array([3, 7, 7]))
+        assert_array_equal(ranking.order[0], [1, 0, 2])
+        assert_array_equal(ranking.relevance[0], [1, 0, 1])
 
     def test_one_list_per_query(self):
         rng = np.random.default_rng(0)
         q, g = rng.standard_normal((4, 3)), rng.standard_normal((6, 3))
-        ranked = retrieve(q, g)
-        assert len(ranked) == 4
-        for r in ranked:
-            assert_array_equal(np.sort(r.order), np.arange(6))
-            assert np.all(np.diff(r.distances) >= 0)
+        ranking = retrieve(q, g)
+        assert len(ranking.order) == 4
+        for order, distances in zip(ranking.order, ranking.distances):
+            assert_array_equal(np.sort(order), np.arange(6))
+            assert np.all(np.diff(distances) >= 0)
 
     def test_empty_gallery(self):
         with pytest.raises(ValueError, match="gallery"):
@@ -115,7 +118,7 @@ class TestAveragePrecision:
 
 class TestPrecAtK:
     def _ranked(self, *rels):
-        return [type("R", (), {"relevance": np.array(r)})() for r in rels]
+        return Ranking(None, None, np.array(rels))
 
     def test_hand_case(self):
         assert prec_at_k(self._ranked([1, 0, 1, 0]), 2) == 0.5
@@ -146,13 +149,13 @@ class TestMapAggregation:
 
     def test_map_is_mean_of_aps(self):
         ranked = self._eval_set()
-        want = np.mean([average_precision(r.relevance) for r in ranked])
+        want = np.mean([average_precision(r) for r in ranked.relevance])
         assert_allclose(map_at_all(ranked), want, rtol=1e-12)
 
     def test_map_at_n_truncates(self):
         ranked = self._eval_set()
         want = np.mean(
-            [average_precision(r.relevance, truncate_at=2) for r in ranked]
+            [average_precision(r, truncate_at=2) for r in ranked.relevance]
         )
         assert_allclose(map_at_n(ranked, 2), want, rtol=1e-12)
         with pytest.raises(ValueError):
@@ -171,40 +174,6 @@ class TestMapAggregation:
         ranked = retrieve(query, gallery, np.array([0]), np.array([1, 1]))
         with pytest.raises(MetricError, match="query 0"):
             map_at_all(ranked)
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        ranked = self._eval_set(seed=9)
-        monkeypatch.setenv("MODALMETRIC_THREADS", "1")
-        serial = (map_at_all(ranked), map_at_n(ranked, 3))
-        monkeypatch.setenv("MODALMETRIC_THREADS", "4")
-        threaded = (map_at_all(ranked), map_at_n(ranked, 3))
-        assert serial == threaded
-
-
-class TestThreadCount:
-    def test_auto(self, monkeypatch):
-        monkeypatch.delenv("MODALMETRIC_THREADS", raising=False)
-        assert thread_count() == min(8, os_cpu())
-        monkeypatch.setenv("MODALMETRIC_THREADS", "0")
-        assert thread_count() == min(8, os_cpu())
-
-    def test_explicit(self, monkeypatch):
-        monkeypatch.setenv("MODALMETRIC_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("MODALMETRIC_THREADS", "abc")
-        with pytest.raises(ConfigError, match="integer"):
-            thread_count()
-        monkeypatch.setenv("MODALMETRIC_THREADS", "-1")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-
-def os_cpu():
-    import os
-
-    return os.cpu_count() or 1
 
 
 def one_class_two_axes():
@@ -325,3 +294,114 @@ class TestComputeMetrics:
         e, labels, mods = self._eval_set()
         with pytest.raises(ValueError, match="query_modality"):
             compute_metrics(e, labels, mods, query_modality=2)
+
+
+def reference_class_similarities(e, labels, mods):
+    """Per-class same/cross-modality mean cosine from full N x N masks."""
+    cos = cosine_matrix(e, e)
+    upper = np.triu(np.ones(cos.shape, dtype=bool), k=1)
+    same_mod = mods[:, None] == mods[None, :]
+    s_same, s_cross = [], []
+    for c in np.unique(labels):
+        in_class = labels == c
+        pair = in_class[:, None] & in_class[None, :] & upper
+        s_same.append(cos[pair & same_mod].mean())
+        s_cross.append(cos[pair & ~same_mod].mean())
+    return np.array(s_same), np.array(s_cross)
+
+
+class TestArrayMetricsOracle:
+    """The (Q, G) ranking and row-wise metrics against per-query loops."""
+
+    KINDS = ("random", "rounded", "duplicated")
+
+    def _retrieval_case(self, rng, kind, max_g):
+        d = int(rng.integers(2, 5))
+        n_cls = int(rng.integers(1, 5))
+        q = int(rng.integers(1, 12))
+        g = int(rng.integers(n_cls, max_g))
+        query = unit_rows(rng, q, d)
+        gallery = unit_rows(rng, g, d)
+        gallery_labels = rng.permutation(np.concatenate(
+            [np.arange(n_cls), rng.integers(0, n_cls, g - n_cls)]))
+        if kind == "rounded":
+            # one decimal, so equal rows and distances recur
+            query, gallery = np.round(query, 1), np.round(gallery, 1)
+        elif kind == "duplicated":
+            gallery = np.concatenate([gallery, gallery[::-1]])
+            gallery_labels = np.concatenate(
+                [gallery_labels, gallery_labels[::-1]])
+        query_labels = rng.integers(0, n_cls, q)
+        return query, gallery, query_labels, gallery_labels
+
+    def test_ranking_and_metrics(self):
+        rng = np.random.default_rng(2024)
+        ties = 0
+        for case in range(90):
+            # every tenth gallery is longer than numpy's 128-element
+            # pairwise-summation block
+            query, gallery, ql, gl = self._retrieval_case(
+                rng, self.KINDS[case % 3], 16 if case % 10 else 400)
+            ranking = retrieve(query, gallery, ql, gl)
+            dist = pairwise_distance(query, gallery)
+            g = gallery.shape[0]
+            for i in range(len(query)):
+                order = np.argsort(dist[i], kind="stable")
+                assert_array_equal(ranking.order[i], order)
+                assert_array_equal(ranking.distances[i], dist[i][order])
+                assert_array_equal(ranking.relevance[i], gl[order] == ql[i])
+                tie = np.flatnonzero(np.diff(ranking.distances[i]) == 0)
+                assert np.all(ranking.order[i][tie]
+                              < ranking.order[i][tie + 1])
+                ties += tie.size
+
+            rows = list(ranking.relevance)
+            want = float(np.mean([average_precision(r) for r in rows]))
+            assert map_at_all(ranking) == want
+            assert abs(want - np.mean([reference_ap(r) for r in rows])) \
+                <= 1e-12
+            for n in (1, 2, g, g + 7):
+                want = float(np.mean(
+                    [average_precision(r, truncate_at=n) for r in rows]))
+                assert map_at_n(ranking, n) == want
+                positional = np.mean(
+                    [reference_ap(r, truncate_at=n) for r in rows])
+                assert abs(want - positional) <= 1e-12
+            for k in (1, 3, g, g + 5):
+                fractions = []
+                for r in rows:
+                    m = min(k, r.size)
+                    fractions.append(float(np.sum(r[:m])) / m)
+                assert prec_at_k(ranking, k) == float(np.mean(fractions))
+        assert ties > 0
+
+    def _diagnostic_case(self, rng, kind):
+        p = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 6))
+        counts = rng.integers(2, 6, size=(p, 2))
+        labels = np.repeat(np.arange(p).repeat(2), counts.ravel())
+        mods = np.repeat(np.tile([0, 1], p), counts.ravel())
+        e = unit_rows(rng, labels.size, d)
+        if kind == "rounded":
+            e = np.round(e, 1)
+        perm = rng.permutation(labels.size)
+        return e[perm], labels[perm], mods[perm]
+
+    def test_diagnostics(self):
+        rng = np.random.default_rng(77)
+        for case in range(60):
+            e, labels, mods = self._diagnostic_case(
+                rng, self.KINDS[case % 2])
+            ref_same, ref_cross = reference_class_similarities(
+                e, labels, mods)
+            s_same, s_cross = _class_modality_similarities(e, labels, mods)
+            assert_array_equal(s_same, ref_same)
+            assert_array_equal(s_cross, ref_cross)
+            gap = float(np.mean(ref_same - ref_cross))
+            within = (float(np.mean(ref_same)), float(np.mean(ref_cross)))
+            assert modality_gap(e, labels, mods) == gap
+            assert within_class_similarity(e, labels, mods) == within
+            metrics = compute_metrics(e, labels, mods, k=3)
+            assert metrics.modality_gap == gap
+            assert (metrics.within_class_same_modality,
+                    metrics.within_class_cross_modality) == within
