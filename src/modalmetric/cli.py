@@ -133,10 +133,9 @@ def _read_checkpoint(path, d_in):
 
 def _train_and_eval(cfg, train_set, test_set, train_config):
     result = train(train_set, train_config)
-    metrics = evaluate_params(
+    return evaluate_params(
         result.params, test_set, cfg, result.train_class_ids
     )
-    return result, metrics
 
 
 def cmd_train(cfg, args):
@@ -192,7 +191,10 @@ def cmd_eval(cfg, args):
     return 0
 
 
-def _emit_table(cfg, command, label_column, rows, columns):
+def _emit_table(cfg, command, label_column, rows, keys):
+    columns = [label_column]
+    for key in keys:
+        columns += [key, f"{key}_std"]
     out_dir = os.path.join(cfg.out, command)
     write_csv(os.path.join(out_dir, "table.csv"), columns, rows)
     write_json(os.path.join(out_dir, "table.json"), rows)
@@ -207,61 +209,60 @@ def _emit_table(cfg, command, label_column, rows, columns):
     return 0
 
 
-def cmd_diagnose(cfg, args):
+def _grid_table(cfg, command, label_column, variants, keys):
+    """Train and evaluate every variant over the configured seeds and
+    write one table row per variant: the mean and sample std of `keys`.
+
+    Args:
+        variants: (label, TrainConfig) pairs; each seed's run uses the
+            variant's config with that seed.
+    """
     train_set, test_set = cfg.load_data()
     rows = []
+    for label, variant in variants:
+        snapshots = [
+            _train_and_eval(cfg, train_set, test_set,
+                            replace(variant, seed=seed)).to_dict()
+            for seed in cfg.seeds()
+        ]
+        rows.append({label_column: label, **_mean_std(snapshots, keys)})
+    return _emit_table(cfg, command, label_column, rows, keys)
+
+
+def cmd_diagnose(cfg, args):
     given = [args.baseline, args.mathm, args.gan]
-    if any(given):
-        if not all(given):
-            raise ConfigError(
-                "diagnose from checkpoints needs all of --baseline, "
-                "--mathm and --gan"
-            )
-        metas = []
-        for method, path in zip(DIAGNOSE_METHODS, given):
-            params, meta = _read_checkpoint(path, test_set.d_in)
-            metas.append(meta)
-            metrics = evaluate_params(
-                params, test_set, cfg, meta["train_class_ids"]
-            )
-            rows.append({"method": method, **_mean_std([metrics.to_dict()],
-                                                        METRIC_KEYS)})
-        splits = {tuple(m["train_class_ids"]) for m in metas}
-        if len(splits) > 1:
-            raise ProtocolError(
-                "diagnose checkpoints were trained on different splits"
-            )
-    else:
-        for method in DIAGNOSE_METHODS:
-            snapshots = []
-            for seed in cfg.seeds():
-                tc = replace(cfg.train_config(seed), method=method)
-                _, metrics = _train_and_eval(cfg, train_set, test_set, tc)
-                snapshots.append(metrics.to_dict())
-            rows.append({"method": method, **_mean_std(snapshots,
-                                                       METRIC_KEYS)})
-    columns = ["method"]
-    for key in METRIC_KEYS:
-        columns += [key, f"{key}_std"]
-    return _emit_table(cfg, "diagnose", "method", rows, columns)
+    if not any(given):
+        return _grid_table(cfg, "diagnose", "method", [
+            (method, replace(cfg.train, method=method))
+            for method in DIAGNOSE_METHODS
+        ], METRIC_KEYS)
+    if not all(given):
+        raise ConfigError(
+            "diagnose from checkpoints needs all of --baseline, "
+            "--mathm and --gan"
+        )
+    _, test_set = cfg.load_data()
+    rows, metas = [], []
+    for method, path in zip(DIAGNOSE_METHODS, given):
+        params, meta = _read_checkpoint(path, test_set.d_in)
+        metas.append(meta)
+        metrics = evaluate_params(
+            params, test_set, cfg, meta["train_class_ids"]
+        )
+        rows.append({"method": method, **_mean_std([metrics.to_dict()],
+                                                    METRIC_KEYS)})
+    splits = {tuple(m["train_class_ids"]) for m in metas}
+    if len(splits) > 1:
+        raise ProtocolError(
+            "diagnose checkpoints were trained on different splits"
+        )
+    return _emit_table(cfg, "diagnose", "method", rows, METRIC_KEYS)
 
 
 def cmd_ablate(cfg, args):
-    train_set, test_set = cfg.load_data()
-    rows = []
-    for name, variant in ablation_variants(cfg.train):
-        snapshots = []
-        for seed in cfg.seeds():
-            tc = replace(variant, seed=seed)
-            _, metrics = _train_and_eval(cfg, train_set, test_set, tc)
-            snapshots.append(metrics.to_dict())
-        rows.append({
-            "variant": name,
-            **_mean_std(snapshots, ("map_at_all", "prec_at_k")),
-        })
-    columns = ["variant", "map_at_all", "map_at_all_std",
-               "prec_at_k", "prec_at_k_std"]
-    return _emit_table(cfg, "ablate", "variant", rows, columns)
+    return _grid_table(cfg, "ablate", "variant",
+                       ablation_variants(cfg.train),
+                       ("map_at_all", "prec_at_k"))
 
 
 def cmd_sweep_lambda(cfg, args):
@@ -272,22 +273,10 @@ def cmd_sweep_lambda(cfg, args):
     if not lambdas or any(not (math.isfinite(lam) and lam >= 0)
                           for lam in lambdas):
         raise ConfigError("--lambdas needs comma-separated finite reals >= 0")
-    train_set, test_set = cfg.load_data()
-    rows = []
-    for lam in lambdas:
-        snapshots = []
-        for seed in cfg.seeds():
-            tc = cfg.train_config(seed)
-            tc = replace(tc, loss=replace(tc.loss, lam=lam))
-            _, metrics = _train_and_eval(cfg, train_set, test_set, tc)
-            snapshots.append(metrics.to_dict())
-        rows.append({
-            "lam": lam,
-            **_mean_std(snapshots, ("map_at_all", "prec_at_k")),
-        })
-    columns = ["lam", "map_at_all", "map_at_all_std",
-               "prec_at_k", "prec_at_k_std"]
-    return _emit_table(cfg, "sweep-lambda", "lam", rows, columns)
+    return _grid_table(cfg, "sweep-lambda", "lam", [
+        (lam, replace(cfg.train, loss=replace(cfg.train.loss, lam=lam)))
+        for lam in lambdas
+    ], ("map_at_all", "prec_at_k"))
 
 
 COMMANDS = {

@@ -1,119 +1,92 @@
 """Two-modality datasets: synthetic generation, zero-shot splits, CSV I/O,
 and the P-classes-by-K-samples batch sampler.
 
-A dataset holds raw (un-normalized) feature vectors; normalization is the
-embedder's job. Class labels are contiguous 0-based integers and every
-class is present in both modalities. `class_ids` tracks the original
-class identity of each contiguous label across zero-shot splits, which is
-what the evaluation-time disjointness guard compares.
+A dataset is four row-aligned columns: raw (un-normalized) features,
+class labels, modalities and sample ids; normalization is the embedder's
+job. Class labels are contiguous 0-based integers and every class is
+present in both modalities. `class_ids` tracks the original class
+identity of each contiguous label across zero-shot splits, which is what
+the evaluation-time disjointness guard compares.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from enum import IntEnum
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .fsutil import atomic_write_text
 
-CSV_MODALITY_TAGS = {"sketch": 0, "photo": 1}
-
-
-class Modality(IntEnum):
-    SKETCH = 0
-    PHOTO = 1
-
-    @property
-    def tag(self):
-        return "sketch" if self is Modality.SKETCH else "photo"
-
-
-@dataclass
-class SampleRecord:
-    """One datum: raw feature vector, class label, modality."""
-
-    id: int
-    class_label: int
-    modality: Modality
-    feature: np.ndarray
+# modality m is tagged MODALITY_TAGS[m]: 0 = sketch, 1 = photo
+MODALITY_TAGS = ("sketch", "photo")
+CSV_MODALITY_TAGS = {tag: m for m, tag in enumerate(MODALITY_TAGS)}
+_SURROGATE = re.compile("[\udc80-\udcff]")
 
 
 class Dataset:
-    """Immutable collection of samples with contiguous class labels.
+    """Immutable collection of samples held as row-aligned columns.
 
     Args:
-        samples: list of SampleRecord with labels in [0, n_classes).
-        n_classes: number of distinct class labels.
-        d_in: raw feature dimensionality.
+        features: (N, d_in) raw feature matrix, row i = sample i.
+        labels: (N,) class labels, contiguous 0..n_classes-1.
+        modalities: (N,) 0 = sketch, 1 = photo.
+        ids: (N,) sample ids.
         class_ids: original class id per contiguous label (defaults to
             the identity mapping). Survives zero-shot splits so that
             disjointness can be checked after relabeling.
+
+    `d_in` and `n_classes` are read off the columns.
+
+    Raises:
+        ValueError: if features is not 2-d, the columns differ in
+            length, a modality is not 0 or 1, or class_ids does not have
+            one entry per class.
+        DataError: if the labels are not contiguous from 0.
     """
 
-    def __init__(self, samples, n_classes, d_in, class_ids=None):
-        self.samples = list(samples)
-        self.n_classes = int(n_classes)
-        self.d_in = int(d_in)
+    def __init__(self, features, labels, modalities, ids, class_ids=None):
+        self.features = np.asarray(features, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.modalities = np.asarray(modalities, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64)
+        if self.features.ndim != 2:
+            raise ValueError(
+                f"features must be 2-d, got shape {self.features.shape}"
+            )
+        n = len(self.features)
+        if any(col.shape != (n,)
+               for col in (self.labels, self.modalities, self.ids)):
+            raise ValueError(
+                "labels, modalities and ids need one entry per feature row"
+            )
+        if ((self.modalities != 0) & (self.modalities != 1)).any():
+            raise ValueError("modalities must be 0 (sketch) or 1 (photo)")
+        present = np.unique(self.labels)
+        if not np.array_equal(present, np.arange(present.size)):
+            raise DataError(
+                f"labels must be contiguous 0..{present[-1]}, "
+                f"got {present.tolist()}"
+            )
+        self.n_classes = present.size
+        self.d_in = self.features.shape[1]
         if class_ids is None:
-            class_ids = list(range(self.n_classes))
+            class_ids = range(self.n_classes)
         if len(class_ids) != self.n_classes:
             raise ValueError("class_ids must have one entry per class")
         self.class_ids = [int(c) for c in class_ids]
-        self._features = None
-        self._labels = None
-        self._modalities = None
 
     def __len__(self):
-        return len(self.samples)
-
-    @property
-    def features(self):
-        """(N, d_in) float64 matrix of raw features, row i = sample i."""
-        if self._features is None:
-            self._features = np.array(
-                [s.feature for s in self.samples], dtype=np.float64
-            ).reshape(len(self.samples), self.d_in)
-        return self._features
-
-    @property
-    def labels(self):
-        if self._labels is None:
-            self._labels = np.array(
-                [s.class_label for s in self.samples], dtype=np.int64
-            )
-        return self._labels
-
-    @property
-    def modalities(self):
-        """(N,) int array, 0 = sketch, 1 = photo."""
-        if self._modalities is None:
-            self._modalities = np.array(
-                [int(s.modality) for s in self.samples], dtype=np.int64
-            )
-        return self._modalities
+        return len(self.labels)
 
     def validate(self):
-        """Check label contiguity, feature lengths, and that every class
-        appears in both modalities. Raises DataError on violation."""
-        seen = sorted({s.class_label for s in self.samples})
-        if seen != list(range(self.n_classes)):
-            raise DataError(
-                f"labels must be contiguous 0..{self.n_classes - 1}, got {seen}"
-            )
-        per_cell = defaultdict(int)
-        for s in self.samples:
-            if len(s.feature) != self.d_in:
-                raise DataError(
-                    f"sample {s.id}: feature length {len(s.feature)} != d_in {self.d_in}"
-                )
-            per_cell[(s.class_label, int(s.modality))] += 1
-        for c in range(self.n_classes):
-            for m in (0, 1):
-                if per_cell[(c, m)] == 0:
-                    raise DataError(
-                        f"class {c} has no {Modality(m).tag} samples"
-                    )
+        """Check that every class appears in both modalities. Raises
+        DataError on violation."""
+        counts = np.bincount(2 * self.labels + self.modalities,
+                             minlength=2 * self.n_classes)
+        missing = np.argwhere(counts.reshape(-1, 2) == 0)
+        if missing.size:
+            c, m = missing[0]
+            raise DataError(f"class {c} has no {MODALITY_TAGS[m]} samples")
         return self
 
 
@@ -154,7 +127,6 @@ class SamplerConfig:
 
     P: int
     K: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.P < 2:
@@ -169,8 +141,8 @@ def generate_synthetic(cfg):
     """Draw a deterministic synthetic dataset from `cfg`.
 
     Returns a Dataset whose samples are ordered class-major, sketches
-    before photos within each class. Identical seeds give bit-identical
-    datasets.
+    before photos within each class, with ids 0..N-1 in that order.
+    Identical seeds give bit-identical datasets.
     """
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_in
@@ -182,79 +154,76 @@ def generate_synthetic(cfg):
     offset = cfg.offset_norm * direction
 
     per = cfg.samples_per_class_per_modality
-    samples = []
-    next_id = 0
+    blocks = []
     for c in range(cfg.n_classes):
-        sketch = centers[c] + cfg.sigma * rng.standard_normal((per, d))
-        photo = centers[c] + offset + cfg.sigma * rng.standard_normal((per, d))
-        for row in sketch:
-            samples.append(SampleRecord(next_id, c, Modality.SKETCH, row))
-            next_id += 1
-        for row in photo:
-            samples.append(SampleRecord(next_id, c, Modality.PHOTO, row))
-            next_id += 1
-    return Dataset(samples, cfg.n_classes, d)
+        blocks.append(centers[c] + cfg.sigma * rng.standard_normal((per, d)))
+        blocks.append(
+            centers[c] + offset + cfg.sigma * rng.standard_normal((per, d))
+        )
+    return Dataset(
+        np.concatenate(blocks),
+        np.repeat(np.arange(cfg.n_classes), 2 * per),
+        np.tile(np.repeat([0, 1], per), cfg.n_classes),
+        np.arange(2 * per * cfg.n_classes),
+    )
 
 
 def zero_shot_split(ds, n_unseen, seed=0):
     """Partition `ds` by class into (train, test) with disjoint classes.
 
     The test set receives exactly `n_unseen` randomly chosen classes.
-    Both halves are relabeled to contiguous 0-based labels (in increasing
-    order of the original label) and keep `class_ids` pointing back at
-    the source dataset's class identities.
+    Both halves keep the source's row order, are relabeled to contiguous
+    0-based labels (in increasing order of the original label) and keep
+    `class_ids` pointing back at the source dataset's class identities.
     """
     if not 1 <= n_unseen < ds.n_classes:
         raise ValueError(
             f"n_unseen must be in [1, {ds.n_classes - 1}], got {n_unseen}"
         )
     rng = np.random.default_rng(seed)
-    unseen = set(rng.choice(ds.n_classes, size=n_unseen, replace=False).tolist())
-    seen = [c for c in range(ds.n_classes) if c not in unseen]
-    unseen = sorted(unseen)
+    unseen = np.zeros(ds.n_classes, dtype=bool)
+    unseen[rng.choice(ds.n_classes, size=n_unseen, replace=False)] = True
 
-    def build(classes):
-        remap = {c: i for i, c in enumerate(classes)}
-        picked = [s for s in ds.samples if s.class_label in remap]
-        relabeled = [
-            SampleRecord(s.id, remap[s.class_label], s.modality, s.feature)
-            for s in picked
-        ]
-        ids = [ds.class_ids[c] for c in classes]
-        return Dataset(relabeled, len(classes), ds.d_in, class_ids=ids)
+    def build(in_split):
+        remap = np.cumsum(in_split) - 1  # original label -> new label
+        rows = in_split[ds.labels]
+        return Dataset(
+            ds.features[rows], remap[ds.labels[rows]], ds.modalities[rows],
+            ds.ids[rows],
+            class_ids=[ds.class_ids[c] for c in np.flatnonzero(in_split)],
+        )
 
-    return build(seen), build(unseen)
+    return build(~unseen), build(unseen)
 
 
 class PKSampler:
     """Draws batches of 2*P*K sample indices: P distinct classes, K sketch
     and K photo samples per class, all without replacement within a batch.
 
-    Classes are re-drawn independently for every batch. The sampler owns
-    its RNG; do not share one instance across threads.
+    Classes are re-drawn independently for every batch. Every draw comes
+    from the caller's generator `rng`, so a training run that shares one
+    generator between initialization and sampling stays reproducible; do
+    not share one instance across threads.
     """
 
-    def __init__(self, ds, cfg, rng=None):
+    def __init__(self, ds, cfg, rng):
         self.ds = ds
         self.cfg = cfg
-        self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        self.rng = rng
         if cfg.P > ds.n_classes:
             raise DataError(
                 f"P={cfg.P} exceeds the {ds.n_classes} available classes"
             )
-        cells = defaultdict(list)
-        for i, s in enumerate(ds.samples):
-            cells[(s.class_label, int(s.modality))].append(i)
         self._cells = {}
         for c in range(ds.n_classes):
             for m in (0, 1):
-                idx = cells.get((c, m), [])
+                idx = np.flatnonzero((ds.labels == c) & (ds.modalities == m))
                 if len(idx) < cfg.K:
                     raise DataError(
-                        f"class {c} has {len(idx)} {Modality(m).tag} samples, "
-                        f"need at least K={cfg.K}"
+                        f"class {c} has {len(idx)} {MODALITY_TAGS[m]} "
+                        f"samples, need at least K={cfg.K}"
                     )
-                self._cells[(c, m)] = np.array(idx, dtype=np.int64)
+                self._cells[(c, m)] = idx
 
     def sample(self):
         """Return one batch of 2*P*K distinct indices, class-major with
@@ -268,33 +237,45 @@ class PKSampler:
         return np.concatenate(parts)
 
 
-def pk_sample(ds, cfg, rng=None):
-    """One-shot batch draw; see PKSampler for the batch contract."""
-    return PKSampler(ds, cfg, rng=rng).sample()
-
-
 def write_dataset(ds, path):
     """Write `ds` as CSV: header `id,class,modality,f0..f{d-1}`, one
     sample per row, features at full round-trip precision."""
     header = "id,class,modality," + ",".join(f"f{i}" for i in range(ds.d_in))
     lines = [header]
-    for s in ds.samples:
-        feats = ",".join(repr(float(x)) for x in s.feature)
-        lines.append(f"{s.id},{s.class_label},{s.modality.tag},{feats}")
+    for sid, label, m, row in zip(ds.ids.tolist(), ds.labels.tolist(),
+                                  ds.modalities.tolist(),
+                                  ds.features.tolist()):
+        feats = ",".join(map(repr, row))
+        lines.append(f"{sid},{label},{MODALITY_TAGS[m]},{feats}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_dataset(path):
     """Parse a CSV dataset written by `write_dataset`.
 
-    Raises DataError (with the offending 1-based line number) on malformed
-    rows, unknown modality tags, repeated sample ids, or non-contiguous
-    labels.
+    Raises DataError naming the path (and the offending 1-based line
+    number where there is one) on an unreadable file, bytes that are not
+    UTF-8, malformed rows, unknown modality tags, ids or classes outside
+    [0, 2**63), repeated sample ids, non-contiguous labels or a class
+    missing from a modality.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        # blank lines are skipped but keep their place in the numbering
-        lines = [(lineno, ln.rstrip("\n"))
-                 for lineno, ln in enumerate(fh, start=1) if ln.strip() != ""]
+    try:
+        # surrogateescape turns undecodable bytes into lone surrogates,
+        # which valid UTF-8 never decodes to, so the check below can name
+        # their line; blank lines are skipped but keep their place in the
+        # numbering
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
+            lines = [(lineno, ln.rstrip("\n"))
+                     for lineno, ln in enumerate(fh, start=1)
+                     if ln.strip() != ""]
+    except OSError as exc:
+        raise DataError(
+            f"{path}: cannot read dataset: {exc.strerror or exc}"
+        ) from None
+    for lineno, ln in lines:
+        if not ln.isascii() and _SURROGATE.search(ln):
+            raise DataError(f"{path}:{lineno}: not UTF-8 text")
     if not lines:
         raise DataError(f"{path}: no samples")
     header_line, header = lines[0][0], lines[0][1].split(",")
@@ -308,9 +289,10 @@ def read_dataset(path):
             f"{path}:{header_line}: header declares no feature columns"
         )
 
-    samples = []
+    features = np.empty((len(lines) - 1, d_in))
+    ids, labels, modalities = [], [], []
     first_line = {}
-    for lineno, raw in lines[1:]:
+    for row, (lineno, raw) in zip(features, lines[1:]):
         fields = raw.split(",")
         if len(fields) != 3 + d_in:
             raise DataError(
@@ -328,24 +310,27 @@ def read_dataset(path):
                 "(expected sketch or photo)"
             )
         try:
-            feat = np.array([float(x) for x in fields[3:]], dtype=np.float64)
+            row[:] = [float(x) for x in fields[3:]]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not np.all(np.isfinite(feat)):
+        if not np.isfinite(row).all():
             raise DataError(f"{path}:{lineno}: non-finite feature value")
-        if sid < 0 or label < 0:
-            raise DataError(f"{path}:{lineno}: id and class must be non-negative")
+        if not (0 <= sid < 2**63 and 0 <= label < 2**63):
+            raise DataError(
+                f"{path}:{lineno}: id and class must be in [0, 2**63)"
+            )
         if sid in first_line:
             raise DataError(
                 f"{path}:{lineno}: duplicate id {sid} "
                 f"(first on line {first_line[sid]})"
             )
         first_line[sid] = lineno
-        samples.append(
-            SampleRecord(sid, label, Modality(CSV_MODALITY_TAGS[tag]), feat)
-        )
-    if not samples:
+        ids.append(sid)
+        labels.append(label)
+        modalities.append(CSV_MODALITY_TAGS[tag])
+    if not ids:
         raise DataError(f"{path}: no samples")
-
-    n_classes = max(s.class_label for s in samples) + 1
-    return Dataset(samples, n_classes, d_in).validate()
+    try:
+        return Dataset(features, labels, modalities, ids).validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -178,7 +178,7 @@ def train(dataset: Dataset, config: TrainConfig):
     sampler = PKSampler(
         dataset,
         SamplerConfig(config.classes_per_batch, config.samples_per_class),
-        rng=rng,
+        rng,
     )
     features = dataset.features
     labels = dataset.labels

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from modalmetric import Dataset, Modality, SampleRecord, l2_normalize
+from modalmetric import Dataset, l2_normalize
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
 # criterion; printing them in the terminal summary keeps the whole gate
@@ -35,10 +35,6 @@ def pk_batch(rng, p, k, d):
 
 
 def make_dataset(features, labels, mods):
-    """Hand-rolled Dataset from parallel lists (no validation)."""
-    features = [np.asarray(f, dtype=np.float64) for f in features]
-    samples = [
-        SampleRecord(i, int(lab), Modality(int(m)), f)
-        for i, (f, lab, m) in enumerate(zip(features, labels, mods))
-    ]
-    return Dataset(samples, int(max(labels)) + 1, len(features[0]))
+    """Hand-rolled Dataset from parallel lists with ids 0..N-1 (no
+    validation)."""
+    return Dataset(features, labels, mods, np.arange(len(labels)))

@@ -456,6 +456,40 @@ class TestDatasetSources:
         assert not (tmp_path / "out" / "mathm").exists()
 
 
+    UNLOADABLE = {
+        "not_utf8": ":4: not UTF-8 text",
+        "directory": ": cannot read dataset",
+        "class_1e23": ":3: id and class must be in [0, 2**63)",
+        "class_4e18": ": labels must be contiguous",
+    }
+
+    @pytest.mark.parametrize("case", UNLOADABLE)
+    def test_unloadable_csv_source(self, tmp_path, capsys, case):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=6, samples_per_class_per_modality=6, d_in=8, seed=3))
+        path = tmp_path / "ds.csv"
+        write_dataset(ds, path)
+        lines = path.read_bytes().split(b"\n")
+        if case == "not_utf8":
+            lines[3] = lines[3].replace(b"sketch", b"sk\xffetch")
+        elif case == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            label = {"class_1e23": b"10" + b"0" * 22,
+                     "class_4e18": b"4" + b"0" * 18}[case]
+            sid, _, rest = lines[2].split(b",", 2)
+            lines[2] = b",".join([sid, label, rest])
+        if case != "directory":
+            path.write_bytes(b"\n".join(lines))
+        rc = main(["train", "--out", str(tmp_path / "out"),
+                   "--source", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(path) + self.UNLOADABLE[case] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "mathm").exists()
+
 class TestBlasThreads:
     """Artifacts do not depend on how many threads OpenBLAS may use."""
 

@@ -2,19 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_dataset
 from modalmetric import (
     DataError,
     Dataset,
-    Modality,
     PKSampler,
-    SampleRecord,
     SamplerConfig,
     SyntheticConfig,
     generate_synthetic,
-    pk_sample,
     read_dataset,
     write_dataset,
     zero_shot_split,
@@ -143,14 +142,16 @@ class TestPKSampler:
         ds = generate_synthetic(SyntheticConfig(n_classes=16,
                                                 samples_per_class_per_modality=4,
                                                 d_in=4, seed=0))
-        idx = pk_sample(ds, SamplerConfig(P=16, K=4, seed=0))
+        idx = PKSampler(ds, SamplerConfig(P=16, K=4),
+                        np.random.default_rng(0)).sample()
         assert idx.shape == (128,)
 
     def test_cell_structure(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=5,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
-        idx = pk_sample(ds, SamplerConfig(P=2, K=2, seed=1))
+        idx = PKSampler(ds, SamplerConfig(P=2, K=2),
+                        np.random.default_rng(1)).sample()
         assert idx.shape == (8,)
         assert len(set(idx.tolist())) == 8
         labels = ds.labels[idx]
@@ -164,8 +165,8 @@ class TestPKSampler:
         ds = generate_synthetic(SyntheticConfig(n_classes=5,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
-        a = PKSampler(ds, SamplerConfig(P=3, K=2, seed=4))
-        b = PKSampler(ds, SamplerConfig(P=3, K=2, seed=4))
+        a = PKSampler(ds, SamplerConfig(P=3, K=2), np.random.default_rng(4))
+        b = PKSampler(ds, SamplerConfig(P=3, K=2), np.random.default_rng(4))
         for _ in range(5):
             assert_array_equal(a.sample(), b.sample())
 
@@ -176,14 +177,14 @@ class TestPKSampler:
         mods = [0, 0, 1, 1, 0, 0, 1]
         ds = make_dataset(feats, labels, mods)
         with pytest.raises(DataError, match="class 1 has 1 photo"):
-            PKSampler(ds, SamplerConfig(P=2, K=2))
+            PKSampler(ds, SamplerConfig(P=2, K=2), np.random.default_rng(0))
 
     def test_p_exceeds_classes(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=3,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
         with pytest.raises(DataError, match="P=4"):
-            PKSampler(ds, SamplerConfig(P=4, K=2))
+            PKSampler(ds, SamplerConfig(P=4, K=2), np.random.default_rng(0))
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
@@ -203,7 +204,7 @@ class TestCsvRoundTrip:
         assert_array_equal(back.features, ds.features)
         assert_array_equal(back.labels, ds.labels)
         assert_array_equal(back.modalities, ds.modalities)
-        assert [s.id for s in back.samples] == [s.id for s in ds.samples]
+        assert_array_equal(back.ids, ds.ids)
 
     def test_unknown_modality(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -268,9 +269,9 @@ class TestCsvRoundTrip:
         # the bytes the plain open/write writer produced
         header = "id,class,modality," + ",".join(f"f{i}" for i in range(5))
         rows = [header] + [
-            f"{s.id},{s.class_label},{s.modality.tag},"
-            + ",".join(repr(float(x)) for x in s.feature)
-            for s in ds.samples
+            f"{ds.ids[i]},{ds.labels[i]},{('sketch', 'photo')[ds.modalities[i]]},"
+            + ",".join(repr(float(x)) for x in ds.features[i])
+            for i in range(len(ds))
         ]
         want = ("\n".join(rows) + "\n").encode("utf-8")
         path = tmp_path / "ds.csv"
@@ -289,14 +290,177 @@ class TestDatasetValidate:
         with pytest.raises(DataError, match="class 1 has no photo"):
             ds.validate()
 
-    def test_feature_length(self):
-        samples = [
-            SampleRecord(0, 0, Modality.SKETCH, np.array([1.0, 2.0])),
-            SampleRecord(1, 0, Modality.PHOTO, np.array([1.0])),
-        ]
-        with pytest.raises(DataError, match="feature length"):
-            Dataset(samples, 1, 2).validate()
+    def test_constructor_checks(self):
+        feats = np.ones((3, 2))
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            Dataset(feats, [0, 0], [0, 1, 1], [0, 1, 2])
+        with pytest.raises(ValueError, match="one entry per feature row"):
+            Dataset(feats, [0, 0, 0], [0, 1, 1], [0, 1])
+        with pytest.raises(ValueError, match="2-d"):
+            Dataset(np.ones(3), [0, 0, 0], [0, 1, 1], [0, 1, 2])
+        with pytest.raises(ValueError, match="2-d"):
+            Dataset(np.ones((3, 2, 1)), [0, 0, 0], [0, 1, 1], [0, 1, 2])
+        with pytest.raises(ValueError, match="sketch"):
+            Dataset(feats, [0, 0, 0], [0, 1, 2], [0, 1, 2])
+        with pytest.raises(DataError, match="contiguous"):
+            Dataset(feats, [0, 2, 2], [0, 1, 1], [0, 1, 2])
+        ds = Dataset(feats, [1, 0, 1], [0, 1, 1], [5, 6, 7])
+        assert (ds.d_in, ds.n_classes, len(ds)) == (2, 2, 3)
+        assert ds.class_ids == [0, 1]
 
     def test_class_ids_length(self):
         with pytest.raises(ValueError, match="class_ids"):
-            Dataset([], 3, 2, class_ids=[0, 1])
+            Dataset(np.empty((0, 2)), [], [], [], class_ids=[0, 1])
+
+
+def _random_dataset(rng):
+    """Rows in shuffled order, uneven cells (3 to 7 rows each), random
+    distinct ids and non-identity class ids."""
+    n_classes = int(rng.integers(2, 9))
+    counts = rng.integers(3, 8, size=(n_classes, 2))
+    labels = np.repeat(np.arange(n_classes).repeat(2), counts.ravel())
+    mods = np.repeat(np.tile([0, 1], n_classes), counts.ravel())
+    order = rng.permutation(len(labels))
+    n, d = len(labels), int(rng.integers(1, 6))
+    return Dataset(rng.standard_normal((n, d)), labels[order], mods[order],
+                   rng.choice(10 * n, size=n, replace=False),
+                   class_ids=rng.choice(100, size=n_classes,
+                                        replace=False).tolist())
+
+
+def _reference_split(ds, n_unseen, seed):
+    """The split as a loop over (id, label, modality, feature) rows."""
+    rows = [(int(ds.ids[i]), int(ds.labels[i]), int(ds.modalities[i]),
+             ds.features[i].tolist()) for i in range(len(ds))]
+    unseen = set(np.random.default_rng(seed).choice(
+        ds.n_classes, size=n_unseen, replace=False).tolist())
+    halves = []
+    for classes in ([c for c in range(ds.n_classes) if c not in unseen],
+                    sorted(unseen)):
+        remap = {c: i for i, c in enumerate(classes)}
+        halves.append((
+            [(sid, remap[c], m, f) for sid, c, m, f in rows if c in remap],
+            [ds.class_ids[c] for c in classes],
+        ))
+    return halves
+
+
+def _reference_cells(ds):
+    cells = {}
+    for i in range(len(ds)):
+        key = (int(ds.labels[i]), int(ds.modalities[i]))
+        cells.setdefault(key, []).append(i)
+    return cells
+
+
+class TestColumnOracle:
+    """zero_shot_split and PKSampler against per-row reference loops."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_split_and_sampler(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng).validate()
+        n_unseen = int(rng.integers(1, ds.n_classes))
+        split_seed = int(rng.integers(0, 1000))
+        halves = zero_shot_split(ds, n_unseen, seed=split_seed)
+        for got, (rows, class_ids) in zip(
+                halves, _reference_split(ds, n_unseen, split_seed)):
+            assert got.class_ids == class_ids
+            assert got.ids.tolist() == [r[0] for r in rows]
+            assert got.labels.tolist() == [r[1] for r in rows]
+            assert got.modalities.tolist() == [r[2] for r in rows]
+            assert got.features.tolist() == [r[3] for r in rows]
+            assert got.d_in == ds.d_in
+        for part in (ds, *halves):
+            if part.n_classes < 2:
+                continue
+            cfg = SamplerConfig(P=int(rng.integers(2, part.n_classes + 1)),
+                                K=int(rng.integers(2, 4)))
+            sampler = PKSampler(part, cfg, np.random.default_rng(seed))
+            cells = _reference_cells(part)
+            assert sorted(sampler._cells) == sorted(cells)
+            for key, idx in cells.items():
+                assert sampler._cells[key].tolist() == idx
+            ref = np.random.default_rng(seed)
+            for _ in range(5):
+                want = []
+                for c in ref.choice(part.n_classes, size=cfg.P,
+                                    replace=False):
+                    for m in (0, 1):
+                        want += ref.choice(np.array(cells[(int(c), m)]),
+                                           size=cfg.K, replace=False).tolist()
+                assert sampler.sample().tolist() == want
+
+
+def _corrupt(text, edits, inserts):
+    """Apply field and line edits to a CSV's text, then insert raw bytes
+    into its encoding; returns the bytes."""
+    lines = text.split("\n")
+    for op, a, b, value in edits:
+        i = a % len(lines)
+        if op == "drop_line":
+            del lines[i]
+        elif op == "dup_line":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split(",")
+            j = b % len(fields)
+            if op == "replace":
+                fields[j] = value
+            elif op == "drop_field":
+                del fields[j]
+            else:
+                fields.insert(j, fields[j])
+            lines[i] = ",".join(fields)
+        lines = lines or [""]
+    blob = "\n".join(lines).encode("utf-8")
+    for at, value in inserts:
+        at %= len(blob) + 1
+        blob = blob[:at] + value + blob[at:]
+    return blob
+
+
+# hypothesis draws wide integer ranges mostly below 2**63, so the powers
+# of ten and the int64 edges are drawn on their own
+_INTS = st.one_of(st.integers(-10**30, 10**30),
+                  st.integers(0, 30).map(lambda e: 10**e),
+                  st.sampled_from([2**63 - 1, 2**63, 4 * 10**18]))
+_CSV_EDIT = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 99), st.integers(0, 99),
+              st.one_of(st.text(max_size=12), _INTS.map(str))),
+    st.tuples(st.sampled_from(["drop_field", "dup_field", "drop_line",
+                               "dup_line"]),
+              st.integers(0, 99), st.integers(0, 99), st.none()),
+)
+_BYTE_INSERT = st.tuples(st.integers(0, 10**4),
+                         st.binary(min_size=1, max_size=8))
+
+
+class TestCorruptedCsv:
+    """A corrupted CSV either loads as a valid dataset or raises
+    DataError: no other exception escapes read_dataset."""
+
+    @pytest.fixture(scope="class")
+    def valid_csv(self, tmp_path_factory):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=3, samples_per_class_per_modality=2, d_in=2, seed=5))
+        path = tmp_path_factory.mktemp("csv") / "valid.csv"
+        write_dataset(ds, path)
+        return path, path.read_text(encoding="utf-8")
+
+    @given(st.lists(_CSV_EDIT, max_size=3),
+           # most inserted bytes are not UTF-8, so half the cases get none
+           st.one_of(st.just([]),
+                     st.lists(_BYTE_INSERT, min_size=1, max_size=2)))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_loads_or_raises_data_error(self, valid_csv, edits, inserts):
+        path, text = valid_csv
+        bad = path.with_name("bad.csv")
+        bad.write_bytes(_corrupt(text, edits, inserts))
+        try:
+            ds = read_dataset(bad)
+        except DataError as exc:
+            assert str(bad) in str(exc)
+            return
+        ds.validate()
+        assert len(ds) > 0 and np.isfinite(ds.features).all()
