@@ -110,7 +110,9 @@ def _read_checkpoint(path, d_in):
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{exc.strerror or exc}") from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            RecursionError) as exc:
+        # RecursionError: json nests past the interpreter's stack limit
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
     emb = params.embedder
     if emb.W.ndim != 2 or emb.W.shape[0] != d_in:

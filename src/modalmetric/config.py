@@ -149,7 +149,14 @@ class RunConfig:
                 )
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            full = generate_synthetic(synth)
+            try:
+                full = generate_synthetic(synth)
+            except (MemoryError, ValueError):
+                # numpy raises ValueError for shapes past the address space
+                raise ConfigError(
+                    "data.n_classes x data.samples_per_class_per_modality "
+                    "x data.d_in is too large to allocate"
+                ) from None
         else:
             full = read_dataset(d["source"])
         try:

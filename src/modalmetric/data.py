@@ -121,22 +121,6 @@ class SyntheticConfig:
             raise ValueError("offset_norm must be non-negative")
 
 
-@dataclass
-class SamplerConfig:
-    """P classes per batch, K samples per class per modality."""
-
-    P: int
-    K: int
-
-    def __post_init__(self):
-        if self.P < 2:
-            raise ValueError("P must be >= 2 (a triplet needs a negative class)")
-        if self.K < 2:
-            raise ValueError(
-                "K must be >= 2 (a triplet needs a same-class, same-modality positive)"
-            )
-
-
 def generate_synthetic(cfg):
     """Draw a deterministic synthetic dataset from `cfg`.
 
@@ -206,34 +190,35 @@ class PKSampler:
     not share one instance across threads.
     """
 
-    def __init__(self, ds, cfg, rng):
+    def __init__(self, ds, P, K, rng):
         self.ds = ds
-        self.cfg = cfg
+        self.P = P
+        self.K = K
         self.rng = rng
-        if cfg.P > ds.n_classes:
+        if P > ds.n_classes:
             raise DataError(
-                f"P={cfg.P} exceeds the {ds.n_classes} available classes"
+                f"P={P} exceeds the {ds.n_classes} available classes"
             )
         self._cells = {}
         for c in range(ds.n_classes):
             for m in (0, 1):
                 idx = np.flatnonzero((ds.labels == c) & (ds.modalities == m))
-                if len(idx) < cfg.K:
+                if len(idx) < K:
                     raise DataError(
                         f"class {c} has {len(idx)} {MODALITY_TAGS[m]} "
-                        f"samples, need at least K={cfg.K}"
+                        f"samples, need at least K={K}"
                     )
                 self._cells[(c, m)] = idx
 
     def sample(self):
         """Return one batch of 2*P*K distinct indices, class-major with
         the K sketches before the K photos inside each class block."""
-        classes = self.rng.choice(self.ds.n_classes, size=self.cfg.P, replace=False)
+        classes = self.rng.choice(self.ds.n_classes, size=self.P, replace=False)
         parts = []
         for c in classes:
             for m in (0, 1):
                 cell = self._cells[(int(c), m)]
-                parts.append(self.rng.choice(cell, size=self.cfg.K, replace=False))
+                parts.append(self.rng.choice(cell, size=self.K, replace=False))
         return np.concatenate(parts)
 
 

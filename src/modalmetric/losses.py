@@ -19,11 +19,9 @@ whose g falls below `eps_g` are dropped from the system (weight 0)
 instead of having g clamped upward, so a dead loss cannot be handed an
 inflated weight.
 
-The training path is array-native: `weighted_embedding_loss` mines every
-requested kind with `mining.mine_indices` and scores each with
-`indexed_hinge`, both over (anchor, positive, negative) index arrays.
-`triplet_hinge` and the per-kind wrappers (`cross_modality_loss`, ...)
-are Triplet-list adapters over the same two cores. `indexed_hinge`
+Triplets are (anchor, positive, negative) index arrays throughout:
+`weighted_embedding_loss` mines every requested kind with
+`batch_hard_mine` and scores each with `triplet_hinge`. `triplet_hinge`
 scatters its gradient with one `np.bincount` over the anchor rows, then
 the positive rows, then the negative rows, each in triplet order.
 bincount adds its weights one at a time, in input order, into an output
@@ -39,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from .geometry import pairwise_distance
-from .mining import TripletKind, batch_hard_mine, mine_indices
+from .mining import TripletKind, batch_hard_mine
 
 # Floor on distances when dividing by d_ap / d_an in the hinge gradient;
 # only reachable when two embedding rows coincide exactly.
@@ -83,13 +81,14 @@ class LossReport:
 
 @dataclass
 class WeightedLossBundle:
-    """Three per-kind triplet reports combined with per-loss weights."""
+    """Per-kind triplet reports and their weighted combination: `value`
+    and `grad` play the same roles as in a LossReport."""
 
     kinds: Tuple[TripletKind, ...]
     reports: Tuple[LossReport, ...]
     weights: np.ndarray
-    combined_value: float
-    combined_grad: np.ndarray
+    value: float
+    grad: np.ndarray
 
 
 def softmax_ce(logits, labels):
@@ -126,28 +125,14 @@ def softmax_ce(logits, labels):
     return LossReport(value=value, active_fraction=1.0, grad=grad)
 
 
-def triplet_hinge(embeddings, triplets, margin):
+def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     """Mean hinge loss over mined triplets, with its embedding gradient.
 
-    value = (1/N) * sum_t max(0, d_ap - d_an + margin). The active
-    fraction counts triplets whose hinge argument is strictly positive;
-    a triplet exactly on the boundary contributes zero loss and zero
-    (sub)gradient. A Triplet-list adapter over `indexed_hinge`.
-    """
-    return indexed_hinge(
-        embeddings,
-        np.array([t.anchor for t in triplets], dtype=np.int64),
-        np.array([t.positive for t in triplets], dtype=np.int64),
-        np.array([t.negative for t in triplets], dtype=np.int64),
-        margin,
-    )
-
-
-def indexed_hinge(embeddings, anchors, positives, negatives, margin):
-    """Array core of `triplet_hinge`: the same loss and gradient over
-    triplets given as three equal-length int index arrays.
-
-    Each active triplet adds (u_ap - u_an)/N to its anchor row, -u_ap/N
+    The triplets are three equal-length int index arrays. value = (1/N) *
+    sum_t max(0, d_ap - d_an + margin). The active fraction counts
+    triplets whose hinge argument is strictly positive; a triplet exactly
+    on the boundary contributes zero loss and zero (sub)gradient. Each
+    active triplet adds (u_ap - u_an)/N to its anchor row, -u_ap/N
     to its positive row and u_an/N to its negative row, scattered by one
     `np.bincount` in the order the module docstring describes.
     """
@@ -181,29 +166,6 @@ def indexed_hinge(embeddings, anchors, positives, negatives, margin):
                       grad=grad.reshape(b, d))
 
 
-def _mined_loss(embeddings, labels, modalities, margin, kind):
-    dist = pairwise_distance(embeddings, embeddings)
-    triplets = batch_hard_mine(dist, labels, modalities, kind)
-    return triplet_hinge(embeddings, triplets, margin)
-
-
-def cross_modality_loss(embeddings, labels, modalities, margin):
-    """Hardest-triplet hinge where positive and negative both come from
-    the modality opposite the anchor's."""
-    return _mined_loss(embeddings, labels, modalities, margin, TripletKind.CROSS)
-
-
-def within_modality_loss(embeddings, labels, modalities, margin):
-    """Hardest-triplet hinge mined entirely inside the anchor's modality."""
-    return _mined_loss(embeddings, labels, modalities, margin, TripletKind.WITHIN)
-
-
-def hybrid_loss(embeddings, labels, modalities, margin):
-    """Hardest-triplet hinge with a cross-modal positive and a same-modal
-    negative; the pull term shrinks the modality gap directly."""
-    return _mined_loss(embeddings, labels, modalities, margin, TripletKind.HYBRID)
-
-
 def gradient_weights(g, eps_g=1e-6):
     """Solve the equal-gradient weighting system over the active set.
 
@@ -234,8 +196,8 @@ def weighted_embedding_loss(
     """Mine and combine a set of triplet losses over one batch.
 
     One distance matrix and one set of label/modality masks are shared
-    by all kinds: `mine_indices` mines them as index arrays and
-    `indexed_hinge` scores each kind, with no Triplet objects built.
+    by all kinds: `batch_hard_mine` mines them as index arrays and
+    `triplet_hinge` scores each kind.
     With `use_weighting` the combination weights come from
     `gradient_weights` on the active fractions; otherwise every included
     loss gets weight 1 (plain sum).
@@ -245,11 +207,11 @@ def weighted_embedding_loss(
     if len(kinds) == 0:
         raise ValueError("at least one triplet kind is required")
     e = np.asarray(embeddings, dtype=np.float64)
-    anchors, mined = mine_indices(
+    anchors, mined = batch_hard_mine(
         pairwise_distance(e, e), labels, modalities, kinds
     )
     reports = tuple(
-        indexed_hinge(e, anchors, pos, neg, cfg.margin) for pos, neg in mined
+        triplet_hinge(e, anchors, pos, neg, cfg.margin) for pos, neg in mined
     )
     if use_weighting:
         weights = gradient_weights(
@@ -257,25 +219,16 @@ def weighted_embedding_loss(
         )
     else:
         weights = np.ones(len(reports), dtype=np.float64)
-    combined_value = float(sum(w * r.value for w, r in zip(weights, reports)))
-    combined_grad = np.zeros_like(e)
+    grad = np.zeros_like(e)
     for w, r in zip(weights, reports):
         if w != 0.0:
-            combined_grad += w * r.grad
+            grad += w * r.grad
     return WeightedLossBundle(
         kinds=tuple(kinds),
         reports=reports,
         weights=weights,
-        combined_value=combined_value,
-        combined_grad=combined_grad,
-    )
-
-
-def mathm_loss(embeddings, labels, modalities, cfg):
-    """Full modality-aware embedding loss: cross, within, and hybrid
-    triplet losses combined with gradient-based weighting."""
-    return weighted_embedding_loss(
-        embeddings, labels, modalities, cfg, kinds=ALL_KINDS, use_weighting=True
+        value=float(sum(w * r.value for w, r in zip(weights, reports))),
+        grad=grad,
     )
 
 
@@ -288,19 +241,15 @@ def total_loss(cls_report, embed, lam):
     """
     if lam < 0:
         raise ValueError("lam must be non-negative")
-    if isinstance(embed, WeightedLossBundle):
-        e_value, e_grad = embed.combined_value, embed.combined_grad
-    else:
-        e_value, e_grad = embed.value, embed.grad
     cls_grad = np.asarray(cls_report.grad, dtype=np.float64)
-    if cls_grad.shape != e_grad.shape:
+    if cls_grad.shape != embed.grad.shape:
         raise ValueError(
-            f"gradient shapes differ: {cls_grad.shape} vs {e_grad.shape}"
+            f"gradient shapes differ: {cls_grad.shape} vs {embed.grad.shape}"
         )
     return LossReport(
-        value=float(cls_report.value + lam * e_value),
+        value=float(cls_report.value + lam * embed.value),
         active_fraction=1.0,
-        grad=cls_grad + lam * e_grad,
+        grad=cls_grad + lam * embed.grad,
     )
 
 

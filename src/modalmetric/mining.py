@@ -12,16 +12,13 @@ farthest same-class candidate and the negative the nearest other-class
 candidate, restricted to the kind's modality pattern; distance ties are
 broken toward the lowest batch index so the result is deterministic.
 
-`mine_indices` is the array core used in training: it builds the label
-and modality masks once per batch, mines every requested kind from them,
-and returns (anchor, positive, negative) index arrays. `batch_hard_mine`
-is a thin adapter over it that mines one kind and returns a list of
-Triplet objects. `brute_force_mine` re-derives the same triplets by
-exhaustive enumeration and exists so the two can be checked against each
-other.
+Triplets are (anchor, positive, negative) int64 index arrays.
+`batch_hard_mine` builds the label and modality masks once per batch and
+mines every requested kind from them. `brute_force_mine` re-derives one
+kind's triplets by exhaustive enumeration and exists so the two can be
+checked against each other.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,14 +43,6 @@ class TripletKind(Enum):
         return anchor_modality
 
 
-@dataclass(frozen=True)
-class Triplet:
-    anchor: int
-    positive: int
-    negative: int
-    kind: TripletKind
-
-
 def _as_arrays(labels, modalities):
     labels = np.asarray(labels, dtype=np.int64)
     modalities = np.asarray(modalities, dtype=np.int64)
@@ -62,8 +51,8 @@ def _as_arrays(labels, modalities):
     return labels, modalities
 
 
-def mine_indices(dist, labels, modalities, kinds, anchors=None):
-    """Array core of batch-hard mining: index arrays for several kinds.
+def batch_hard_mine(dist, labels, modalities, kinds, anchors=None):
+    """Mine one hardest triplet per anchor for each of several kinds.
 
     The label and modality masks are built once and shared by every
     kind; each kind's positive (negative) is the argmax (argmin) of the
@@ -133,42 +122,25 @@ def mine_indices(dist, labels, modalities, kinds, anchors=None):
     return anchors, mined
 
 
-def batch_hard_mine(dist, labels, modalities, kind, anchors=None):
-    """Mine one hardest triplet per anchor from a precomputed distance matrix.
-
-    A Triplet-list adapter over `mine_indices` for a single kind; same
-    arguments, with `kind` a TripletKind.
-
-    Returns:
-        list of Triplet, in anchor order.
-
-    Raises:
-        MiningError: if some anchor has no valid positive or negative.
-    """
-    anchors, [(pos, neg)] = mine_indices(
-        dist, labels, modalities, (kind,), anchors
-    )
-    return [
-        Triplet(int(a), int(p), int(m), kind)
-        for a, p, m in zip(anchors, pos, neg)
-    ]
-
-
 def brute_force_mine(embeddings, labels, modalities, kind, anchors=None):
     """Reference miner: exhaustive scan with the same tie-break rule.
 
-    Takes raw embeddings (unit rows) rather than a distance matrix, and
-    must agree with `batch_hard_mine` exactly on every batch.
+    Takes raw embeddings (unit rows) rather than a distance matrix and
+    one kind, and must agree with `batch_hard_mine` exactly on every
+    batch.
+
+    Returns:
+        (anchors, positives, negatives): int64 arrays, in anchor order.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels, modalities = _as_arrays(labels, modalities)
     dist = pairwise_distance(embeddings, embeddings)
     n = labels.shape[0]
-    if anchors is None:
-        anchors = range(n)
-
-    triplets = []
-    for a in anchors:
+    anchors = np.arange(n) if anchors is None else np.asarray(
+        list(anchors), dtype=np.int64)
+    positives = np.empty_like(anchors)
+    negatives = np.empty_like(anchors)
+    for i, a in enumerate(anchors):
         want_pos = kind.positive_modality(modalities[a])
         want_neg = kind.negative_modality(modalities[a])
         best_pos, best_pos_d = None, None
@@ -188,5 +160,5 @@ def brute_force_mine(embeddings, labels, modalities, kind, anchors=None):
             raise MiningError(
                 f"anchor {int(a)}: no valid negative for kind {kind.value}"
             )
-        triplets.append(Triplet(int(a), best_pos, best_neg, kind))
-    return triplets
+        positives[i], negatives[i] = best_pos, best_neg
+    return anchors, positives, negatives

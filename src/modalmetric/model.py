@@ -9,6 +9,7 @@ affine Jacobians. All parameters are float64.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +242,11 @@ def load_checkpoint(path):
 
     Returns:
         (params: ModelParams, meta: dict).
+
+    Raises:
+        ValueError: if the file is not a checkpoint, or a tensor's shape
+            is not a list of non-negative ints whose product is the
+            length of its data.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -249,7 +255,16 @@ def load_checkpoint(path):
 
     def tensor(name):
         entry = payload["tensors"][name]
-        return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        data = np.array(entry["data"], dtype=np.float64)
+        shape = entry["shape"]
+        # reshape would fill in a -1 dimension rather than reject it
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)
+                and math.prod(shape) == data.size):
+            raise ValueError(
+                f"{name}: shape {shape!r} does not fit {data.size} values"
+            )
+        return data.reshape(shape)
 
     params = ModelParams(
         embedder=EmbedderParams(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, PKSampler, SamplerConfig
+from .data import Dataset, PKSampler
 from .errors import ConfigError, NumericError
 from .losses import (
     ALL_KINDS,
@@ -82,6 +82,16 @@ class TrainConfig:
             raise ConfigError("base_lr must be positive")
         if self.d_emb < 2:
             raise ConfigError("d_emb must be >= 2")
+        if self.classes_per_batch < 2:
+            raise ConfigError(
+                "classes_per_batch must be >= 2 "
+                "(a triplet needs a negative class)"
+            )
+        if self.samples_per_class < 2:
+            raise ConfigError(
+                "samples_per_class must be >= 2 "
+                "(a triplet needs a same-class, same-modality positive)"
+            )
         if self.disc_lr_scale <= 0:
             raise ConfigError("disc_lr_scale must be positive")
 
@@ -168,17 +178,24 @@ def train(dataset: Dataset, config: TrainConfig):
     one ordered dict-like row of diagnostics (see log_columns).
 
     Raises:
+        ConfigError: if the parameters are too large to allocate.
         NumericError: if any loss or gradient turns non-finite, naming
             the iteration.
     """
     dataset.validate()
     kinds, weighting, adversarial = config.recipe()
     rng = np.random.default_rng(config.seed)
-    params = init_params(dataset.d_in, config.d_emb, dataset.n_classes, rng)
+    try:
+        params = init_params(dataset.d_in, config.d_emb, dataset.n_classes,
+                             rng)
+    except (MemoryError, ValueError):
+        # numpy raises ValueError for shapes past the address space
+        raise ConfigError(
+            f"parameters for d_in={dataset.d_in}, d_emb={config.d_emb} and "
+            f"{dataset.n_classes} classes are too large to allocate"
+        ) from None
     sampler = PKSampler(
-        dataset,
-        SamplerConfig(config.classes_per_batch, config.samples_per_class),
-        rng,
+        dataset, config.classes_per_batch, config.samples_per_class, rng
     )
     features = dataset.features
     labels = dataset.labels

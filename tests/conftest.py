@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from modalmetric import Dataset, l2_normalize
+from modalmetric import (
+    Dataset,
+    LossConfig,
+    batch_hard_mine,
+    l2_normalize,
+    weighted_embedding_loss,
+)
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
 # criterion; printing them in the terminal summary keeps the whole gate
@@ -38,3 +44,19 @@ def make_dataset(features, labels, mods):
     """Hand-rolled Dataset from parallel lists with ids 0..N-1 (no
     validation)."""
     return Dataset(features, labels, mods, np.arange(len(labels)))
+
+
+def mine_one(dist, labels, mods, kind, anchors=None):
+    """batch_hard_mine for one kind, stacked as brute_force_mine's result
+    compares: a (3, n) array of anchor, positive and negative rows."""
+    anchors, [(pos, neg)] = batch_hard_mine(dist, labels, mods, (kind,),
+                                            anchors)
+    return np.stack((anchors, pos, neg))
+
+
+def mined_loss(e, labels, mods, kind, margin=0.2):
+    """The one-kind hinge report the training path computes: mined by
+    batch_hard_mine, scored by triplet_hinge."""
+    bundle = weighted_embedding_loss(e, labels, mods, LossConfig(margin),
+                                     (kind,), use_weighting=False)
+    return bundle.reports[0]

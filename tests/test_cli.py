@@ -202,6 +202,11 @@ def _truncated(good, bad):
     bad.write_bytes(data[: len(data) // 2])
 
 
+def _deeply_nested(good, bad):
+    # nests past the interpreter's stack limit inside json.load
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+
+
 def _edit_payload(edit):
     def corrupt(good, bad):
         payload = json.loads(good.read_text())
@@ -225,6 +230,10 @@ CORRUPTIONS = {
         "data"].__setitem__(0, float("nan"))), "non-finite"),
     "class_ids_not_a_list": (_edit_payload(
         lambda p: p["meta"].update(train_class_ids=5)), "malformed"),
+    "deeply_nested": (_deeply_nested, "malformed"),
+    # reshape would fill in the -1 and load an (8, 4) W
+    "negative_dim": (_edit_payload(lambda p: p["tensors"]["embedder.W"]
+                                   .update(shape=[-1, 4])), "malformed"),
 }
 
 
@@ -411,6 +420,24 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert "finite" in err and key in err
+        assert not (tmp_path / "mathm").exists()
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("classes_per_batch", "1"), ("classes_per_batch", "-3"),
+        ("samples_per_class", "1"),
+        # petabyte-scale sizes, which fail at allocation
+        ("d_emb", str(10**14)), ("d_in", str(10**14)),
+        ("n_classes", str(10**13)),
+        ("samples_per_class_per_modality", str(10**16)),
+        # past int64: numpy rejects the shape before allocating
+        ("d_emb", str(10**19)), ("d_in", str(10**19))])
+    def test_unusable_size(self, ini, tmp_path, key, value, capsys):
+        rc = main(["train", "--config", ini, "--out", str(tmp_path),
+                   f"--{key}", value])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert key in err
         assert not (tmp_path / "mathm").exists()
 
 

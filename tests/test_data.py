@@ -11,7 +11,6 @@ from modalmetric import (
     DataError,
     Dataset,
     PKSampler,
-    SamplerConfig,
     SyntheticConfig,
     generate_synthetic,
     read_dataset,
@@ -142,16 +141,14 @@ class TestPKSampler:
         ds = generate_synthetic(SyntheticConfig(n_classes=16,
                                                 samples_per_class_per_modality=4,
                                                 d_in=4, seed=0))
-        idx = PKSampler(ds, SamplerConfig(P=16, K=4),
-                        np.random.default_rng(0)).sample()
+        idx = PKSampler(ds, 16, 4, np.random.default_rng(0)).sample()
         assert idx.shape == (128,)
 
     def test_cell_structure(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=5,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
-        idx = PKSampler(ds, SamplerConfig(P=2, K=2),
-                        np.random.default_rng(1)).sample()
+        idx = PKSampler(ds, 2, 2, np.random.default_rng(1)).sample()
         assert idx.shape == (8,)
         assert len(set(idx.tolist())) == 8
         labels = ds.labels[idx]
@@ -165,8 +162,8 @@ class TestPKSampler:
         ds = generate_synthetic(SyntheticConfig(n_classes=5,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
-        a = PKSampler(ds, SamplerConfig(P=3, K=2), np.random.default_rng(4))
-        b = PKSampler(ds, SamplerConfig(P=3, K=2), np.random.default_rng(4))
+        a = PKSampler(ds, 3, 2, np.random.default_rng(4))
+        b = PKSampler(ds, 3, 2, np.random.default_rng(4))
         for _ in range(5):
             assert_array_equal(a.sample(), b.sample())
 
@@ -177,20 +174,14 @@ class TestPKSampler:
         mods = [0, 0, 1, 1, 0, 0, 1]
         ds = make_dataset(feats, labels, mods)
         with pytest.raises(DataError, match="class 1 has 1 photo"):
-            PKSampler(ds, SamplerConfig(P=2, K=2), np.random.default_rng(0))
+            PKSampler(ds, 2, 2, np.random.default_rng(0))
 
     def test_p_exceeds_classes(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=3,
                                                 samples_per_class_per_modality=3,
                                                 d_in=4, seed=0))
         with pytest.raises(DataError, match="P=4"):
-            PKSampler(ds, SamplerConfig(P=4, K=2), np.random.default_rng(0))
-
-    def test_sampler_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(P=1, K=2)
-        with pytest.raises(ValueError):
-            SamplerConfig(P=2, K=1)
+            PKSampler(ds, 4, 2, np.random.default_rng(0))
 
 
 class TestCsvRoundTrip:
@@ -374,9 +365,9 @@ class TestColumnOracle:
         for part in (ds, *halves):
             if part.n_classes < 2:
                 continue
-            cfg = SamplerConfig(P=int(rng.integers(2, part.n_classes + 1)),
-                                K=int(rng.integers(2, 4)))
-            sampler = PKSampler(part, cfg, np.random.default_rng(seed))
+            P = int(rng.integers(2, part.n_classes + 1))
+            K = int(rng.integers(2, 4))
+            sampler = PKSampler(part, P, K, np.random.default_rng(seed))
             cells = _reference_cells(part)
             assert sorted(sampler._cells) == sorted(cells)
             for key, idx in cells.items():
@@ -384,11 +375,11 @@ class TestColumnOracle:
             ref = np.random.default_rng(seed)
             for _ in range(5):
                 want = []
-                for c in ref.choice(part.n_classes, size=cfg.P,
+                for c in ref.choice(part.n_classes, size=P,
                                     replace=False):
                     for m in (0, 1):
                         want += ref.choice(np.array(cells[(int(c), m)]),
-                                           size=cfg.K, replace=False).tolist()
+                                           size=K, replace=False).tolist()
                 assert sampler.sample().tolist() == want
 
 

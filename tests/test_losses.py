@@ -5,26 +5,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import pk_batch, unit_rows
+from conftest import mined_loss, pk_batch, unit_rows
 from modalmetric import (
     ALL_KINDS,
     LossConfig,
     LossReport,
-    Triplet,
     TripletKind,
     adversarial_d_loss,
     adversarial_g_loss,
     brute_force_mine,
-    cross_modality_loss,
     finite_diff_check,
     gradient_weights,
-    hybrid_loss,
-    mathm_loss,
     softmax_ce,
     total_loss,
     triplet_hinge,
     weighted_embedding_loss,
-    within_modality_loss,
 )
 
 
@@ -72,6 +67,9 @@ def tilted_pair_batch():
     labels = np.array([0, 0, 1, 1, 0, 0, 1, 1])
     mods = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     return e, labels, mods
+
+
+CROSS, WITHIN, HYBRID = ALL_KINDS
 
 
 class TestSoftmaxCE:
@@ -129,16 +127,16 @@ class TestSoftmaxCE:
 class TestTripletHinge:
     def test_satisfied_triplet(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        trip = [Triplet(0, 1, 2, TripletKind.CROSS)]
-        report = triplet_hinge(e, trip, 0.2)
+        report = triplet_hinge(e, np.array([0]), np.array([1]),
+                               np.array([2]), 0.2)
         assert report.value == 0.0
         assert report.active_fraction == 0.0
         assert_array_equal(report.grad, np.zeros_like(e))
 
     def test_violating_triplet(self):
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        trip = [Triplet(0, 1, 2, TripletKind.CROSS)]
-        report = triplet_hinge(e, trip, 0.2)
+        report = triplet_hinge(e, np.array([0]), np.array([1]),
+                               np.array([2]), 0.2)
         assert_allclose(report.value, 2.0 - np.sqrt(2.0) + 0.2, rtol=1e-12)
         assert_allclose(report.value, 0.78579, atol=5e-6)
         assert report.active_fraction == 1.0
@@ -147,34 +145,33 @@ class TestTripletHinge:
         # hinge argument is exactly zero: sqrt(2) - 2 + (2 - sqrt(2));
         # strict positivity means no loss and no gradient
         e = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        trip = [Triplet(0, 1, 2, TripletKind.CROSS)]
-        report = triplet_hinge(e, trip, 2.0 - np.sqrt(2.0))
+        report = triplet_hinge(e, np.array([0]), np.array([1]),
+                               np.array([2]), 2.0 - np.sqrt(2.0))
         assert report.value == 0.0
         assert report.active_fraction == 0.0
         assert_array_equal(report.grad, np.zeros_like(e))
 
     def test_mean_and_active_fraction(self):
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        trips = [
-            Triplet(0, 1, 2, TripletKind.CROSS),  # active: 2 - sqrt(2) + 0.2
-            Triplet(0, 2, 1, TripletKind.CROSS),  # satisfied
-        ]
-        report = triplet_hinge(e, trips, 0.2)
+        # (0, 1, 2) is active at 2 - sqrt(2) + 0.2; (0, 2, 1) is satisfied
+        report = triplet_hinge(e, np.array([0, 0]), np.array([1, 2]),
+                               np.array([2, 1]), 0.2)
         assert_allclose(report.value, (2.0 - np.sqrt(2.0) + 0.2) / 2, rtol=1e-12)
         assert report.active_fraction == 0.5
 
     def test_empty_list(self):
+        none = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
-            triplet_hinge(np.zeros((2, 2)), [], 0.2)
+            triplet_hinge(np.zeros((2, 2)), none, none, none, 0.2)
 
     def test_finite_diff_fixed_triplets(self):
         rng = np.random.default_rng(5)
         e, labels, mods = pk_batch(rng, 3, 2, 6)
         trips = brute_force_mine(e, labels, mods, TripletKind.CROSS)
-        report = triplet_hinge(e, trips, 0.5)
+        report = triplet_hinge(e, *trips, 0.5)
         assert report.active_fraction > 0
         err = finite_diff_check(
-            lambda E: triplet_hinge(E, trips, 0.5).value, e, report.grad
+            lambda E: triplet_hinge(E, *trips, 0.5).value, e, report.grad
         )
         assert err < 1e-6
 
@@ -186,7 +183,7 @@ class TestMinedLosses:
         e = np.eye(4)
         labels = np.array([0, 0, 1, 1])
         mods = np.array([0, 1, 0, 1])
-        report = cross_modality_loss(e, labels, mods, 0.2)
+        report = mined_loss(e, labels, mods, CROSS)
         assert_allclose(report.value, 0.2, rtol=1e-12)
         assert report.active_fraction == 1.0
 
@@ -196,32 +193,32 @@ class TestMinedLosses:
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         labels = np.array([0, 1, 0, 1])
         mods = np.array([0, 0, 1, 1])
-        report = cross_modality_loss(e, labels, mods, 0.2)
+        report = mined_loss(e, labels, mods, CROSS)
         assert report.value == 0.0
         assert report.active_fraction == 0.0
 
     def test_square_batch_all_kinds(self):
         e, labels, mods = square_batch()
-        for fn in (cross_modality_loss, within_modality_loss, hybrid_loss):
-            report = fn(e, labels, mods, 0.2)
+        for kind in ALL_KINDS:
+            report = mined_loss(e, labels, mods, kind)
             assert_allclose(report.value, 0.2, rtol=1e-12)
             assert report.active_fraction == 1.0
 
     def test_tetra_batch_kind_split(self):
         e, labels, mods = tetra_batch()
-        assert_allclose(cross_modality_loss(e, labels, mods, 0.2).value, 0.2,
+        assert_allclose(mined_loss(e, labels, mods, CROSS).value, 0.2,
                         rtol=1e-12)
-        assert_allclose(within_modality_loss(e, labels, mods, 0.2).value, 0.2,
+        assert_allclose(mined_loss(e, labels, mods, WITHIN).value, 0.2,
                         rtol=1e-12)
-        hyb = hybrid_loss(e, labels, mods, 0.2)
+        hyb = mined_loss(e, labels, mods, HYBRID)
         assert hyb.value == 0.0
         assert hyb.active_fraction == 0.0
 
     def test_tilted_pair_hybrid_only(self):
         e, labels, mods = tilted_pair_batch()
-        assert cross_modality_loss(e, labels, mods, 0.2).value == 0.0
-        assert within_modality_loss(e, labels, mods, 0.2).value == 0.0
-        hyb = hybrid_loss(e, labels, mods, 0.2)
+        assert mined_loss(e, labels, mods, CROSS).value == 0.0
+        assert mined_loss(e, labels, mods, WITHIN).value == 0.0
+        hyb = mined_loss(e, labels, mods, HYBRID)
         assert_allclose(hyb.value, 0.45, rtol=1e-12)
         assert hyb.active_fraction == 1.0
 
@@ -236,24 +233,19 @@ class TestMinedLosses:
         labels = np.array([0, 0, 1])
         mods = np.array([0, 1, 0])
         trips = brute_force_mine(e, labels, mods, TripletKind.HYBRID, anchors=[0])
-        assert trips == [Triplet(0, 1, 2, TripletKind.HYBRID)]
-        report = triplet_hinge(e, trips, 0.2)
+        assert_array_equal(trips, [[0], [1], [2]])
+        report = triplet_hinge(e, *trips, 0.2)
         assert_allclose(report.value, np.sqrt(2.0) - 1.0 + 0.2, rtol=1e-12)
 
     def test_matches_brute_force_composition(self):
         # each mined loss must equal hinge-over-reference-mining exactly
         rng = np.random.default_rng(21)
-        fns = {
-            TripletKind.CROSS: cross_modality_loss,
-            TripletKind.WITHIN: within_modality_loss,
-            TripletKind.HYBRID: hybrid_loss,
-        }
         for _ in range(20):
             e, labels, mods = pk_batch(rng, 3, 2, 8)
-            for kind, fn in fns.items():
-                got = fn(e, labels, mods, 0.2)
+            for kind in ALL_KINDS:
+                got = mined_loss(e, labels, mods, kind)
                 want = triplet_hinge(
-                    e, brute_force_mine(e, labels, mods, kind), 0.2
+                    e, *brute_force_mine(e, labels, mods, kind), 0.2
                 )
                 assert got.value == want.value
                 assert got.active_fraction == want.active_fraction
@@ -323,52 +315,49 @@ class TestWeightedEmbeddingLoss:
         bundle = weighted_embedding_loss(e, labels, mods, cfg,
                                          use_weighting=False)
         assert_array_equal(bundle.weights, np.ones(3))
-        assert_allclose(bundle.combined_value, 0.6, rtol=1e-12)
+        assert_allclose(bundle.value, 0.6, rtol=1e-12)
 
     def test_square_batch_weighting_neutral(self):
         # equal active fractions leave the weights at one
         e, labels, mods = square_batch()
-        bundle = mathm_loss(e, labels, mods, LossConfig())
+        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
         assert_allclose(bundle.weights, np.ones(3), rtol=1e-12)
-        assert_allclose(bundle.combined_value, 0.6, rtol=1e-12)
+        assert_allclose(bundle.value, 0.6, rtol=1e-12)
 
     def test_tetra_batch_drops_dead_loss(self):
         e, labels, mods = tetra_batch()
-        bundle = mathm_loss(e, labels, mods, LossConfig())
+        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
         assert [r.active_fraction for r in bundle.reports] == [1.0, 1.0, 0.0]
         assert_allclose(bundle.weights, [1.0, 1.0, 0.0], rtol=1e-12)
         assert_allclose([r.value for r in bundle.reports], [0.2, 0.2, 0.0],
                         rtol=1e-12)
-        assert_allclose(bundle.combined_value, 0.4, rtol=1e-12)
+        assert_allclose(bundle.value, 0.4, rtol=1e-12)
 
     def test_tilted_pair_hybrid_takes_all(self):
         e, labels, mods = tilted_pair_batch()
-        bundle = mathm_loss(e, labels, mods, LossConfig())
+        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
         assert_allclose(bundle.weights, [0.0, 0.0, 1.0], rtol=1e-12)
-        assert_allclose(bundle.combined_value, 0.45, rtol=1e-12)
+        assert_allclose(bundle.value, 0.45, rtol=1e-12)
 
     def test_reports_match_standalone(self):
         rng = np.random.default_rng(31)
         e, labels, mods = pk_batch(rng, 4, 2, 8)
         cfg = LossConfig()
         bundle = weighted_embedding_loss(e, labels, mods, cfg)
-        standalone = [
-            cross_modality_loss(e, labels, mods, cfg.margin),
-            within_modality_loss(e, labels, mods, cfg.margin),
-            hybrid_loss(e, labels, mods, cfg.margin),
-        ]
+        standalone = [mined_loss(e, labels, mods, kind, cfg.margin)
+                      for kind in ALL_KINDS]
         assert bundle.kinds == ALL_KINDS
         for got, want in zip(bundle.reports, standalone):
             assert got.value == want.value
             assert got.active_fraction == want.active_fraction
             assert_array_equal(got.grad, want.grad)
 
-    def test_combined_grad_is_weighted_sum(self):
+    def test_grad_is_weighted_sum(self):
         rng = np.random.default_rng(32)
         e, labels, mods = pk_batch(rng, 3, 3, 6)
-        bundle = mathm_loss(e, labels, mods, LossConfig())
+        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
         want = sum(w * r.grad for w, r in zip(bundle.weights, bundle.reports))
-        assert_allclose(bundle.combined_grad, want, atol=1e-15)
+        assert_allclose(bundle.grad, want, atol=1e-15)
 
     def test_kind_subset(self):
         e, labels, mods = square_batch()
@@ -377,7 +366,7 @@ class TestWeightedEmbeddingLoss:
         )
         assert bundle.kinds == (TripletKind.CROSS,)
         assert len(bundle.reports) == 1
-        assert_allclose(bundle.combined_value, 0.2, rtol=1e-12)
+        assert_allclose(bundle.value, 0.2, rtol=1e-12)
 
     def test_empty_kinds(self):
         e, labels, mods = square_batch()
@@ -393,9 +382,9 @@ class TestWeightedEmbeddingLoss:
         cfg = LossConfig(margin=0.5)
         bundle = weighted_embedding_loss(e, labels, mods, cfg)
         err = finite_diff_check(
-            lambda E: weighted_embedding_loss(E, labels, mods, cfg).combined_value,
+            lambda E: weighted_embedding_loss(E, labels, mods, cfg).value,
             e,
-            bundle.combined_grad,
+            bundle.grad,
         )
         assert err < 1e-4
 
@@ -407,16 +396,14 @@ def reference_hinge(e, triplets, margin):
     Returns:
         (value, active_fraction, grad).
     """
-    a = np.array([t.anchor for t in triplets])
-    p = np.array([t.positive for t in triplets])
-    n = np.array([t.negative for t in triplets])
+    a, p, n = triplets
     diff_ap = e[a] - e[p]
     diff_an = e[a] - e[n]
     d_ap = np.linalg.norm(diff_ap, axis=1)
     d_an = np.linalg.norm(diff_an, axis=1)
     hinge = d_ap - d_an + margin
     active = hinge > 0.0
-    n_trip = len(triplets)
+    n_trip = len(a)
     grad = np.zeros_like(e)
     u_ap = diff_ap[active] / np.maximum(d_ap[active], 1e-12)[:, None]
     u_an = diff_an[active] / np.maximum(d_an[active], 1e-12)[:, None]
@@ -465,8 +452,8 @@ class TestFusedLossOracle:
                 assert report.active_fraction == r_active
                 assert_array_equal(report.grad, r_grad)
             assert_array_equal(got.weights, weights)
-            assert got.combined_value == value
-            assert_array_equal(got.combined_grad, grad)
+            assert got.value == value
+            assert_array_equal(got.grad, grad)
 
     def test_random_batches(self):
         rng = np.random.default_rng(51)
@@ -519,12 +506,12 @@ class TestTotalLoss:
     def test_accepts_bundle(self):
         rng = np.random.default_rng(41)
         e, labels, mods = pk_batch(rng, 2, 2, 4)
-        bundle = mathm_loss(e, labels, mods, LossConfig())
+        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
         cls = LossReport(value=0.3, active_fraction=1.0,
                          grad=np.zeros_like(e))
         out = total_loss(cls, bundle, 1.0)
-        assert_allclose(out.value, 0.3 + bundle.combined_value, rtol=1e-12)
-        assert_allclose(out.grad, bundle.combined_grad, atol=1e-15)
+        assert_allclose(out.value, 0.3 + bundle.value, rtol=1e-12)
+        assert_allclose(out.grad, bundle.grad, atol=1e-15)
 
     def test_negative_lambda(self):
         cls, embed = self._reports()

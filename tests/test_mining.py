@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from conftest import pk_batch, unit_rows
+from conftest import mine_one, pk_batch, unit_rows
 from modalmetric import (
     ALL_KINDS,
     LossConfig,
     MiningError,
-    Triplet,
     TripletKind,
     batch_hard_mine,
     brute_force_mine,
@@ -44,15 +44,16 @@ class TestBatchHardMine:
         dist = pairwise_distance(e, e)
         # anchor 0 is a class-0 sketch: the only class-0 photo is index 2
         # and the only other-class photo is index 3
-        got = batch_hard_mine(dist, labels, mods, TripletKind.CROSS, anchors=[0])
-        assert got == [Triplet(0, 2, 3, TripletKind.CROSS)]
+        got = mine_one(dist, labels, mods, TripletKind.CROSS, anchors=[0])
+        assert_array_equal(got, [[0], [2], [3]])
 
     def test_no_within_negative(self):
         e, labels, mods = self._four_sample_batch()
         dist = pairwise_distance(e, e)
         # no other-class sketch exists for anchor 0
         with pytest.raises(MiningError, match="anchor 0: no valid negative"):
-            batch_hard_mine(dist, labels, mods, TripletKind.WITHIN, anchors=[0])
+            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,),
+                            anchors=[0])
 
     def test_no_within_positive(self):
         rng = np.random.default_rng(1)
@@ -61,12 +62,13 @@ class TestBatchHardMine:
         mods = np.array([0, 1, 0, 1])
         dist = pairwise_distance(e, e)
         with pytest.raises(MiningError, match="anchor 0: no valid positive"):
-            batch_hard_mine(dist, labels, mods, TripletKind.WITHIN, anchors=[0])
+            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,),
+                            anchors=[0])
 
     def test_weighted_loss_raises_the_same_error(self):
-        # the training path mines without this adapter; a batch with no
-        # candidate must fail there with the same message, naming the
-        # first failing kind, then anchor, positive before negative
+        # a batch with no candidate must fail on the training path with
+        # the reference miner's message, naming the first failing kind,
+        # then anchor, positive before negative
         rng = np.random.default_rng(1)
         no_within_positive = (unit_rows(rng, 4, 6), np.array([0, 0, 1, 1]),
                               np.array([0, 1, 0, 1]))
@@ -78,7 +80,7 @@ class TestBatchHardMine:
             for kinds in ((TripletKind.WITHIN,), ALL_KINDS):
                 with pytest.raises(MiningError) as want:
                     for kind in kinds:
-                        batch_hard_mine(dist, labels, mods, kind)
+                        brute_force_mine(e, labels, mods, kind)
                 with pytest.raises(MiningError) as got:
                     weighted_embedding_loss(e, labels, mods, LossConfig(),
                                             kinds)
@@ -91,33 +93,35 @@ class TestBatchHardMine:
         labels = np.repeat([0, 1], 4)
         mods = np.tile([0, 0, 1, 1], 2)
         dist = pairwise_distance(e, e)
-        got = batch_hard_mine(dist, labels, mods, TripletKind.CROSS)
-        assert got[0] == Triplet(0, 2, 6, TripletKind.CROSS)
-        assert got == brute_force_mine(e, labels, mods, TripletKind.CROSS)
+        got = mine_one(dist, labels, mods, TripletKind.CROSS)
+        assert_array_equal(got[:, 0], [0, 2, 6])
+        assert np.array_equal(
+            got, brute_force_mine(e, labels, mods, TripletKind.CROSS))
 
     def test_anchor_order_preserved(self):
         rng = np.random.default_rng(2)
         e, labels, mods = pk_batch(rng, 2, 2, 5)
         dist = pairwise_distance(e, e)
-        got = batch_hard_mine(dist, labels, mods, TripletKind.HYBRID,
-                              anchors=[5, 1, 3])
-        assert [t.anchor for t in got] == [5, 1, 3]
-        assert all(t.kind is TripletKind.HYBRID for t in got)
+        anchors, mined = batch_hard_mine(dist, labels, mods,
+                                         (TripletKind.HYBRID,),
+                                         anchors=[5, 1, 3])
+        assert_array_equal(anchors, [5, 1, 3])
+        assert [len(a) for a in mined[0]] == [3, 3]
 
     def test_default_anchors_whole_batch(self):
         rng = np.random.default_rng(3)
         e, labels, mods = pk_batch(rng, 3, 2, 5)
         dist = pairwise_distance(e, e)
-        got = batch_hard_mine(dist, labels, mods, TripletKind.CROSS)
-        assert [t.anchor for t in got] == list(range(12))
+        anchors, _ = batch_hard_mine(dist, labels, mods, KINDS)
+        assert_array_equal(anchors, np.arange(12))
 
     def test_shape_errors(self):
         rng = np.random.default_rng(4)
         e, labels, mods = pk_batch(rng, 2, 2, 5)
         with pytest.raises(ValueError, match="dist"):
-            batch_hard_mine(np.zeros((3, 3)), labels, mods, TripletKind.CROSS)
+            batch_hard_mine(np.zeros((3, 3)), labels, mods, KINDS)
         with pytest.raises(ValueError):
-            batch_hard_mine(np.zeros((8, 8)), labels[:4], mods, TripletKind.CROSS)
+            batch_hard_mine(np.zeros((8, 8)), labels[:4], mods, KINDS)
 
 
 class TestMinerAgreement:
@@ -132,9 +136,10 @@ class TestMinerAgreement:
             e, labels, mods = pk_batch(rng, p, k, d)
             dist = pairwise_distance(e, e)
             for kind in KINDS:
-                fast = batch_hard_mine(dist, labels, mods, kind)
+                fast = mine_one(dist, labels, mods, kind)
                 slow = brute_force_mine(e, labels, mods, kind)
-                assert fast == slow, f"trial {trial}, kind {kind.value}"
+                assert np.array_equal(fast, slow), (
+                    f"trial {trial}, kind {kind.value}")
 
     def test_quantized_batches_force_ties(self):
         # rows drawn from a 3-vector codebook collide constantly, so
@@ -146,9 +151,9 @@ class TestMinerAgreement:
             e = codebook[rng.integers(0, 3, size=len(labels))]
             dist = pairwise_distance(e, e)
             for kind in KINDS:
-                fast = batch_hard_mine(dist, labels, mods, kind)
+                fast = mine_one(dist, labels, mods, kind)
                 slow = brute_force_mine(e, labels, mods, kind)
-                assert fast == slow
+                assert np.array_equal(fast, slow)
 
     def test_anchor_subset_agreement(self):
         rng = np.random.default_rng(11)
@@ -156,6 +161,6 @@ class TestMinerAgreement:
         dist = pairwise_distance(e, e)
         anchors = [17, 0, 8, 23]
         for kind in KINDS:
-            fast = batch_hard_mine(dist, labels, mods, kind, anchors=anchors)
+            fast = mine_one(dist, labels, mods, kind, anchors=anchors)
             slow = brute_force_mine(e, labels, mods, kind, anchors=anchors)
-            assert fast == slow
+            assert np.array_equal(fast, slow)

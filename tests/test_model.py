@@ -23,10 +23,10 @@ from modalmetric import (
     init_params,
     load_checkpoint,
     log_columns,
-    mathm_loss,
     save_checkpoint,
     softmax_ce,
     train,
+    weighted_embedding_loss,
 )
 from modalmetric.model import EmbedderParams
 
@@ -136,11 +136,11 @@ class TestEmbedBackward:
         def loss_of_w(w):
             p = EmbedderParams(w, params.b.copy(), params.modality_offset.copy())
             e, _ = embed_forward(p, x, mods)
-            return mathm_loss(e, labels, mods, cfg).combined_value
+            return weighted_embedding_loss(e, labels, mods, cfg).value
 
         e, cache = embed_forward(params, x, mods)
-        bundle = mathm_loss(e, labels, mods, cfg)
-        grads = embed_backward(cache, bundle.combined_grad)
+        bundle = weighted_embedding_loss(e, labels, mods, cfg)
+        grads = embed_backward(cache, bundle.grad)
         err = finite_diff_check(loss_of_w, params.W, grads["W"])
         assert err < 1e-4
 
@@ -274,6 +274,11 @@ class TestTrainConfig:
             TrainConfig(d_emb=1)
         with pytest.raises(ConfigError):
             TrainConfig(disc_lr_scale=0.0)
+        for key, value in (("classes_per_batch", 1),
+                           ("classes_per_batch", -3),
+                           ("samples_per_class", 1)):
+            with pytest.raises(ConfigError, match=key):
+                TrainConfig(**{key: value})
 
     def test_recipes(self):
         assert TrainConfig(method="cls-only").recipe() == ((), False, False)

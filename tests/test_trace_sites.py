@@ -1,0 +1,46 @@
+"""Guards for the benchmark's lookup sites.
+
+`bench/tracer.py` wraps functions at the names their callers look them
+up. A rename that leaves one of its sites behind either breaks traced
+runs (the site is missing) or leaves a span reading zero calls (the
+caller no longer looks the name up). Both show here without running the
+benchmark.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+
+import modalmetric.losses as losses
+from conftest import pk_batch
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                      "tracer.py")
+
+
+def tracer_sites():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SITES
+
+
+def test_every_site_is_defined_on_its_owner():
+    for name, sites in tracer_sites().items():
+        for owner, attr in sites:
+            assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr}"
+
+
+def test_weighted_loss_looks_up_the_traced_names(monkeypatch):
+    calls = {"batch_hard_mine": 0, "triplet_hinge": 0}
+    for attr in calls:
+        def counted(*args, _attr=attr, _fn=getattr(losses, attr), **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(losses, attr, counted)
+    e, labels, mods = pk_batch(np.random.default_rng(0), 3, 2, 6)
+    losses.weighted_embedding_loss(e, labels, mods, losses.LossConfig(),
+                                   losses.ALL_KINDS)
+    assert calls == {"batch_hard_mine": 1, "triplet_hinge": 3}
