@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .geometry import cosine_matrix, pairwise_distance
+from .geometry import pairwise_distance
 
 DEFAULT_PREC_K = 100
 DEFAULT_TRUNCATION = 200
@@ -44,12 +44,19 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a non-empty 2-d array")
     dist = pairwise_distance(query_embeddings, gallery)
-    order = np.argsort(dist, axis=1, kind="stable")
+    order = np.argsort(dist, axis=1)
+    distances = np.take_along_axis(dist, order, axis=1)
+    # a row free of ties and NaN has one ascending order, which any sort
+    # finds; the others are sorted again, stably, so that equal distances
+    # keep gallery index order
+    tied = ~(distances[:, 1:] > distances[:, :-1]).all(axis=1)
+    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    distances[tied] = np.take_along_axis(dist[tied], order[tied], axis=1)
     relevance = None
     if query_labels is not None and gallery_labels is not None:
         relevance = (np.asarray(gallery_labels)[order]
                      == np.asarray(query_labels)[:, None]).astype(np.int64)
-    return Ranking(order, np.take_along_axis(dist, order, axis=1), relevance)
+    return Ranking(order, distances, relevance)
 
 
 def average_precision(relevance, truncate_at=None):
@@ -127,35 +134,40 @@ def prec_at_k(ranking, k):
     return float(np.mean(rel[:, :m].sum(axis=1) / m))
 
 
+def _cell_totals(embeddings, labels, modalities):
+    """Totals of the rows in each (class, modality) cell, summed in row
+    order with no BLAS call: the sorted classes, the row sums S (C, 2, d),
+    the row counts n (C, 2) and the squared-norm sums q (C, 2)."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    mods = np.asarray(modalities)
+    if ((mods != 0) & (mods != 1)).any():
+        raise ValueError("modalities must be 0 (sketch) or 1 (photo)")
+    classes, cls = np.unique(labels, return_inverse=True)
+    cell = 2 * cls + mods.astype(np.int64)
+    S = np.zeros((2 * classes.size, e.shape[1]))
+    np.add.at(S, cell, e)
+    n = np.bincount(cell, minlength=S.shape[0]).reshape(-1, 2)
+    q = np.bincount(cell, weights=(e * e).sum(axis=1), minlength=S.shape[0])
+    return classes, S.reshape(-1, 2, e.shape[1]), n, q.reshape(n.shape)
+
+
 def _class_modality_similarities(embeddings, labels, modalities):
     """Per-class mean cosine over same-modality and cross-modality
     same-class pairs (unordered, self-pairs excluded).
 
-    Each class's pairs come from its own block of the N x N cosine
-    matrix. The block's rows and columns are the class's sample indices
-    in increasing order, so its upper triangle lists the pairs in the
-    full matrix's row-major order and the means are those of the full
-    matrix's masked pairs.
+    From the cell totals: the pairs within a cell sum to (|S|^2 - q) / 2
+    and the cross-modality pairs of class c to S[c,0].S[c,1].
     """
-    e = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    mods = np.asarray(modalities)
-    cos = cosine_matrix(e, e)
-    s_same, s_cross = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        class_mods = mods[idx]
-        for m in (0, 1):
-            if int(np.sum(class_mods == m)) < 2:
-                raise MetricError(
-                    f"class {c} needs >= 2 samples in each modality"
-                )
-        block = cos[np.ix_(idx, idx)]
-        upper = np.triu(np.ones(block.shape, dtype=bool), k=1)
-        same_mod = class_mods[:, None] == class_mods[None, :]
-        s_same.append(block[upper & same_mod].mean())
-        s_cross.append(block[upper & ~same_mod].mean())
-    return np.array(s_same), np.array(s_cross)
+    classes, S, n, q = _cell_totals(embeddings, labels, modalities)
+    short = np.flatnonzero(n.min(axis=1) < 2)
+    if short.size:
+        raise MetricError(
+            f"class {classes[short[0]]} needs >= 2 samples in each modality"
+        )
+    # twice the pair sum over twice the pair count
+    s_same = ((S * S).sum(axis=2) - q).sum(axis=1) / (n * (n - 1)).sum(axis=1)
+    s_cross = (S[:, 0] * S[:, 1]).sum(axis=1) / (n[:, 0] * n[:, 1])
+    return s_same, s_cross
 
 
 def modality_gap(embeddings, labels, modalities):
@@ -180,27 +192,33 @@ def between_class_discrepancy(embeddings, labels, modalities):
     """Average same-class minus different-class cosine similarity,
     computed separately over same-modality and cross-modality pairs.
 
+    From the cell totals: the different-class pairs of a cell (c, m) pair
+    its rows with the rest of modality m's rows, whose sum is the
+    modality's total minus S[c, m].
+
     Returns:
         (same_modality, cross_modality) discrepancies.
     """
-    e = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    mods = np.asarray(modalities)
-    if np.unique(labels).size < 2:
+    classes, S, n, q = _cell_totals(embeddings, labels, modalities)
+    if classes.size < 2:
         raise MetricError("between-class discrepancy needs >= 2 classes")
-    cos = cosine_matrix(e, e)
-    upper = np.triu(np.ones(cos.shape, dtype=bool), k=1)
-    same_mod = mods[:, None] == mods[None, :]
-    same_cls = labels[:, None] == labels[None, :]
+    rest_S = S.sum(axis=0) - S
+    rest_n = n.sum(axis=0) - n
+    # (positive sum, positive count, negative sum, negative count); the
+    # same-modality ones count every unordered pair twice
+    pools = (
+        ("same-modality",
+         ((S * S).sum(axis=2) - q).sum(), (n * (n - 1)).sum(),
+         (S * rest_S).sum(), (n * rest_n).sum()),
+        ("cross-modality",
+         (S[:, 0] * S[:, 1]).sum(), (n[:, 0] * n[:, 1]).sum(),
+         (S[:, 0] * rest_S[:, 1]).sum(), (n[:, 0] * rest_n[:, 1]).sum()),
+    )
     out = []
-    for condition, name in ((same_mod, "same-modality"),
-                            (~same_mod, "cross-modality")):
-        pool = upper & condition
-        pos = pool & same_cls
-        neg = pool & ~same_cls
-        if not pos.any() or not neg.any():
+    for name, pos, n_pos, neg, n_neg in pools:
+        if n_pos == 0 or n_neg == 0:
             raise MetricError(f"empty {name} pair pool")
-        out.append(float(cos[pos].mean() - cos[neg].mean()))
+        out.append(float(pos / n_pos - neg / n_neg))
     return tuple(out)
 
 
@@ -257,16 +275,14 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
         map_at_200=map_at_n(ranking, DEFAULT_TRUNCATION),
         prec_at_200=prec_at_k(ranking, DEFAULT_TRUNCATION),
     )
-    # free the (Q, G) ranking before the N x N diagnostics allocate
-    del ranking
     same, cross = between_class_discrepancy(e, labels, mods)
-    s_same, s_cross = _class_modality_similarities(e, labels, mods)
+    within_same, within_cross = within_class_similarity(e, labels, mods)
     return RetrievalMetrics(
         **retrieval,
         k=k,
-        modality_gap=float(np.mean(s_same - s_cross)),
+        modality_gap=modality_gap(e, labels, mods),
         between_class_same_modality=same,
         between_class_cross_modality=cross,
-        within_class_same_modality=float(np.mean(s_same)),
-        within_class_cross_modality=float(np.mean(s_cross)),
+        within_class_same_modality=within_same,
+        within_class_cross_modality=within_cross,
     )

@@ -1,6 +1,8 @@
 """Tests for retrieval ranking, AP/precision metrics, and embedding-space
 diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -310,6 +312,21 @@ def reference_class_similarities(e, labels, mods):
     return np.array(s_same), np.array(s_cross)
 
 
+def reference_between_class(e, labels, mods):
+    """Same-class minus different-class mean cosine over same-modality and
+    cross-modality pairs, from full N x N masks."""
+    cos = cosine_matrix(e, e)
+    upper = np.triu(np.ones(cos.shape, dtype=bool), k=1)
+    same_mod = mods[:, None] == mods[None, :]
+    same_cls = labels[:, None] == labels[None, :]
+    out = []
+    for condition in (same_mod, ~same_mod):
+        pool = upper & condition
+        out.append(float(cos[pool & same_cls].mean()
+                         - cos[pool & ~same_cls].mean()))
+    return tuple(out)
+
+
 class TestArrayMetricsOracle:
     """The (Q, G) ranking and row-wise metrics against per-query loops."""
 
@@ -375,10 +392,10 @@ class TestArrayMetricsOracle:
                 assert prec_at_k(ranking, k) == float(np.mean(fractions))
         assert ties > 0
 
-    def _diagnostic_case(self, rng, kind):
+    def _diagnostic_case(self, rng, kind, cell_sizes=(2, 6)):
         p = int(rng.integers(2, 6))
         d = int(rng.integers(2, 6))
-        counts = rng.integers(2, 6, size=(p, 2))
+        counts = rng.integers(*cell_sizes, size=(p, 2))
         labels = np.repeat(np.arange(p).repeat(2), counts.ravel())
         mods = np.repeat(np.tile([0, 1], p), counts.ravel())
         e = unit_rows(rng, labels.size, d)
@@ -388,20 +405,117 @@ class TestArrayMetricsOracle:
         return e[perm], labels[perm], mods[perm]
 
     def test_diagnostics(self):
+        # The diagnostics sum cell totals in another order than the
+        # N x N masks, so they agree to 1e-12, not bit for bit.
         rng = np.random.default_rng(77)
-        for case in range(60):
+        for case in range(61):
+            # the last case has cells longer than numpy's 128-element
+            # pairwise-summation block
             e, labels, mods = self._diagnostic_case(
-                rng, self.KINDS[case % 2])
+                rng, self.KINDS[case % 2], (2, 6) if case < 60 else (129, 200))
             ref_same, ref_cross = reference_class_similarities(
                 e, labels, mods)
             s_same, s_cross = _class_modality_similarities(e, labels, mods)
-            assert_array_equal(s_same, ref_same)
-            assert_array_equal(s_cross, ref_cross)
-            gap = float(np.mean(ref_same - ref_cross))
-            within = (float(np.mean(ref_same)), float(np.mean(ref_cross)))
-            assert modality_gap(e, labels, mods) == gap
-            assert within_class_similarity(e, labels, mods) == within
+            assert_allclose(s_same, ref_same, rtol=0, atol=1e-12)
+            assert_allclose(s_cross, ref_cross, rtol=0, atol=1e-12)
+            gap = modality_gap(e, labels, mods)
+            within = within_class_similarity(e, labels, mods)
+            between = between_class_discrepancy(e, labels, mods)
+            assert abs(gap - np.mean(ref_same - ref_cross)) <= 1e-12
+            assert_allclose(within, (np.mean(ref_same), np.mean(ref_cross)),
+                            rtol=0, atol=1e-12)
+            assert_allclose(between, reference_between_class(e, labels, mods),
+                            rtol=0, atol=1e-12)
             metrics = compute_metrics(e, labels, mods, k=3)
             assert metrics.modality_gap == gap
             assert (metrics.within_class_same_modality,
                     metrics.within_class_cross_modality) == within
+            assert (metrics.between_class_same_modality,
+                    metrics.between_class_cross_modality) == between
+
+    def test_diagnostics_need_no_pair_matrix(self):
+        # N = 2000, d = 16: one N x N float64 matrix is 32 MB
+        rng = np.random.default_rng(8)
+        labels = np.repeat(np.arange(8), 250)
+        mods = np.tile([0, 1], 1000)
+        e = unit_rows(rng, labels.size, 16)
+        tracemalloc.start()
+        try:
+            between_class_discrepancy(e, labels, mods)
+            modality_gap(e, labels, mods)
+            within_class_similarity(e, labels, mods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_ranking_resorts_only_tied_rows(self):
+        # Query 0 sees 50 gallery rows at exactly sqrt(2) (they are
+        # orthogonal to it), query 1 holds a NaN, the random queries see
+        # distinct distances: the rows take different sort paths.
+        rng = np.random.default_rng(41)
+        d = 8
+        gallery = unit_rows(rng, 420, d)
+        gallery[rng.choice(420, 50, replace=False), 0] = 0.0
+        query = np.concatenate([np.eye(d)[:1], np.full((1, d), np.nan),
+                                unit_rows(rng, 30, d)])
+        gl = rng.integers(0, 5, 420)
+        ql = rng.integers(0, 5, query.shape[0])
+        ranking = retrieve(query, gallery, ql, gl)
+        dist = pairwise_distance(query, gallery)
+        strict = np.all(np.diff(np.sort(dist, axis=1), axis=1) > 0, axis=1)
+        assert not strict[0] and not strict[1] and strict[2:].all()
+        for i in range(query.shape[0]):
+            order = np.argsort(dist[i], kind="stable")
+            assert_array_equal(ranking.order[i], order)
+            assert_array_equal(ranking.distances[i], dist[i][order])
+            assert_array_equal(ranking.relevance[i], gl[order] == ql[i])
+
+
+def cell_set(cells):
+    """(embeddings, labels, modalities) of random unit rows, `count` rows
+    for each (label, modality, count) in `cells`."""
+    labels = np.concatenate([[c] * k for c, _, k in cells])
+    mods = np.concatenate([[m] * k for _, m, k in cells])
+    e = unit_rows(np.random.default_rng(len(labels)), labels.size, 4)
+    return e, labels, mods
+
+
+class TestMetricErrorOrder:
+    """Sets that break two rules raise the first one's message: a query
+    without a relevant item, fewer than 2 classes, an empty same- then
+    cross-modality pool, a class with a short cell (first class first)."""
+
+    CASES = [
+        # one class, and its photo cell has one row
+        ([(0, 0, 2), (0, 1, 1)], "needs >= 2 classes"),
+        # a sketch-only and a photo-only class: the sketches' class has
+        # no photo to retrieve
+        ([(0, 0, 2), (1, 1, 2)], "query 0 has no relevant"),
+        # two classes of one sketch and one photo each
+        ([(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)],
+         "empty same-modality pair pool"),
+        # class 2's sketches have no photo, and class 0 has one sketch
+        ([(0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 2), (2, 0, 2)],
+         "query 3 has no relevant"),
+        # classes 5 and 3 both have a one-row cell: sorted order names 3
+        ([(5, 0, 2), (5, 1, 1), (4, 0, 2), (4, 1, 2), (3, 0, 1), (3, 1, 2)],
+         "class 3 needs >= 2 samples"),
+    ]
+
+    @pytest.mark.parametrize("cells,message", CASES, ids=[
+        "one-class", "one-modality-classes", "one-row-cells",
+        "query-without-gallery", "first-short-class"])
+    def test_first_rule_wins(self, cells, message):
+        with pytest.raises(MetricError, match=message):
+            compute_metrics(*cell_set(cells))
+
+    def test_same_modality_pool_before_cross(self):
+        # both pools empty
+        e, labels, mods = cell_set([(0, 0, 2), (1, 1, 2)])
+        with pytest.raises(MetricError, match="same-modality"):
+            between_class_discrepancy(e, labels, mods)
+        # no class has both modalities, so only the cross pool is empty
+        e, labels, mods = cell_set([(0, 0, 2), (1, 0, 2), (2, 1, 2)])
+        with pytest.raises(MetricError, match="empty cross-modality"):
+            between_class_discrepancy(e, labels, mods)

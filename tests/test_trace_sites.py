@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+import modalmetric.evaluation as evaluation
 import modalmetric.losses as losses
 from conftest import pk_batch
 
@@ -32,15 +33,34 @@ def test_every_site_is_defined_on_its_owner():
             assert attr in owner.__dict__, f"{name}: {owner.__name__}.{attr}"
 
 
-def test_weighted_loss_looks_up_the_traced_names(monkeypatch):
-    calls = {"batch_hard_mine": 0, "triplet_hinge": 0}
+def count_calls(monkeypatch, owner, names):
+    """Wrap `names` on `owner` with counters; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
     for attr in calls:
-        def counted(*args, _attr=attr, _fn=getattr(losses, attr), **kwargs):
+        def counted(*args, _attr=attr, _fn=getattr(owner, attr), **kwargs):
             calls[_attr] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(losses, attr, counted)
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_weighted_loss_looks_up_the_traced_names(monkeypatch):
+    calls = count_calls(monkeypatch, losses,
+                        ("batch_hard_mine", "triplet_hinge"))
     e, labels, mods = pk_batch(np.random.default_rng(0), 3, 2, 6)
     losses.weighted_embedding_loss(e, labels, mods, losses.LossConfig(),
                                    losses.ALL_KINDS)
     assert calls == {"batch_hard_mine": 1, "triplet_hinge": 3}
+
+
+def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
+    # the evaluation.diagnostics span covers all five diagnostic fields
+    # only if compute_metrics reaches them through these names
+    calls = count_calls(monkeypatch, evaluation,
+                        ("between_class_discrepancy", "modality_gap",
+                         "within_class_similarity"))
+    e, labels, mods = pk_batch(np.random.default_rng(0), 3, 2, 6)
+    evaluation.compute_metrics(e, labels, mods, k=3)
+    assert calls == {"between_class_discrepancy": 1, "modality_gap": 1,
+                     "within_class_similarity": 1}
