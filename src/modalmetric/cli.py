@@ -27,7 +27,7 @@ import numpy as np
 from .config import load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import compute_metrics
-from .fsutil import atomic_write_text, write_json
+from .fsutil import atomic_write_text, ensure_dir, write_json
 from .model import embed_forward, load_checkpoint, save_checkpoint
 from .training import ablation_variants, log_columns, train
 
@@ -142,6 +142,7 @@ def _train_and_eval(cfg, train_set, test_set, train_config):
 
 def cmd_train(cfg, args):
     train_set, _ = cfg.load_data()
+    ensure_dir(cfg.out)
     for seed in cfg.seeds():
         tc = cfg.train_config(seed)
         result = train(train_set, tc)
@@ -168,7 +169,7 @@ def cmd_eval(cfg, args):
     if not args.checkpoint:
         raise ConfigError("eval requires at least one --checkpoint")
     _, test_set = cfg.load_data()
-    os.makedirs(cfg.out, exist_ok=True)
+    ensure_dir(cfg.out)
     snapshots = []
     for i, path in enumerate(args.checkpoint):
         params, meta = _read_checkpoint(path, test_set.d_in)
@@ -220,6 +221,7 @@ def _grid_table(cfg, command, label_column, variants, keys):
             variant's config with that seed.
     """
     train_set, test_set = cfg.load_data()
+    ensure_dir(os.path.join(cfg.out, command))
     rows = []
     for label, variant in variants:
         snapshots = [

@@ -203,6 +203,11 @@ def load_config(path=None, overrides=None, method=None, seed=None, out=None):
 
     if values["run"]["n_seeds"] < 1:
         raise ConfigError("run.n_seeds must be >= 1")
+    # numpy's generators take only non-negative seeds
+    for section, key in (("run", "base_seed"), ("data", "seed")):
+        if values[section][key] < 0:
+            raise ConfigError(f"{section}.{key} must be >= 0, "
+                              f"got {values[section][key]}")
     source = values["data"]["source"]
     if source != "synthetic" and not os.path.exists(source):
         raise ConfigError(f"dataset file not found: {source}")

@@ -4,22 +4,47 @@ import json
 import os
 import tempfile
 
+from .errors import ConfigError
+
+
+def ensure_dir(path):
+    """Create directory `path` and its parents unless it exists.
+
+    Raises:
+        ConfigError: naming the path, if it cannot be created (say, a
+            regular file sits on it or on one of its parents).
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {path}: {exc.strerror or exc}"
+        ) from None
+
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so readers never see a
-    partially written artifact."""
+    partially written artifact.
+
+    Raises:
+        ConfigError: naming the path, if it cannot be written.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    ensure_dir(directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}"
+                          ) from None
 
 
 def write_json(path, obj):

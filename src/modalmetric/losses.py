@@ -140,23 +140,28 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     if n_trip == 0:
         raise ValueError("triplet list is empty")
     e = np.asarray(embeddings, dtype=np.float64)
-    diff_ap = e[anchors] - e[positives]
-    diff_an = e[anchors] - e[negatives]
-    d_ap = np.linalg.norm(diff_ap, axis=1)
-    d_an = np.linalg.norm(diff_an, axis=1)
+    e_anchor = e[anchors]
+    diff_ap = e_anchor - e[positives]
+    diff_an = e_anchor - e[negatives]
+    # the reduction np.linalg.norm(axis=1) runs, without its Python layer
+    d_ap = np.sqrt((diff_ap * diff_ap).sum(axis=1))
+    d_an = np.sqrt((diff_an * diff_an).sum(axis=1))
     hinge = d_ap - d_an + margin
     active = hinge > 0.0
 
     value = float(np.maximum(hinge, 0.0).sum() / n_trip)
     g = float(active.sum() / n_trip)
 
-    u_ap = diff_ap[active] / np.maximum(d_ap[active], EPS_DIST)[:, None]
-    u_an = diff_an[active] / np.maximum(d_an[active], EPS_DIST)[:, None]
+    if not active.all():
+        anchors, positives, negatives = (
+            anchors[active], positives[active], negatives[active])
+        diff_ap, diff_an = diff_ap[active], diff_an[active]
+        d_ap, d_an = d_ap[active], d_an[active]
+    u_ap = diff_ap / np.maximum(d_ap, EPS_DIST)[:, None]
+    u_an = diff_an / np.maximum(d_an, EPS_DIST)[:, None]
     b, d = e.shape
     # negative indices address rows from the end, as in numpy indexing
-    rows = np.concatenate(
-        (anchors[active], positives[active], negatives[active])
-    ) % b
+    rows = np.concatenate((anchors, positives, negatives)) % b
     terms = np.concatenate(
         ((u_ap - u_an) / n_trip, -u_ap / n_trip, u_an / n_trip)
     )

@@ -5,7 +5,8 @@ rate schedule, and checkpoint serialization.
 The embedder is a single affine map with a per-modality additive offset,
 followed by L2 normalization: row_i = normalize(W^T x_i + b + off[m_i]).
 Backward applies the normalization Jacobian (I - e e^T)/||z|| before the
-affine Jacobians. All parameters are float64.
+affine Jacobians. All parameters are float64 views into one vector,
+and Adam updates each parameter group's slice of it at once.
 """
 
 import json
@@ -45,26 +46,66 @@ class DiscriminatorParams:
     """One affine map to a modality score: sigmoid(E @ w_d + b_d)."""
 
     w_d: np.ndarray
-    b_d: np.ndarray  # 0-d array so the optimizer can treat it uniformly
+    b_d: np.ndarray  # 0-d
+
+
+# Storage order of the parameter tensors in ModelParams.vector. The
+# first MAIN_TENSORS form the main group (embedder and classifier), the
+# rest the discriminator group; each group is one contiguous slice of
+# the vector, so one set of Adam array ops updates it.
+TENSOR_NAMES = (
+    "embedder.W",
+    "embedder.b",
+    "embedder.modality_offset",
+    "classifier.W_c",
+    "discriminator.w_d",
+    "discriminator.b_d",
+)
+MAIN_TENSORS = 4
 
 
 @dataclass
 class ModelParams:
-    embedder: EmbedderParams
-    classifier: ClassifierParams
-    discriminator: DiscriminatorParams
+    """Every parameter tensor as a named, shaped view into one float64
+    vector, laid out in TENSOR_NAMES order; `shapes` holds one shape per
+    name.
+
+    The same class lays out a gradient buffer: built over a vector of
+    the same size and the same shapes, its views line up entry for entry
+    with the parameters'.
+    """
+
+    vector: np.ndarray
+    shapes: tuple
+    embedder: EmbedderParams = field(init=False)
+    classifier: ClassifierParams = field(init=False)
+    discriminator: DiscriminatorParams = field(init=False)
+
+    def __post_init__(self):
+        w, b, offset, w_c, w_d, b_d = self.tensors().values()
+        self.embedder = EmbedderParams(w, b, offset)
+        self.classifier = ClassifierParams(w_c)
+        self.discriminator = DiscriminatorParams(w_d, b_d)
 
     def tensors(self):
         """Flat name -> array view of every parameter tensor. The arrays
-        are shared, not copied, so in-place optimizer updates apply."""
-        return {
-            "embedder.W": self.embedder.W,
-            "embedder.b": self.embedder.b,
-            "embedder.modality_offset": self.embedder.modality_offset,
-            "classifier.W_c": self.classifier.W_c,
-            "discriminator.w_d": self.discriminator.w_d,
-            "discriminator.b_d": self.discriminator.b_d,
-        }
+        are views of `vector`, not copies, so in-place updates of either
+        show in both."""
+        views, start = {}, 0
+        for name, shape in zip(TENSOR_NAMES, self.shapes):
+            size = math.prod(shape)
+            views[name] = self.vector[start:start + size].reshape(shape)
+            start += size
+        return views
+
+    def groups(self):
+        """The main and the discriminator group, each as (slice of
+        `vector`, ((tensor name, size), ...) in storage order)."""
+        layout = tuple((name, math.prod(shape))
+                       for name, shape in zip(TENSOR_NAMES, self.shapes))
+        split = sum(size for _, size in layout[:MAIN_TENSORS])
+        return ((slice(0, split), layout[:MAIN_TENSORS]),
+                (slice(split, len(self.vector)), layout[MAIN_TENSORS:]))
 
 
 def init_params(d_in, d_emb, n_classes, rng):
@@ -72,19 +113,16 @@ def init_params(d_in, d_emb, n_classes, rng):
     zero biases and zero modality offsets."""
     if d_emb < 2:
         raise ValueError("d_emb must be >= 2")
-    embedder = EmbedderParams(
-        W=rng.standard_normal((d_in, d_emb)) / np.sqrt(d_in),
-        b=np.zeros(d_emb),
-        modality_offset=np.zeros((2, d_emb)),
+    # one shape per name in TENSOR_NAMES
+    shapes = ((d_in, d_emb), (d_emb,), (2, d_emb), (n_classes, d_emb),
+              (d_emb,), ())
+    params = ModelParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
+    params.embedder.W[...] = rng.standard_normal((d_in, d_emb)) / np.sqrt(d_in)
+    params.classifier.W_c[...] = (
+        rng.standard_normal((n_classes, d_emb)) / np.sqrt(d_emb)
     )
-    classifier = ClassifierParams(
-        W_c=rng.standard_normal((n_classes, d_emb)) / np.sqrt(d_emb)
-    )
-    discriminator = DiscriminatorParams(
-        w_d=rng.standard_normal(d_emb) / np.sqrt(d_emb),
-        b_d=np.zeros(()),
-    )
-    return ModelParams(embedder, classifier, discriminator)
+    params.discriminator.w_d[...] = rng.standard_normal(d_emb) / np.sqrt(d_emb)
+    return params
 
 
 @dataclass
@@ -150,62 +188,79 @@ def embed_backward(cache, grad_output):
 
     d_w = cache.features.T @ dz
     d_b = dz.sum(axis=0)
-    d_off = np.zeros((2, dz.shape[1]))
-    np.add.at(d_off, cache.modalities, dz)
-    return {"W": d_w, "b": d_b, "modality_offset": d_off}
+    # one in-order bincount: per cell the same sum, in the same order, as
+    # np.add.at over the rows; % 2 wraps negative flags as indexing does
+    d = dz.shape[1]
+    cells = ((cache.modalities % 2)[:, None] * d + np.arange(d)).ravel()
+    d_off = np.bincount(cells, weights=dz.ravel(), minlength=2 * d)
+    return {"W": d_w, "b": d_b, "modality_offset": d_off.reshape(2, d)}
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter tensor and the
-    shared step counter."""
+    """First/second moment vectors of one parameter group, laid out like
+    the group's slice of the parameter vector, and the step counter.
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    `layout` is the group's ((tensor name, size), ...) in storage order;
+    it serves only to name the tensor of a non-finite gradient entry.
+    """
+
+    layout: tuple
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
     t: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
 
+    def __post_init__(self):
+        size = sum(n for _, n in self.layout)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+
 
 def adam_step(params, grads, state, lr):
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of a whole parameter group, in place.
+
+    Adam is elementwise, so one set of array ops over the group's flat
+    vector gives every entry the bits a per-tensor update would.
 
     Args:
-        params: dict name -> parameter array (updated in place).
-        grads: dict with a gradient array per parameter name; missing
-            names are treated as zero gradient (their moments still decay
-            consistently with an explicit zero).
-        state: AdamState; accumulators are created lazily per tensor.
+        params: 1-D float64 vector of the group (updated in place).
+        grads: its gradient, same shape.
+        state: AdamState of the group.
         lr: learning rate for this step.
 
     Returns:
         (params, state).
 
     Raises:
-        NumericError: on any non-finite gradient entry.
+        NumericError: on any non-finite gradient entry, naming the tensor
+            that holds the first one.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-        if np.shape(g) != params[name].shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
+    if grads.shape != params.shape or params.shape != state.m.shape:
+        raise ValueError(
+            f"gradient shape mismatch: params {params.shape}, gradient "
+            f"{grads.shape}, moments {state.m.shape}"
+        )
+    if not np.isfinite(grads).all():
+        first = int(np.flatnonzero(~np.isfinite(grads))[0])
+        for name, size in state.layout:
+            if first < size:
+                break
+            first -= size
+        raise NumericError(f"non-finite gradient for {name}")
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        g = np.asarray(grads.get(name, np.zeros_like(p)), dtype=np.float64)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = state.m
+    v = state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state
 
 
@@ -246,36 +301,29 @@ def load_checkpoint(path):
     Raises:
         ValueError: if the file is not a checkpoint, or a tensor's shape
             is not a list of non-negative ints whose product is the
-            length of its data.
+            length of its data, or a value is past the float64 range.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
 
-    def tensor(name):
+    data, shapes = [], []
+    for name in TENSOR_NAMES:
         entry = payload["tensors"][name]
-        data = np.array(entry["data"], dtype=np.float64)
+        try:
+            values = np.array(entry["data"], dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{name}: a value is past the float64 range"
+                             ) from None
         shape = entry["shape"]
         # reshape would fill in a -1 dimension rather than reject it
         if not (isinstance(shape, list)
                 and all(type(n) is int and n >= 0 for n in shape)
-                and math.prod(shape) == data.size):
+                and math.prod(shape) == values.size):
             raise ValueError(
-                f"{name}: shape {shape!r} does not fit {data.size} values"
+                f"{name}: shape {shape!r} does not fit {values.size} values"
             )
-        return data.reshape(shape)
-
-    params = ModelParams(
-        embedder=EmbedderParams(
-            W=tensor("embedder.W"),
-            b=tensor("embedder.b"),
-            modality_offset=tensor("embedder.modality_offset"),
-        ),
-        classifier=ClassifierParams(W_c=tensor("classifier.W_c")),
-        discriminator=DiscriminatorParams(
-            w_d=tensor("discriminator.w_d"),
-            b_d=tensor("discriminator.b_d"),
-        ),
-    )
-    return params, payload["meta"]
+        data.append(values.ravel())
+        shapes.append(tuple(shape))
+    return ModelParams(np.concatenate(data), tuple(shapes)), payload["meta"]

@@ -22,6 +22,7 @@ from .losses import (
 from .mining import TripletKind
 from .model import (
     AdamState,
+    ModelParams,
     adam_step,
     cosine_lr,
     embed_backward,
@@ -201,14 +202,14 @@ def train(dataset: Dataset, config: TrainConfig):
     labels = dataset.labels
     modalities = dataset.modalities
 
-    main_names = ("embedder.W", "embedder.b", "embedder.modality_offset",
-                  "classifier.W_c")
-    disc_names = ("discriminator.w_d", "discriminator.b_d")
-    tensors = params.tensors()
-    main_params = {k: tensors[k] for k in main_names}
-    disc_params = {k: tensors[k] for k in disc_names}
-    main_state = AdamState()
-    disc_state = AdamState()
+    # one flat gradient buffer, laid out like params.vector
+    grads = ModelParams(np.zeros_like(params.vector), params.shapes)
+    g_w, g_b, g_offset, g_wc, g_wd, g_bd = grads.tensors().values()
+    (main, main_layout), (disc, disc_layout) = params.groups()
+    main_params, main_grads = params.vector[main], grads.vector[main]
+    disc_params, disc_grads = params.vector[disc], grads.vector[disc]
+    main_state = AdamState(main_layout)
+    disc_state = AdamState(disc_layout)
 
     log = []
     for it in range(config.total_iters):
@@ -260,13 +261,11 @@ def train(dataset: Dataset, config: TrainConfig):
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at iteration {it}")
         grads_e = embed_backward(cache, d_embed)
-        grads = {
-            "embedder.W": grads_e["W"],
-            "embedder.b": grads_e["b"],
-            "embedder.modality_offset": grads_e["modality_offset"],
-            "classifier.W_c": d_wc,
-        }
-        adam_step(main_params, grads, main_state, lr)
+        g_w[...] = grads_e["W"]
+        g_b[...] = grads_e["b"]
+        g_offset[...] = grads_e["modality_offset"]
+        g_wc[...] = d_wc
+        adam_step(main_params, main_grads, main_state, lr)
 
         if adversarial:
             # Discriminator step on the freshly updated (frozen) embedder.
@@ -276,12 +275,10 @@ def train(dataset: Dataset, config: TrainConfig):
             d_scores = np.zeros_like(scores)
             d_scores[photo], d_scores[~photo] = d_report.grad
             _, d_w, d_b = _score_backward(params, fresh, scores, d_scores)
-            adam_step(
-                disc_params,
-                {"discriminator.w_d": d_w, "discriminator.b_d": d_b},
-                disc_state,
-                lr * config.disc_lr_scale,
-            )
+            g_wd[...] = d_w
+            g_bd[...] = d_b
+            adam_step(disc_params, disc_grads, disc_state,
+                      lr * config.disc_lr_scale)
             row["l_adv_d"] = d_report.value
 
         row["l_total"] = float(value)

@@ -1,12 +1,16 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import modalmetric
 from modalmetric import (
@@ -15,10 +19,12 @@ from modalmetric import (
     TrainConfig,
     generate_synthetic,
     log_columns,
+    train,
     write_dataset,
     zero_shot_split,
 )
 from modalmetric.cli import METRIC_KEYS, main
+from modalmetric.model import TENSOR_NAMES
 
 TINY_INI = """\
 [data]
@@ -226,6 +232,8 @@ CORRUPTIONS = {
         "embedder.W": {"shape": [6, 4], "data": [0.1] * 24}})), "d_in = 8"),
     "bias_shape": (_edit_payload(lambda p: p["tensors"].update({
         "embedder.b": {"shape": [3], "data": [0.0] * 3}})), "do not fit"),
+    "int_past_float64": (_edit_payload(lambda p: p["tensors"]["embedder.W"][
+        "data"].__setitem__(0, 10**400)), "float64 range"),
     "nan_weight": (_edit_payload(lambda p: p["tensors"]["embedder.W"][
         "data"].__setitem__(0, float("nan"))), "non-finite"),
     "class_ids_not_a_list": (_edit_payload(
@@ -260,6 +268,90 @@ class TestBrokenCheckpoints:
         assert str(bad) in err
         assert message in err
         assert "Traceback" not in err
+
+
+# small JSON values of every type, with the float and int edges that
+# float64 conversion trips on
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+              st.sampled_from([-1, 2**63, 10**400, -(10**400)]),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=2)),
+    max_leaves=6)
+# one data entry: numbers past float64, numeric and other strings, nested
+_ENTRY = st.one_of(st.sampled_from([10**400, -(10**400), 2**63, None, True,
+                                    "1.5", "x", [], [0.5]]),
+                   st.floats())
+_SHAPE = st.one_of(_JSON, st.lists(st.integers(-2, 9), max_size=3))
+_NAME = st.sampled_from(TENSOR_NAMES)
+_CHECKPOINT_EDIT = st.one_of(
+    st.tuples(st.just("drop"), _NAME),
+    st.tuples(st.just("entry"), _NAME, _JSON),
+    st.tuples(st.just("shape"), _NAME, _SHAPE),
+    st.tuples(st.just("data"), _NAME, _JSON),
+    st.tuples(st.just("value"), _NAME, st.integers(0, 99), _ENTRY),
+    st.tuples(st.just("format"), _JSON),
+    st.tuples(st.just("class_ids"), _JSON),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+)
+
+
+def _edit_checkpoint(payload, edit):
+    op, *args = edit
+    tensors = payload["tensors"]
+    if op == "drop":
+        tensors.pop(args[0], None)
+    elif op == "entry":
+        tensors[args[0]] = args[1]
+    elif op in ("shape", "data") and isinstance(tensors.get(args[0]), dict):
+        tensors[args[0]][op] = args[1]
+    elif op == "value" and isinstance(tensors.get(args[0]), dict):
+        data = tensors[args[0]].get("data")
+        if isinstance(data, list) and data:
+            data[args[1] % len(data)] = args[2]
+    elif op == "format":
+        payload["format"] = args[0]
+    elif op == "class_ids":
+        payload["meta"]["train_class_ids"] = args[0]
+
+
+class TestCorruptedCheckpoints:
+    """A generated corruption of a real checkpoint ends `eval` and
+    `diagnose` with a contract exit code, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("corrupt")
+
+    @given(st.lists(_CHECKPOINT_EDIT, min_size=1, max_size=3),
+           st.sampled_from(["eval", "diagnose"]))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_exit_code_in_contract(self, ini, good_checkpoint, workdir,
+                                   edits, command):
+        payload = json.loads(good_checkpoint.read_text())
+        for edit in edits:
+            _edit_checkpoint(payload, edit)
+        text = json.dumps(payload)
+        for op, *args in edits:
+            if op == "truncate":
+                text = text[:int(args[0] * len(text))]
+        bad = workdir / "bad.json"
+        bad.write_text(text)
+        argv = [command, "--config", ini, "--out", str(workdir / "o")]
+        if command == "eval":
+            argv += ["--checkpoint", str(bad)]
+        else:
+            argv += ["--baseline", str(bad), "--mathm", str(good_checkpoint),
+                     "--gan", str(good_checkpoint)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDiagnoseCommand:
@@ -439,6 +531,64 @@ class TestConfigHandling:
         assert rc == 2, err
         assert key in err
         assert not (tmp_path / "mathm").exists()
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-3", "run.base_seed"),
+        ("--base_seed", "-5", "run.base_seed"),
+        ("--data.seed", "-2", "data.seed")])
+    def test_negative_seed(self, ini, tmp_path, flag, value, key, capsys):
+        rc = main(["train", "--config", ini, "--out", str(tmp_path / "out"),
+                   flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnusableOut:
+    """An output path that cannot be created or written exits 2 naming
+    it; train finds out before its first run."""
+
+    def _block(self, tmp_path, case):
+        """Lay the obstacle for `case` and return (--out, named path)."""
+        out = tmp_path / "out"
+        if case == "below_file":
+            (tmp_path / "file").write_text("")
+            return tmp_path / "file" / "x", tmp_path / "file" / "x"
+        if case == "run_dir_is_file":
+            out.mkdir()
+            (out / "mathm").write_text("")
+            return out, out / "mathm" / "seed-0"
+        (out / "metrics.json").mkdir(parents=True)  # artifact_is_dir
+        return out, out / "metrics.json"
+
+    @pytest.mark.parametrize("command, case", [
+        ("train", "below_file"), ("train", "run_dir_is_file"),
+        ("eval", "below_file"), ("eval", "artifact_is_dir")])
+    def test_exit_2_naming_the_path(self, ini, tmp_path, good_checkpoint,
+                                    command, case, monkeypatch, capsys):
+        from modalmetric import cli
+
+        trained = []
+
+        def counted_train(*args):
+            trained.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(cli, "train", counted_train)
+        out, named = self._block(tmp_path, case)
+        argv = [command, "--config", ini, "--out", str(out)]
+        if command == "eval":
+            argv += ["--checkpoint", str(good_checkpoint)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert str(named) in err
+        assert "Traceback" not in err
+        if case == "below_file":
+            assert not trained
+        assert not list(tmp_path.rglob(".tmp-*"))
 
 
 class TestDatasetSources:

@@ -414,6 +414,11 @@ def reference_hinge(e, triplets, margin):
     return value, float(active.sum() / n_trip), grad
 
 
+def regime(active_fraction):
+    return ("none" if active_fraction == 0.0
+            else "fully" if active_fraction == 1.0 else "partly")
+
+
 def reference_bundle(e, labels, mods, cfg, kinds, use_weighting):
     """weighted_embedding_loss rebuilt from the exhaustive miner, the
     add.at hinge and gradient_weights, summing in the same order."""
@@ -475,6 +480,41 @@ class TestFusedLossOracle:
             _, labels, mods = pk_batch(rng, p, k, 6)
             e = codebook[rng.integers(0, 3, size=len(labels))]
             self._check(e, labels, mods, LossConfig())
+
+    @pytest.mark.parametrize("margin", [0.2, 2.5])
+    def test_partly_and_fully_active_batches(self, margin):
+        # unit rows keep |d_ap - d_an| <= 2, so a margin past 2 makes
+        # every triplet active and triplet_hinge skips its selections
+        rng = np.random.default_rng(53)
+        regimes = set()
+        for _ in range(40):
+            e, labels, mods = pk_batch(rng, int(rng.integers(2, 6)),
+                                       int(rng.integers(2, 5)), 8)
+            cfg = LossConfig(margin=margin)
+            self._check(e, labels, mods, cfg)
+            bundle = weighted_embedding_loss(e, labels, mods, cfg)
+            regimes.update(regime(r.active_fraction)
+                           for r in bundle.reports)
+        assert regimes == ({"partly", "fully"} if margin < 2
+                           else {"fully"})
+
+    def test_negative_index_arrays(self):
+        # negative indices address rows from the end, as in numpy
+        # indexing and np.add.at
+        rng = np.random.default_rng(54)
+        regimes = set()
+        for _ in range(100):
+            b = int(rng.integers(3, 12))
+            e = unit_rows(rng, b, 4)
+            a, p, n = rng.integers(-b, b, size=(3, int(rng.integers(1, 9))))
+            margin = float(rng.choice([0.01, 0.2, 1.0, 2.5]))
+            report = triplet_hinge(e, a, p, n, margin)
+            value, active, grad = reference_hinge(e, (a, p, n), margin)
+            assert report.value == value
+            assert report.active_fraction == active
+            assert_array_equal(report.grad, grad)
+            regimes.add(regime(active))
+        assert regimes == {"none", "partly", "fully"}
 
 
 class TestTotalLoss:

@@ -28,7 +28,14 @@ from modalmetric import (
     train,
     weighted_embedding_loss,
 )
-from modalmetric.model import EmbedderParams
+from modalmetric.geometry import EPS_NORM
+from modalmetric.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EmbedderParams,
+    ModelParams,
+)
 
 
 def small_dataset(seed=5):
@@ -151,50 +158,182 @@ class TestEmbedBackward:
             embed_backward(cache, np.zeros((2, 3)))
 
 
+def one_tensor(size=1):
+    """AdamState of a group holding one tensor "a" of `size` entries."""
+    return AdamState((("a", size),))
+
+
 class TestAdamStep:
     def test_zero_gradient_is_identity(self):
-        p = {"a": np.array([1.0, -2.0])}
-        adam_step(p, {"a": np.zeros(2)}, AdamState(), 0.1)
-        assert_array_equal(p["a"], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        adam_step(p, np.zeros(2), one_tensor(2), 0.1)
+        assert_array_equal(p, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         # bias correction makes the first step ~lr regardless of scale
-        p = {"a": np.array([1.0])}
-        adam_step(p, {"a": np.array([1.0])}, AdamState(), 0.1)
-        assert_allclose(p["a"], [0.9], atol=1e-8)
+        p = np.array([1.0])
+        adam_step(p, np.array([1.0]), one_tensor(), 0.1)
+        assert_allclose(p, [0.9], atol=1e-8)
 
     def test_in_place_update(self):
         arr = np.array([1.0])
-        p = {"a": arr}
-        out, _ = adam_step(p, {"a": np.array([0.5])}, AdamState(), 0.1)
-        assert out["a"] is arr
+        out, _ = adam_step(arr, np.array([0.5]), one_tensor(), 0.1)
+        assert out is arr
         assert arr[0] != 1.0
-
-    def test_missing_gradient_leaves_param(self):
-        p = {"a": np.array([1.0]), "b": np.array([2.0])}
-        adam_step(p, {"a": np.array([1.0])}, AdamState(), 0.1)
-        assert p["b"][0] == 2.0
 
     def test_deterministic(self):
         def run():
-            p = {"a": np.array([1.0, 2.0])}
-            s = AdamState()
+            p = np.array([1.0, 2.0])
+            s = one_tensor(2)
             rng = np.random.default_rng(0)
             for _ in range(10):
-                adam_step(p, {"a": rng.standard_normal(2)}, s, 0.05)
-            return p["a"]
+                adam_step(p, rng.standard_normal(2), s, 0.05)
+            return p
 
         assert_array_equal(run(), run())
 
     def test_non_finite_gradient(self):
-        p = {"a": np.array([1.0])}
+        p = np.array([1.0])
         with pytest.raises(NumericError, match="a"):
-            adam_step(p, {"a": np.array([np.nan])}, AdamState(), 0.1)
+            adam_step(p, np.array([np.nan]), one_tensor(), 0.1)
 
     def test_shape_mismatch(self):
-        p = {"a": np.array([1.0])}
+        p = np.array([1.0])
         with pytest.raises(ValueError, match="shape"):
-            adam_step(p, {"a": np.zeros(2)}, AdamState(), 0.1)
+            adam_step(p, np.zeros(2), one_tensor(), 0.1)
+
+
+class DictAdamState:
+    """Per-tensor moments of the reference optimizer."""
+
+    def __init__(self):
+        self.m, self.v, self.t = {}, {}, 0
+
+
+def dict_adam_step(params, grads, state, lr):
+    """The per-tensor Adam loop over a dict of tensors that the flat
+    update replaced: the reference it must equal bit for bit."""
+    state.t += 1
+    t = state.t
+    for name, p in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def reference_embed_backward(cache, grad_output):
+    """embed_backward with the offset gradient scattered by np.add.at."""
+    de = np.asarray(grad_output, dtype=np.float64)
+    e = cache.embeddings
+    norms = np.maximum(cache.norms, EPS_NORM)[:, None]
+    degenerate = cache.norms < EPS_NORM
+    dz = (de - (de * e).sum(axis=1, keepdims=True) * e) / norms
+    if degenerate.any():
+        dz[degenerate] = de[degenerate] / EPS_NORM
+    d_off = np.zeros((2, dz.shape[1]))
+    np.add.at(d_off, cache.modalities, dz)
+    return {"W": cache.features.T @ dz, "b": dz.sum(axis=0),
+            "modality_offset": d_off}
+
+
+class TestFlatTrainingStepOracle:
+    """The flat parameter vector, the group Adam update and the bincount
+    offset gradient must reproduce the per-tensor loop and the np.add.at
+    scatter bit for bit: artifact byte-identity rests on it."""
+
+    def test_group_adam_equals_dict_loop(self):
+        rng = np.random.default_rng(61)
+        # mixed shapes, with the 0-d discriminator bias
+        params = init_params(5, 3, 4, rng)
+        ref = {name: arr.copy() for name, arr in params.tensors().items()}
+        grads = ModelParams(np.zeros_like(params.vector), params.shapes)
+        (main, main_layout), (disc, disc_layout) = params.groups()
+        assert [n for n, _ in main_layout + disc_layout] == list(ref)
+        assert ref["discriminator.b_d"].shape == ()
+        groups = [(main, main_layout, 1e-3, AdamState(main_layout),
+                   DictAdamState()),
+                  (disc, disc_layout, 0.1, AdamState(disc_layout),
+                   DictAdamState())]
+        for step in range(50):
+            # gradients over ten orders of magnitude, some entries zero
+            grads.vector[:] = (rng.standard_normal(grads.vector.size)
+                               * 10.0 ** rng.uniform(-8, 2, grads.vector.size)
+                               * (rng.random(grads.vector.size) > 0.1))
+            g = grads.tensors()
+            for group, layout, lr, state, ref_state in groups:
+                adam_step(params.vector[group], grads.vector[group], state,
+                          lr * (1 + step % 3))
+                names = [n for n, _ in layout]
+                dict_adam_step({n: ref[n] for n in names},
+                               {n: g[n] for n in names},
+                               ref_state, lr * (1 + step % 3))
+            for name, arr in params.tensors().items():
+                assert_array_equal(arr, ref[name], err_msg=name)
+        for _, layout, _, state, ref_state in groups:
+            for moment, ref_moment in ((state.m, ref_state.m),
+                                       (state.v, ref_state.v)):
+                assert_array_equal(moment, np.concatenate(
+                    [ref_moment[n].ravel() for n, _ in layout]))
+            assert state.t == ref_state.t == 50
+
+    def test_views_share_the_vector(self):
+        params = init_params(4, 2, 3, np.random.default_rng(62))
+        params.vector[:] = np.arange(params.vector.size)
+        assert params.embedder.W[0, 1] == 1.0
+        assert params.discriminator.b_d == params.vector.size - 1
+        main, disc = params.groups()
+        assert main[0] == slice(0, 8 + 2 + 4 + 6)
+        assert disc[1] == (("discriminator.w_d", 2), ("discriminator.b_d", 1))
+
+    def test_non_finite_names_first_bad_tensor(self):
+        layout = (("w", 6), ("b", 3), ("c", 1))
+        p = np.ones(10)
+        g = np.zeros(10)
+        g[7] = np.nan
+        g[9] = np.inf
+        state = AdamState(layout)
+        with pytest.raises(NumericError, match="for b$"):
+            adam_step(p, g, state, 0.1)
+        assert_array_equal(p, np.ones(10))
+        assert state.t == 0
+
+    @pytest.mark.parametrize("batch", ["mixed", "sketch_only",
+                                       "photo_only", "negative_flags",
+                                       "degenerate"])
+    def test_embed_backward_equals_add_at(self, batch):
+        rng = np.random.default_rng(63)
+        for _ in range(30):
+            b = int(rng.integers(1, 20))
+            params = init_params(6, 4, 3, rng).embedder
+            params.b[:] = rng.standard_normal(4) * (batch != "degenerate")
+            x = rng.standard_normal((b, 6))
+            mods = {"mixed": rng.integers(0, 2, size=b),
+                    "sketch_only": np.zeros(b, dtype=int),
+                    "photo_only": np.ones(b, dtype=int),
+                    "negative_flags": rng.integers(-2, 2, size=b),
+                    "degenerate": rng.integers(0, 2, size=b)}[batch]
+            if batch == "degenerate":
+                # zero and subnormal rows fall under the norm floor
+                x[::2] = 0.0
+                x[1::3] *= 1e-310
+            e, cache = embed_forward(params, x, mods)
+            if batch == "degenerate":
+                assert (cache.norms < EPS_NORM).any()
+            upstream = rng.standard_normal(e.shape)
+            got = embed_backward(cache, upstream)
+            want = reference_embed_backward(cache, upstream)
+            for key in ("W", "b", "modality_offset"):
+                assert_array_equal(got[key], want[key], err_msg=key)
 
 
 class TestCosineLr:

@@ -11,10 +11,13 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 import modalmetric.evaluation as evaluation
 import modalmetric.losses as losses
+import modalmetric.training as training
 from conftest import pk_batch
+from modalmetric import SyntheticConfig, TrainConfig, generate_synthetic
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                       "tracer.py")
@@ -64,3 +67,18 @@ def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
     evaluation.compute_metrics(e, labels, mods, k=3)
     assert calls == {"between_class_discrepancy": 1, "modality_gap": 1,
                      "within_class_similarity": 1}
+
+
+@pytest.mark.parametrize("method, adam_per_iter", [("cls-only", 1),
+                                                   ("mathm", 1), ("gan", 2)])
+def test_train_looks_up_the_traced_names(monkeypatch, method, adam_per_iter):
+    # model.adam_step and model.embed_backward read real calls only while
+    # train reaches them through the training module's names
+    calls = count_calls(monkeypatch, training,
+                        ("adam_step", "embed_backward"))
+    ds = generate_synthetic(SyntheticConfig(
+        n_classes=3, samples_per_class_per_modality=4, d_in=5, seed=2))
+    training.train(ds, TrainConfig(method=method, d_emb=3,
+                                   classes_per_batch=2, samples_per_class=2,
+                                   total_iters=4))
+    assert calls == {"adam_step": 4 * adam_per_iter, "embed_backward": 4}
