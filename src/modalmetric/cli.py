@@ -75,18 +75,31 @@ METRIC_KEYS = (
 )
 
 
-def evaluate_params(params, test_set, cfg, train_class_ids):
+def evaluate_params(params, test_set, cfg, train_class_ids,
+                    source="trained model"):
     """Embed the evaluation split and compute all metrics, enforcing the
     zero-shot guard against the training classes recorded at train time.
+
+    Raises DataError naming `source` when the embedder overflows on the
+    split: weights that are finite but huge give rows whose norm is not
+    finite, and those normalize to zeros or NaN.
     """
     overlap = sorted(set(train_class_ids) & set(test_set.class_ids))
     if overlap:
         raise ProtocolError(
             f"zero-shot violation: classes {overlap} were used in training"
         )
-    embeddings, _ = embed_forward(
-        params.embedder, test_set.features, test_set.modalities
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        embeddings, cache = embed_forward(
+            params.embedder, test_set.features, test_set.modalities
+        )
+    # a finite norm means a finite pre-normalization row, so a finite
+    # embedding
+    if not np.isfinite(cache.norms).all():
+        raise DataError(
+            f"{source}: the embedder overflows on the evaluation split "
+            "(non-finite embedding norms)"
+        )
     return compute_metrics(
         embeddings,
         test_set.labels,
@@ -174,7 +187,7 @@ def cmd_eval(cfg, args):
     for i, path in enumerate(args.checkpoint):
         params, meta = _read_checkpoint(path, test_set.d_in)
         metrics = evaluate_params(
-            params, test_set, cfg, meta["train_class_ids"]
+            params, test_set, cfg, meta["train_class_ids"], source=path
         )
         snapshot = metrics.to_dict()
         snapshots.append(snapshot)
@@ -251,7 +264,7 @@ def cmd_diagnose(cfg, args):
         params, meta = _read_checkpoint(path, test_set.d_in)
         metas.append(meta)
         metrics = evaluate_params(
-            params, test_set, cfg, meta["train_class_ids"]
+            params, test_set, cfg, meta["train_class_ids"], source=path
         )
         rows.append({"method": method, **_mean_std([metrics.to_dict()],
                                                     METRIC_KEYS)})

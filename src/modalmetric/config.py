@@ -180,6 +180,12 @@ def load_config(path=None, overrides=None, method=None, seed=None, out=None):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(
+                f"{path}: cannot read config: {exc.strerror or exc}"
+            ) from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
         for section in parser.sections():

@@ -20,6 +20,8 @@ from .fsutil import atomic_write_text
 # modality m is tagged MODALITY_TAGS[m]: 0 = sketch, 1 = photo
 MODALITY_TAGS = ("sketch", "photo")
 CSV_MODALITY_TAGS = {tag: m for m, tag in enumerate(MODALITY_TAGS)}
+# (2, 1) modality index that broadcasts against (P, 2, K) table picks
+_MODALITY_COLUMN = np.arange(2).reshape(2, 1)
 _SURROGATE = re.compile("[\udc80-\udcff]")
 
 
@@ -184,10 +186,16 @@ class PKSampler:
     """Draws batches of 2*P*K sample indices: P distinct classes, K sketch
     and K photo samples per class, all without replacement within a batch.
 
-    Classes are re-drawn independently for every batch. Every draw comes
-    from the caller's generator `rng`, so a training run that shares one
-    generator between initialization and sampling stays reproducible; do
-    not share one instance across threads.
+    The (class, modality) cells are the rows of one padded
+    (n_classes, 2, max cell) table of dataset row indices, built with one
+    stable argsort; `_pad` marks the slots past each cell's end. Each
+    batch takes two calls on the caller's generator `rng`: one `choice`
+    of the P classes, then one uniform key per table slot of those
+    classes. Padding slots get +inf keys, and each cell keeps the rows
+    under its K smallest keys. Classes are re-drawn independently for
+    every batch. A training run that shares one generator between
+    initialization and sampling stays reproducible; do not share one
+    instance across threads.
     """
 
     def __init__(self, ds, P, K, rng):
@@ -199,27 +207,39 @@ class PKSampler:
             raise DataError(
                 f"P={P} exceeds the {ds.n_classes} available classes"
             )
-        self._cells = {}
-        for c in range(ds.n_classes):
-            for m in (0, 1):
-                idx = np.flatnonzero((ds.labels == c) & (ds.modalities == m))
-                if len(idx) < K:
-                    raise DataError(
-                        f"class {c} has {len(idx)} {MODALITY_TAGS[m]} "
-                        f"samples, need at least K={K}"
-                    )
-                self._cells[(c, m)] = idx
+        cell_id = 2 * ds.labels + ds.modalities
+        counts = np.bincount(cell_id, minlength=2 * ds.n_classes)
+        short = np.flatnonzero(counts < K)
+        if short.size:
+            c, m = divmod(int(short[0]), 2)
+            raise DataError(
+                f"class {c} has {counts[short[0]]} {MODALITY_TAGS[m]} "
+                f"samples, need at least K={K}"
+            )
+        shape = (ds.n_classes, 2, counts.max())
+        self._pad = (np.arange(shape[2]) >= counts[:, None]).reshape(shape)
+        # ~_pad walks the slots cell by cell in row-major order, the
+        # order in which the stable argsort lists each cell's rows
+        self._cells = np.full(shape, -1, dtype=np.int64)
+        self._cells[~self._pad] = np.argsort(cell_id, kind="stable")
 
     def sample(self):
         """Return one batch of 2*P*K distinct indices, class-major with
-        the K sketches before the K photos inside each class block."""
-        classes = self.rng.choice(self.ds.n_classes, size=self.P, replace=False)
-        parts = []
-        for c in classes:
-            for m in (0, 1):
-                cell = self._cells[(int(c), m)]
-                parts.append(self.rng.choice(cell, size=self.K, replace=False))
-        return np.concatenate(parts)
+        the K sketches before the K photos inside each class block.
+
+        Every cell's K rows are a uniform draw without replacement, listed
+        in ascending row order: `argpartition` finds the K smallest keys
+        but may order them differently on different CPUs, and the sort
+        makes the batch depend on the generator's stream alone.
+        """
+        classes = self.rng.choice(self.ds.n_classes, size=self.P,
+                                  replace=False)
+        keys = self.rng.random((self.P,) + self._cells.shape[1:])
+        keys[self._pad[classes]] = np.inf
+        picks = np.argpartition(keys, self.K - 1, axis=2)[:, :, :self.K]
+        rows = self._cells[classes[:, None, None], _MODALITY_COLUMN, picks]
+        rows.sort(axis=2)
+        return rows.ravel()
 
 
 def write_dataset(ds, path):

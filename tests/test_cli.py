@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import event, given, settings
@@ -24,6 +25,7 @@ from modalmetric import (
     zero_shot_split,
 )
 from modalmetric.cli import METRIC_KEYS, main
+from modalmetric.config import SCHEMA
 from modalmetric.model import TENSOR_NAMES
 
 TINY_INI = """\
@@ -236,6 +238,13 @@ CORRUPTIONS = {
         "data"].__setitem__(0, 10**400)), "float64 range"),
     "nan_weight": (_edit_payload(lambda p: p["tensors"]["embedder.W"][
         "data"].__setitem__(0, float("nan"))), "non-finite"),
+    # finite, so they load; 1e308 overflows the norms of the rows it
+    # touches, 1e200 only their squares, and both once normalized to
+    # all-zero embeddings
+    "huge_weight": (_edit_payload(lambda p: p["tensors"]["embedder.W"][
+        "data"].__setitem__(0, 1e308)), "overflows"),
+    "huge_weight_squared": (_edit_payload(lambda p: p["tensors"][
+        "embedder.W"]["data"].__setitem__(0, 1e200)), "overflows"),
     "class_ids_not_a_list": (_edit_payload(
         lambda p: p["meta"].update(train_class_ids=5)), "malformed"),
     "deeply_nested": (_deeply_nested, "malformed"),
@@ -246,8 +255,9 @@ CORRUPTIONS = {
 
 
 class TestBrokenCheckpoints:
-    """Every way a checkpoint file can fail to load is a data error
-    (exit 3) naming the file, for each command that reads checkpoints."""
+    """Every way a checkpoint file can fail to load or embed is a data
+    error (exit 3) naming the file, for each command that reads
+    checkpoints, with no warning and no metrics written."""
 
     @pytest.mark.parametrize("command", ["eval", "diagnose"])
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
@@ -262,12 +272,16 @@ class TestBrokenCheckpoints:
         else:
             argv += ["--baseline", str(bad), "--mathm", str(good_checkpoint),
                      "--gan", str(good_checkpoint)]
-        rc = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 3, err
         assert str(bad) in err
         assert message in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+        assert not (tmp_path / "o" / "diagnose").exists()
 
 
 # small JSON values of every type, with the float and int edges that
@@ -459,6 +473,21 @@ class TestConfigHandling:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("directory", "cannot read config"), ("latin1", "not UTF-8")])
+    def test_unreadable_config(self, tmp_path, case, message, capsys):
+        path = tmp_path / "bad.ini"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("[train]\nmethod = gan\xe9\n".encode("latin-1"))
+        rc = main(["train", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert str(path) in err and message in err
+        assert "Traceback" not in err
+
     def test_unknown_section(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[optimizer]\nlr = 1\n")
@@ -544,6 +573,126 @@ class TestConfigHandling:
         assert key in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+def _mostly(good, bad, odds=5):
+    """`good`, except one draw in `odds` from `bad`."""
+    return st.sampled_from([good] * (odds - 1) + [bad]).flatmap(
+        lambda strategy: strategy)
+
+
+# config values: small ints (so no case allocates much or trains long),
+# floats of every size, words the string keys accept, and text without
+# digits that no int or float conversion takes
+_ANY_VALUE = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 3 ", "1.5", "1e308", "nan", "-inf", " Photo ",
+                     "synthetic", "missing.csv", "cls-only", "baseline"]),
+    st.text(alphabet="abcXYZé =:[]#;%-_.,\t", max_size=6),
+)
+_WORDS = {"source": ["synthetic", "missing.csv"],
+          "method": ["cls-only", "baseline", "mathm", "gan"],
+          "query_modality": ["sketch", "photo"], "out": ["runs"]}
+_TYPED_VALUE = {int: st.integers(-1, 9).map(str),
+                float: st.floats(0.0, 2.0).map(repr)}
+_SCHEMA_KEYS = [(s, k) for s in SCHEMA for k in SCHEMA[s]]
+
+
+def _config_value(section, key):
+    """Mostly a value of the key's type, sometimes any value."""
+    kind, _ = SCHEMA[section][key]
+    typed = (st.sampled_from(_WORDS[key]) if kind is str
+             else _TYPED_VALUE[kind])
+    return _mostly(typed, _ANY_VALUE)
+
+
+@st.composite
+def _ini_section(draw):
+    """A section header and its settings: mostly a known section and its
+    own keys, sometimes another section's key or an unknown one."""
+    name = draw(_mostly(st.sampled_from(list(SCHEMA)),
+                        st.sampled_from(["DEFAULT", "Train", "optimizer"]),
+                        odds=10))
+    own = [sk for sk in _SCHEMA_KEYS if sk[0] == name] or _SCHEMA_KEYS
+    keys = draw(st.lists(_mostly(st.sampled_from(own),
+                                 st.sampled_from(_SCHEMA_KEYS)),
+                         max_size=4, unique_by=lambda sk: sk[1]))
+    items = [(key, draw(_config_value(sec, key))) for sec, key in keys]
+    if draw(_mostly(st.just(False), st.just(True))):
+        items.append((draw(st.sampled_from(["N_Classes", "momentum", ""])),
+                      draw(_ANY_VALUE)))
+    return name, items
+
+
+# lines that configparser rejects or reads in surprising ways
+_INI_JUNK = st.tuples(st.integers(0, 30), st.sampled_from(
+    ["[", "[data", "no separator", "= 3", "  continued", "# comment",
+     "[data]", "%(x)s = 1"]))
+
+
+@st.composite
+def _override(draw):
+    """One `--key value` pair: mostly a schema key, qualified or bare,
+    sometimes an unknown or malformed flag."""
+    section, key = draw(st.sampled_from(_SCHEMA_KEYS))
+    flag = draw(_mostly(
+        st.sampled_from([f"--{section}.{key}", f"--{key}"]),
+        st.sampled_from(["--optimizer", "--data.nope", "-q", key])))
+    return flag, draw(_config_value(section, key))
+
+
+def _ini_text(sections, junk):
+    lines = []
+    for name, items in sections:
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in items]
+    for at, line in junk:
+        lines.insert(at % (len(lines) + 1), line)
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedConfigs:
+    """Generated INI text and `--key value` overrides end every command
+    with a contract exit code, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("configs")
+
+    @given(st.lists(_ini_section(), max_size=4, unique_by=lambda s: s[0]),
+           _mostly(st.just([]), st.lists(_INI_JUNK, min_size=1, max_size=2),
+                   odds=10),
+           st.lists(_override(), max_size=4),
+           _mostly(st.just(False), st.just(True), odds=10),
+           st.sampled_from(["train", "eval", "diagnose", "ablate",
+                            "sweep-lambda"]))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_exit_code_in_contract(self, good_checkpoint, workdir, sections,
+                                   junk, overrides, stray, command):
+        path = workdir / "generated.ini"
+        path.write_text(_ini_text(sections, junk), encoding="utf-8")
+        # the leading override keeps every run short unless a generated
+        # one replaces it; the trailing --out keeps every write in workdir
+        tokens = ["--total_iters", "3"]
+        for flag, value in overrides:
+            tokens += [flag, value]
+        argv = [command, "--config", str(path), *tokens]
+        if stray:
+            argv.append("--margin")
+        if command == "eval":
+            argv += ["--checkpoint", str(good_checkpoint)]
+        argv += ["--out", str(workdir / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a dedicated flag
+                rc = exc.code
+        event(f"exit {rc}")
+        assert rc in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestUnusableOut:

@@ -183,6 +183,60 @@ class TestPKSampler:
         with pytest.raises(DataError, match="P=4"):
             PKSampler(ds, 4, 2, np.random.default_rng(0))
 
+    def test_uniform_frequencies(self):
+        # draws of k of n without replacement give Pearson statistics
+        # distributed as (n - k) / (n - 1) times chi-square with n - 1
+        # degrees of freedom; rescaled, the class statistic and the
+        # per-cell row statistics (independent given the class counts)
+        # sum to chi-square with `dof` degrees of freedom, and the bound
+        # sits five standard deviations above its mean
+        counts = [[3, 7], [5, 4], [6, 3], [4, 8], [7, 5]]
+        n, P, K, n_batches = len(counts), 3, 2, 4000
+        ds = _shuffled_dataset(counts, np.random.default_rng(3))
+        sampler = PKSampler(ds, P, K, np.random.default_rng(20261018))
+        class_hits = np.zeros(n)
+        row_hits = np.zeros(len(ds))
+        for _ in range(n_batches):
+            batch = sampler.sample()
+            np.add.at(class_hits, ds.labels[batch[::2 * K]], 1)
+            np.add.at(row_hits, batch, 1)
+        expected = n_batches * P / n
+        stat = ((class_hits - expected) ** 2 / expected).sum() \
+            * (n - 1) / (n - P)
+        dof = n - 1
+        for (c, m), idx in _reference_cells(ds).items():
+            size = len(idx)
+            expected = class_hits[c] * K / size
+            stat += ((row_hits[idx] - expected) ** 2 / expected).sum() \
+                * (size - 1) / (size - K)
+            dof += size - 1
+        assert stat < dof + 5 * np.sqrt(2 * dof), (stat, dof)
+
+    @pytest.mark.parametrize("reverse_picks", [False, True])
+    def test_batches_do_not_depend_on_partition_order(self, monkeypatch,
+                                                      reverse_picks):
+        # argpartition may order the K smallest keys differently on
+        # another CPU; a full argsort, with its K smallest reversed or
+        # not, must give the same batches from the same generator state
+        ds = _shuffled_dataset([[3, 7], [5, 4], [6, 3], [4, 8]],
+                               np.random.default_rng(5))
+
+        def batches():
+            sampler = PKSampler(ds, 3, 3, np.random.default_rng(11))
+            return [sampler.sample().tolist() for _ in range(30)]
+
+        want = batches()
+
+        def argpartition_by_sort(a, kth, axis=-1):
+            assert axis in (-1, a.ndim - 1)
+            order = np.argsort(a, axis=-1)
+            if reverse_picks:
+                order[..., :kth + 1] = order[..., kth::-1].copy()
+            return order
+
+        monkeypatch.setattr(np, "argpartition", argpartition_by_sort)
+        assert batches() == want
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -304,19 +358,25 @@ class TestDatasetValidate:
             Dataset(np.empty((0, 2)), [], [], [], class_ids=[0, 1])
 
 
-def _random_dataset(rng):
-    """Rows in shuffled order, uneven cells (3 to 7 rows each), random
-    distinct ids and non-identity class ids."""
-    n_classes = int(rng.integers(2, 9))
-    counts = rng.integers(3, 8, size=(n_classes, 2))
-    labels = np.repeat(np.arange(n_classes).repeat(2), counts.ravel())
-    mods = np.repeat(np.tile([0, 1], n_classes), counts.ravel())
+def _shuffled_dataset(counts, rng):
+    """Rows in shuffled order with counts[c][m] rows in cell (c, m),
+    random distinct ids and non-identity class ids."""
+    n_classes = len(counts)
+    counts = np.ravel(counts)
+    labels = np.repeat(np.arange(n_classes).repeat(2), counts)
+    mods = np.repeat(np.tile([0, 1], n_classes), counts)
     order = rng.permutation(len(labels))
     n, d = len(labels), int(rng.integers(1, 6))
     return Dataset(rng.standard_normal((n, d)), labels[order], mods[order],
                    rng.choice(10 * n, size=n, replace=False),
                    class_ids=rng.choice(100, size=n_classes,
                                         replace=False).tolist())
+
+
+def _random_dataset(rng):
+    """Uneven cells (3 to 7 rows each) over 2 to 8 classes."""
+    n_classes = int(rng.integers(2, 9))
+    return _shuffled_dataset(rng.integers(3, 8, size=(n_classes, 2)), rng)
 
 
 def _reference_split(ds, n_unseen, seed):
@@ -369,18 +429,26 @@ class TestColumnOracle:
             K = int(rng.integers(2, 4))
             sampler = PKSampler(part, P, K, np.random.default_rng(seed))
             cells = _reference_cells(part)
-            assert sorted(sampler._cells) == sorted(cells)
-            for key, idx in cells.items():
-                assert sampler._cells[key].tolist() == idx
-            ref = np.random.default_rng(seed)
-            for _ in range(5):
-                want = []
-                for c in ref.choice(part.n_classes, size=P,
-                                    replace=False):
-                    for m in (0, 1):
-                        want += ref.choice(np.array(cells[(int(c), m)]),
-                                           size=K, replace=False).tolist()
-                assert sampler.sample().tolist() == want
+            width = max(len(idx) for idx in cells.values())
+            assert sampler._cells.shape == (part.n_classes, 2, width)
+            assert sampler._pad.shape == sampler._cells.shape
+            for (c, m), idx in cells.items():
+                assert sampler._cells[c, m, :len(idx)].tolist() == idx
+                assert sampler._pad[c, m].tolist() == (
+                    [False] * len(idx) + [True] * (width - len(idx)))
+            for _ in range(50):
+                batch = sampler.sample()
+                assert batch.shape == (2 * P * K,)
+                # padding slots hold -1, which no cell contains either
+                assert (batch >= 0).all()
+                blocks = batch.reshape(P, 2, K)
+                classes = part.labels[blocks[:, 0, 0]]
+                assert len(set(classes.tolist())) == P
+                for c, block in zip(classes.tolist(), blocks):
+                    for m, rows in enumerate(block.tolist()):
+                        assert len(set(rows)) == K
+                        assert set(rows) <= set(cells[(c, m)])
+                        assert rows == sorted(rows)
 
 
 def _corrupt(text, edits, inserts):
