@@ -12,6 +12,9 @@ from .geometry import pairwise_distance
 
 DEFAULT_PREC_K = 100
 DEFAULT_TRUNCATION = 200
+# (query, gallery) entries that compute_metrics ranks and scores at once:
+# it takes max(1, QUERY_BLOCK_ENTRIES // G) query rows per block
+QUERY_BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -19,7 +22,7 @@ class Ranking:
     """Gallery orderings of Q queries as (Q, G) arrays. Row q holds query
     q's gallery indices by ascending distance (ties by lowest gallery
     index), the distances in that order and, when labels were supplied,
-    the relevance flags in that order (1 = same class)."""
+    the relevance flags in that order (True = same class)."""
 
     order: np.ndarray
     distances: np.ndarray
@@ -55,7 +58,7 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
     relevance = None
     if query_labels is not None and gallery_labels is not None:
         relevance = (np.asarray(gallery_labels)[order]
-                     == np.asarray(query_labels)[:, None]).astype(np.int64)
+                     == np.asarray(query_labels)[:, None])
     return Ranking(order, distances, relevance)
 
 
@@ -83,24 +86,31 @@ def average_precision(relevance, truncate_at=None):
     return float((precisions * head).sum() / denominator)
 
 
+def _relevance_totals(rel, offset=0):
+    """Each row's count of relevant items in a (B, G) relevance block
+    whose first row is query `offset`."""
+    total = rel.sum(axis=1)
+    empty = np.flatnonzero(total == 0)
+    if empty.size:
+        raise MetricError(
+            f"query {offset + empty[0]} has no relevant gallery item")
+    return total
+
+
 def _relevance(ranking):
     """The ranking's (Q, G) relevance flags and each query's count of
     relevant items."""
     if ranking.relevance is None:
         raise ValueError("ranking carries no relevance flags")
     rel = np.asarray(ranking.relevance)
-    total = rel.sum(axis=1)
-    empty = np.flatnonzero(total == 0)
-    if empty.size:
-        raise MetricError(f"query {empty[0]} has no relevant gallery item")
-    return rel, total
+    return rel, _relevance_totals(rel)
 
 
-def _mean_ap(ranking, truncate_at=None):
-    """Mean over queries of `average_precision`, every row at once: the
-    same per-row cumsum, division, product and pairwise row sum, so each
-    row's AP is bit-identical to the 1-d reference."""
-    rel, total = _relevance(ranking)
+def _ap_rows(rel, total, truncate_at=None):
+    """`average_precision` of every row of a relevance block, given each
+    row's relevant count: the same per-row cumsum, division, product and
+    pairwise row sum, so each row's AP is bit-identical to the 1-d
+    reference whatever block the row sits in."""
     if truncate_at is None:
         denominator = total
     else:
@@ -110,28 +120,33 @@ def _mean_ap(ranking, truncate_at=None):
     precisions = np.cumsum(head, axis=1)
     precisions /= np.arange(1, head.shape[1] + 1)
     precisions *= head
-    return float(np.mean(precisions.sum(axis=1) / denominator))
+    return precisions.sum(axis=1) / denominator
+
+
+def _prec_rows(rel, k):
+    """Fraction of relevant items in each row's top min(k, G)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = min(k, rel.shape[1])
+    return rel[:, :m].sum(axis=1) / m
 
 
 def map_at_all(ranking):
     """Mean non-interpolated AP over queries."""
-    return _mean_ap(ranking)
+    return float(np.mean(_ap_rows(*_relevance(ranking))))
 
 
 def map_at_n(ranking, n):
     """Mean AP over lists truncated to their top n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _mean_ap(ranking, truncate_at=n)
+    return float(np.mean(_ap_rows(*_relevance(ranking), truncate_at=n)))
 
 
 def prec_at_k(ranking, k):
     """Mean fraction of relevant items in each query's top min(k, G)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rel, _ = _relevance(ranking)
-    m = min(k, rel.shape[1])
-    return float(np.mean(rel[:, :m].sum(axis=1) / m))
+    return float(np.mean(_prec_rows(rel, k)))
 
 
 def _cell_totals(embeddings, labels, modalities):
@@ -258,6 +273,12 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
     """Full evaluation of one embedded set: queries are the rows of
     query_modality (sketches by default), the gallery is the other
     modality.
+
+    The queries are ranked and scored in consecutive blocks of
+    max(1, QUERY_BLOCK_ENTRIES // G) rows, so memory grows with
+    block x G, never with Q x G. A query's scores are row-local: they
+    equal those of one (Q, G) `retrieve` wherever the BLAS product gives
+    the row the same bits at any block height.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -267,19 +288,31 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
     is_query = mods == query_modality
     if not is_query.any() or is_query.all():
         raise MetricError("evaluation set must contain both modalities")
-    ranking = retrieve(e[is_query], e[~is_query],
-                       labels[is_query], labels[~is_query])
-    retrieval = dict(
-        map_at_all=map_at_all(ranking),
-        prec_at_k=prec_at_k(ranking, k),
-        map_at_200=map_at_n(ranking, DEFAULT_TRUNCATION),
-        prec_at_200=prec_at_k(ranking, DEFAULT_TRUNCATION),
-    )
+    query, query_labels = e[is_query], labels[is_query]
+    gallery, gallery_labels = e[~is_query], labels[~is_query]
+    rows = max(1, QUERY_BLOCK_ENTRIES // gallery.shape[0])
+    # per query: AP@all, P@k, AP@200, P@200
+    scores = np.empty((4, query.shape[0]))
+    for start in range(0, query.shape[0], rows):
+        block = slice(start, start + rows)
+        rel = retrieve(query[block], gallery, query_labels[block],
+                       gallery_labels).relevance
+        total = _relevance_totals(rel, offset=start)
+        scores[:, block] = (
+            _ap_rows(rel, total),
+            _prec_rows(rel, k),
+            _ap_rows(rel, total, truncate_at=DEFAULT_TRUNCATION),
+            _prec_rows(rel, DEFAULT_TRUNCATION),
+        )
+    map_all, prec_k, map_200, prec_200 = (float(np.mean(s)) for s in scores)
     same, cross = between_class_discrepancy(e, labels, mods)
     within_same, within_cross = within_class_similarity(e, labels, mods)
     return RetrievalMetrics(
-        **retrieval,
+        map_at_all=map_all,
+        prec_at_k=prec_k,
         k=k,
+        map_at_200=map_200,
+        prec_at_200=prec_200,
         modality_gap=modality_gap(e, labels, mods),
         between_class_same_modality=same,
         between_class_cross_modality=cross,

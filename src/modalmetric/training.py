@@ -171,6 +171,7 @@ def _score_backward(params, embeddings, scores, d_scores):
     return d_e, d_w, d_b
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, config: TrainConfig):
     """Run the full optimization on one dataset.
 
@@ -180,8 +181,10 @@ def train(dataset: Dataset, config: TrainConfig):
 
     Raises:
         ConfigError: if the parameters are too large to allocate.
-        NumericError: if any loss or gradient turns non-finite, naming
-            the iteration.
+        NumericError: if any loss, gradient or pre-normalization
+            embedding norm turns non-finite, naming the iteration. These
+            checks report overflow, so numpy's overflow and invalid-value
+            warnings are off inside train.
     """
     dataset.validate()
     kinds, weighting, adversarial = config.recipe()
@@ -221,6 +224,10 @@ def train(dataset: Dataset, config: TrainConfig):
         photo = mods == 1
 
         embeddings, cache = embed_forward(params.embedder, x, mods)
+        # a row whose norm overflows would normalize to zeros
+        if not cache.norms.max() < np.inf:  # NaN fails too
+            raise NumericError(
+                f"non-finite embedding norm at iteration {it}")
         logits = embeddings @ params.classifier.W_c.T
         cls = softmax_ce(logits, y)
         d_logits = cls.grad

@@ -857,3 +857,16 @@ class TestExitCodeMapping:
         rc = main(["train", "--out", str(tmp_path)])
         assert rc == 5
         assert "synthetic blow-up" in capsys.readouterr().err
+
+    def test_overflowing_embeddings(self, tmp_path, capsys):
+        # features near the float64 limit overflow every photo row's
+        # norm, which would normalize to an all-zero embedding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--offset_norm", "1e308", "--total_iters",
+                       "50", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 5, err
+        assert "non-finite embedding norm at iteration 0" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("checkpoint.json"))

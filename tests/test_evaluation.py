@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import modalmetric.evaluation as evaluation
 from conftest import pk_batch, unit_rows
 from modalmetric import (
     MetricError,
@@ -328,7 +329,8 @@ def reference_between_class(e, labels, mods):
 
 
 class TestArrayMetricsOracle:
-    """The (Q, G) ranking and row-wise metrics against per-query loops."""
+    """The (Q, G) ranking and row-wise metrics against per-query loops,
+    and compute_metrics' query blocks against one whole ranking."""
 
     KINDS = ("random", "rounded", "duplicated")
 
@@ -391,6 +393,80 @@ class TestArrayMetricsOracle:
                     fractions.append(float(np.sum(r[:m])) / m)
                 assert prec_at_k(ranking, k) == float(np.mean(fractions))
         assert ties > 0
+
+    @staticmethod
+    def _blocked_metrics(monkeypatch, rows, query, gallery, ql, gl, k):
+        """compute_metrics with `rows` query rows per block, its
+        diagnostics stubbed out so that any retrieval case qualifies."""
+        g = gallery.shape[0]
+        # the largest budget that still gives `rows` rows per block
+        monkeypatch.setattr(evaluation, "QUERY_BLOCK_ENTRIES",
+                            rows * g + g - 1)
+        for name in ("between_class_discrepancy", "within_class_similarity"):
+            monkeypatch.setattr(evaluation, name, lambda *a: (0.0, 0.0))
+        monkeypatch.setattr(evaluation, "modality_gap", lambda *a: 0.0)
+        return compute_metrics(
+            np.concatenate([query, gallery]), np.concatenate([ql, gl]),
+            np.repeat([0, 1], [query.shape[0], g]), k=k)
+
+    def test_blocked_scoring(self, monkeypatch):
+        rng = np.random.default_rng(606)
+        cases = []
+        for case in range(60):
+            query, gallery, ql, gl = self._retrieval_case(
+                rng, ("random", "duplicated")[case % 2],
+                16 if case % 10 else 400)
+            if case % 3 == 0:
+                # multiples of 1/8 multiply and add exactly, so equal
+                # distances stay equal at any BLAS block height
+                query = np.round(query * 8) / 8
+                gallery = np.round(gallery * 8) / 8
+            cases.append((query, gallery, ql, gl))
+        # one gallery row, then one query
+        cases.append((unit_rows(rng, 7, 3), unit_rows(rng, 1, 3),
+                      np.zeros(7, int), np.zeros(1, int)))
+        cases.append((unit_rows(rng, 1, 3), unit_rows(rng, 9, 3),
+                      np.ones(1, int), rng.permutation(np.arange(9) % 2)))
+        ties = short = 0
+        for query, gallery, ql, gl in cases:
+            q, g = query.shape[0], gallery.shape[0]
+            rows = int(rng.integers(1, 4))
+            k = int(rng.integers(1, g + 6))
+            metrics = self._blocked_metrics(monkeypatch, rows, query,
+                                            gallery, ql, gl, k)
+            ranking = retrieve(query, gallery, ql, gl)
+            assert metrics.map_at_all == map_at_all(ranking)
+            assert metrics.prec_at_k == prec_at_k(ranking, k)
+            assert metrics.map_at_200 == map_at_n(ranking, 200)
+            assert metrics.prec_at_200 == prec_at_k(ranking, 200)
+            ties += np.sum(np.diff(ranking.distances, axis=1) == 0)
+            short += q > rows and q % rows > 0
+        assert ties > 0 and short > 0
+
+    def test_blocked_error_names_the_global_query(self, monkeypatch):
+        # three rows per block; queries 7 and 10 (blocks 3 and 4) are of
+        # class 2, which the gallery lacks
+        rng = np.random.default_rng(3)
+        ql = np.array([0, 1] * 6)
+        ql[[7, 10]] = 2
+        with pytest.raises(MetricError, match="query 7 has no relevant"):
+            self._blocked_metrics(monkeypatch, 3, unit_rows(rng, 12, 4),
+                                  unit_rows(rng, 5, 4), ql,
+                                  np.array([0, 1, 0, 1, 0]), 3)
+
+    def test_retrieval_needs_no_query_gallery_matrix(self):
+        # Q = G = 2000, d = 16: one (Q, G) float64 matrix is 32 MB
+        rng = np.random.default_rng(9)
+        labels = np.repeat(np.arange(8), 500)
+        mods = np.tile([0, 1], 2000)
+        e = unit_rows(rng, labels.size, 16)
+        tracemalloc.start()
+        try:
+            compute_metrics(e, labels, mods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def _diagnostic_case(self, rng, kind, cell_sizes=(2, 6)):
         p = int(rng.integers(2, 6))
