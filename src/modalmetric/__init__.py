@@ -3,6 +3,9 @@
 Trains small normalized embedders with modality-aware batch-hard triplet
 losses balanced by closed-form gradient weighting, and evaluates them
 with zero-shot retrieval metrics and modality-gap diagnostics.
+
+The package exports the names README's "Library use" documents; the
+rest of the library is reached through its submodules.
 """
 
 from .data import (
@@ -25,8 +28,6 @@ from .errors import (
 )
 from .evaluation import (
     Ranking,
-    RetrievalMetrics,
-    average_precision,
     between_class_discrepancy,
     compute_metrics,
     map_at_all,
@@ -36,63 +37,16 @@ from .evaluation import (
     retrieve,
     within_class_similarity,
 )
-from .geometry import (
-    cosine_matrix,
-    finite_diff_check,
-    l2_normalize,
-    pairwise_distance,
-)
-from .losses import (
-    ALL_KINDS,
-    LossConfig,
-    LossReport,
-    WeightedLossBundle,
-    adversarial_d_loss,
-    adversarial_g_loss,
-    gradient_weights,
-    softmax_ce,
-    total_loss,
-    triplet_hinge,
-    weighted_embedding_loss,
-)
-from .mining import TripletKind, batch_hard_mine, brute_force_mine
-from .model import (
-    AdamState,
-    ClassifierParams,
-    DiscriminatorParams,
-    EmbedderParams,
-    ModelParams,
-    adam_step,
-    cosine_lr,
-    embed_backward,
-    embed_forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .training import (
-    METHOD_RECIPES,
-    TrainConfig,
-    TrainResult,
-    ablation_variants,
-    log_columns,
-    train,
-)
+from .model import AdamState, ModelParams, adam_step
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_KINDS",
     "AdamState",
-    "ClassifierParams",
     "ConfigError",
     "DataError",
     "Dataset",
-    "DiscriminatorParams",
-    "EmbedderParams",
-    "LossConfig",
-    "LossReport",
-    "METHOD_RECIPES",
     "MetricError",
     "MiningError",
     "ModalMetricError",
@@ -101,45 +55,19 @@ __all__ = [
     "PKSampler",
     "ProtocolError",
     "Ranking",
-    "RetrievalMetrics",
     "SyntheticConfig",
     "TrainConfig",
-    "TrainResult",
-    "TripletKind",
-    "WeightedLossBundle",
-    "ablation_variants",
     "adam_step",
-    "adversarial_d_loss",
-    "adversarial_g_loss",
-    "average_precision",
-    "batch_hard_mine",
     "between_class_discrepancy",
-    "brute_force_mine",
     "compute_metrics",
-    "cosine_lr",
-    "cosine_matrix",
-    "embed_backward",
-    "embed_forward",
-    "finite_diff_check",
     "generate_synthetic",
-    "gradient_weights",
-    "init_params",
-    "l2_normalize",
-    "load_checkpoint",
-    "log_columns",
     "map_at_all",
     "map_at_n",
     "modality_gap",
-    "pairwise_distance",
     "prec_at_k",
     "read_dataset",
     "retrieve",
-    "save_checkpoint",
-    "softmax_ce",
-    "total_loss",
     "train",
-    "triplet_hinge",
-    "weighted_embedding_loss",
     "within_class_similarity",
     "write_dataset",
     "zero_shot_split",

@@ -20,13 +20,13 @@ import io
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
-from .evaluation import compute_metrics
+from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, ensure_dir, write_json
 from .model import embed_forward, load_checkpoint, save_checkpoint
 from .training import ablation_variants, log_columns, train
@@ -62,17 +62,8 @@ def _mean_std(dicts, keys):
     return out
 
 
-METRIC_KEYS = (
-    "map_at_all",
-    "prec_at_k",
-    "map_at_200",
-    "prec_at_200",
-    "modality_gap",
-    "between_class_same_modality",
-    "between_class_cross_modality",
-    "within_class_same_modality",
-    "within_class_cross_modality",
-)
+# the scores averaged over runs: every RetrievalMetrics field but k
+METRIC_KEYS = tuple(f.name for f in fields(RetrievalMetrics) if f.name != "k")
 
 
 def evaluate_params(params, test_set, cfg, train_class_ids,

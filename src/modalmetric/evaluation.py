@@ -3,7 +3,7 @@ mAP) and embedding-space diagnostics: the within-class modality gap and
 between-class discrepancies under same- and cross-modality pairing.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,30 +62,6 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
     return Ranking(order, distances, relevance)
 
 
-def average_precision(relevance, truncate_at=None):
-    """Non-interpolated AP of one relevance vector.
-
-    With truncate_at=n, only the top n positions contribute precision
-    terms and the denominator becomes min(total relevant, n).
-
-    Raises:
-        MetricError: when the query has no relevant item at all.
-    """
-    rel = np.asarray(relevance, dtype=np.float64)
-    total_relevant = int(rel.sum())
-    if total_relevant == 0:
-        raise MetricError("query has no relevant gallery item")
-    if truncate_at is not None:
-        head = rel[:truncate_at]
-        denominator = min(total_relevant, truncate_at)
-    else:
-        head = rel
-        denominator = total_relevant
-    ranks = np.arange(1, head.size + 1)
-    precisions = np.cumsum(head) / ranks
-    return float((precisions * head).sum() / denominator)
-
-
 def _relevance_totals(rel, offset=0):
     """Each row's count of relevant items in a (B, G) relevance block
     whose first row is query `offset`."""
@@ -107,10 +83,12 @@ def _relevance(ranking):
 
 
 def _ap_rows(rel, total, truncate_at=None):
-    """`average_precision` of every row of a relevance block, given each
-    row's relevant count: the same per-row cumsum, division, product and
-    pairwise row sum, so each row's AP is bit-identical to the 1-d
-    reference whatever block the row sits in."""
+    """Non-interpolated AP of every row of a relevance block, given each
+    row's relevant count. With truncate_at=n, only the top n positions
+    contribute precision terms and the denominator becomes
+    min(total relevant, n). Each row takes its own cumsum, division,
+    product and pairwise row sum, so its AP does not depend on the block
+    it sits in."""
     if truncate_at is None:
         denominator = total
     else:
@@ -254,18 +232,7 @@ class RetrievalMetrics:
     within_class_cross_modality: float
 
     def to_dict(self):
-        return {
-            "map_at_all": self.map_at_all,
-            "prec_at_k": self.prec_at_k,
-            "k": self.k,
-            "map_at_200": self.map_at_200,
-            "prec_at_200": self.prec_at_200,
-            "modality_gap": self.modality_gap,
-            "between_class_same_modality": self.between_class_same_modality,
-            "between_class_cross_modality": self.between_class_cross_modality,
-            "within_class_same_modality": self.within_class_same_modality,
-            "within_class_cross_modality": self.within_class_cross_modality,
-        }
+        return asdict(self)
 
 
 def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,

@@ -8,29 +8,9 @@ negative radicands when two rows nearly coincide.
 
 import numpy as np
 
-from .errors import NumericError
-
-# Norms below this are treated as degenerate: the vector is divided by
-# EPS_NORM instead of its own norm, keeping normalization total.
+# Norms below this are treated as degenerate: the embedder divides such
+# a row by EPS_NORM instead of its own norm, keeping normalization total.
 EPS_NORM = 1e-12
-
-
-def l2_normalize(v, eps=EPS_NORM):
-    """Scale vectors to unit Euclidean norm along the last axis.
-
-    Args:
-        v: Array of shape (..., d). Must be finite.
-        eps: Norm floor; inputs with norm below it are divided by eps
-            rather than raising.
-
-    Returns:
-        float64 array of the same shape with unit rows (direction
-        preserved), except degenerate near-zero inputs which come back
-        scaled by 1/eps.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(norm, eps)
 
 
 def cosine_matrix(a, b):
@@ -72,62 +52,3 @@ def pairwise_distance(a, b):
     cos += 2.0
     np.maximum(cos, 0.0, out=cos)
     return np.sqrt(cos, out=cos)
-
-
-def finite_diff_check(loss_fn, params, analytic_grad, step=1e-5, kink_tol=1e-3):
-    """Compare an analytic gradient against central finite differences.
-
-    Args:
-        loss_fn: Pure scalar function of a parameter array.
-        params: Point at which to check, any shape.
-        analytic_grad: Claimed gradient, same shape as `params`.
-        step: Central-difference step (> 0).
-        kink_tol: Threshold on the forward/backward one-sided
-            disagreement used to flag non-differentiable entries.
-
-    Returns:
-        Max over checked entries of
-        |central_difference - analytic| / max(|analytic|, 1e-8).
-        Entries where the loss sits within `step` of a hinge boundary
-        (detected by the two one-sided differences disagreeing) are
-        excluded from the maximum.
-
-    Raises:
-        ValueError: if step <= 0 or shapes differ.
-        NumericError: if any loss evaluation is non-finite.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    analytic_grad = np.asarray(analytic_grad, dtype=np.float64)
-    if params.shape != analytic_grad.shape:
-        raise ValueError("analytic_grad shape must match params")
-
-    x = params.copy()
-    f0 = float(loss_fn(x))
-    if not np.isfinite(f0):
-        raise NumericError("loss_fn returned a non-finite value")
-
-    max_err = 0.0
-    for i in range(x.size):
-        orig = x.flat[i]
-        x.flat[i] = orig + step
-        f_plus = float(loss_fn(x))
-        x.flat[i] = orig - step
-        f_minus = float(loss_fn(x))
-        x.flat[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(f"loss_fn non-finite at entry {i}")
-
-        central = (f_plus - f_minus) / (2.0 * step)
-        forward = (f_plus - f0) / step
-        backward = (f0 - f_minus) / step
-        # A smooth loss has forward - backward ~ O(step); a hinge crossed
-        # inside [x-step, x+step] leaves an O(1) derivative jump.
-        if abs(forward - backward) > kink_tol * max(1.0, abs(central)):
-            continue
-        err = abs(central - analytic_grad.flat[i]) / max(
-            abs(analytic_grad.flat[i]), 1e-8
-        )
-        max_err = max(max_err, err)
-    return max_err

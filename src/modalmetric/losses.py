@@ -237,27 +237,6 @@ def weighted_embedding_loss(
     )
 
 
-def total_loss(cls_report, embed, lam):
-    """Combine classification and embedding losses: L_cls + lam * L_embed.
-
-    Both gradients must live in the same space (the trainer maps the
-    classification gradient onto the embedding rows before calling).
-    `embed` is either a LossReport or a WeightedLossBundle.
-    """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    cls_grad = np.asarray(cls_report.grad, dtype=np.float64)
-    if cls_grad.shape != embed.grad.shape:
-        raise ValueError(
-            f"gradient shapes differ: {cls_grad.shape} vs {embed.grad.shape}"
-        )
-    return LossReport(
-        value=float(cls_report.value + lam * embed.value),
-        active_fraction=1.0,
-        grad=cls_grad + lam * embed.grad,
-    )
-
-
 def _clamped(scores, name):
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:

@@ -209,9 +209,6 @@ class AdamState:
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     def __post_init__(self):
         size = sum(n for _, n in self.layout)
@@ -254,13 +251,13 @@ def adam_step(params, grads, state, lr):
     t = state.t
     m = state.m
     v = state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 

@@ -12,11 +12,9 @@ from .errors import ConfigError, NumericError
 from .losses import (
     ALL_KINDS,
     LossConfig,
-    LossReport,
     adversarial_d_loss,
     adversarial_g_loss,
     softmax_ce,
-    total_loss,
     weighted_embedding_loss,
 )
 from .mining import TripletKind
@@ -230,19 +228,18 @@ def train(dataset: Dataset, config: TrainConfig):
                 f"non-finite embedding norm at iteration {it}")
         logits = embeddings @ params.classifier.W_c.T
         cls = softmax_ce(logits, y)
-        d_logits = cls.grad
-        d_wc = d_logits.T @ embeddings
-        cls_on_embed = LossReport(cls.value, cls.active_fraction,
-                                  d_logits @ params.classifier.W_c)
+        d_wc = cls.grad.T @ embeddings
+        # the classification gradient on the embedding rows
+        cls_grad = cls.grad @ params.classifier.W_c
 
         row = {"iter": it, "lr": lr, "l_cls": cls.value}
         if kinds:
             bundle = weighted_embedding_loss(
                 embeddings, y, mods, config.loss, kinds, weighting
             )
-            combined = total_loss(cls_on_embed, bundle, config.loss.lam)
-            d_embed = combined.grad
-            value = combined.value
+            lam = config.loss.lam
+            d_embed = cls_grad + lam * bundle.grad
+            value = float(cls.value + lam * bundle.value)
             for k, report in zip(bundle.kinds, bundle.reports):
                 row[f"l_{KIND_TAGS[k]}"] = report.value
             for k, report in zip(bundle.kinds, bundle.reports):
@@ -251,7 +248,7 @@ def train(dataset: Dataset, config: TrainConfig):
                 for k, w in zip(bundle.kinds, bundle.weights):
                     row[f"w_{KIND_TAGS[k]}"] = float(w)
         else:
-            d_embed = cls_on_embed.grad
+            d_embed = cls_grad
             value = cls.value
 
         if adversarial:

@@ -2,13 +2,9 @@
 
 import numpy as np
 
-from modalmetric import (
-    Dataset,
-    LossConfig,
-    batch_hard_mine,
-    l2_normalize,
-    weighted_embedding_loss,
-)
+from modalmetric import Dataset
+from modalmetric.losses import LossConfig, weighted_embedding_loss
+from modalmetric.mining import batch_hard_mine
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
 # criterion; printing them in the terminal summary keeps the whole gate
@@ -25,7 +21,8 @@ def pytest_terminal_summary(terminalreporter):
 
 def unit_rows(rng, n, d):
     """n random rows on the unit sphere in d dimensions."""
-    return l2_normalize(rng.standard_normal((n, d)))
+    v = rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def pk_batch(rng, p, k, d):
@@ -47,11 +44,13 @@ def make_dataset(features, labels, mods):
 
 
 def mine_one(dist, labels, mods, kind, anchors=None):
-    """batch_hard_mine for one kind, stacked as brute_force_mine's result
-    compares: a (3, n) array of anchor, positive and negative rows."""
-    anchors, [(pos, neg)] = batch_hard_mine(dist, labels, mods, (kind,),
-                                            anchors)
-    return np.stack((anchors, pos, neg))
+    """batch_hard_mine of the whole batch for one kind, stacked as
+    brute_force_mine's result compares: a (3, n) array of anchor,
+    positive and negative rows, restricted to the columns of `anchors`
+    when given."""
+    mined, [(pos, neg)] = batch_hard_mine(dist, labels, mods, (kind,))
+    triplets = np.stack((mined, pos, neg))
+    return triplets if anchors is None else triplets[:, anchors]
 
 
 def mined_loss(e, labels, mods, kind, margin=0.2):

@@ -19,7 +19,6 @@ from modalmetric import (
     SyntheticConfig,
     TrainConfig,
     generate_synthetic,
-    log_columns,
     train,
     write_dataset,
     zero_shot_split,
@@ -27,6 +26,7 @@ from modalmetric import (
 from modalmetric.cli import METRIC_KEYS, main
 from modalmetric.config import SCHEMA
 from modalmetric.model import TENSOR_NAMES
+from modalmetric.training import log_columns
 
 TINY_INI = """\
 [data]

@@ -88,3 +88,5 @@ class TestOverrideParsing:
     def test_invalid_loss_value_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="margin"):
             load_config(overrides=parse_overrides(["--margin", "-0.5"]))
+        with pytest.raises(ConfigError, match="lam"):
+            load_config(overrides=parse_overrides(["--lam", "-0.1"]))

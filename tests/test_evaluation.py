@@ -12,19 +12,18 @@ from conftest import pk_batch, unit_rows
 from modalmetric import (
     MetricError,
     Ranking,
-    average_precision,
     between_class_discrepancy,
     compute_metrics,
-    cosine_matrix,
     map_at_all,
     map_at_n,
     modality_gap,
-    pairwise_distance,
     prec_at_k,
     retrieve,
     within_class_similarity,
 )
 from modalmetric.evaluation import _class_modality_similarities
+from modalmetric.geometry import cosine_matrix, pairwise_distance
+from oracles import average_precision
 
 
 def reference_ap(rel, truncate_at=None):

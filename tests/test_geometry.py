@@ -2,56 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import unit_rows
-from modalmetric import (
-    NumericError,
-    cosine_matrix,
-    finite_diff_check,
-    l2_normalize,
-    pairwise_distance,
-)
-
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        assert_allclose(l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8])
-
-    def test_already_unit(self):
-        assert_allclose(l2_normalize(np.array([1.0, 0.0])), [1.0, 0.0])
-
-    def test_diagonal(self):
-        assert_allclose(
-            l2_normalize(np.array([2.0, 2.0])),
-            [1 / np.sqrt(2), 1 / np.sqrt(2)],
-        )
-
-    def test_batch_rows_unit_norm(self):
-        rng = np.random.default_rng(0)
-        v = l2_normalize(rng.standard_normal((40, 7)) * 10)
-        assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
-
-    def test_direction_preserved(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(5)
-        u = l2_normalize(x)
-        assert_allclose(u * np.linalg.norm(x), x)
-
-    def test_zero_vector_degenerate(self):
-        out = l2_normalize(np.zeros(4))
-        assert np.all(np.isfinite(out))
-        assert_allclose(out, 0.0)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, derandomize=True, deadline=None)
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((6, 4)) * rng.uniform(0.1, 50)
-        once = l2_normalize(v)
-        assert_allclose(l2_normalize(once), once, atol=1e-15)
+from modalmetric import NumericError
+from modalmetric.geometry import cosine_matrix, pairwise_distance
+from oracles import finite_diff_check
 
 
 class TestCosineMatrix:

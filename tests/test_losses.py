@@ -6,21 +6,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import mined_loss, pk_batch, unit_rows
-from modalmetric import (
+from modalmetric.losses import (
     ALL_KINDS,
     LossConfig,
-    LossReport,
-    TripletKind,
     adversarial_d_loss,
     adversarial_g_loss,
-    brute_force_mine,
-    finite_diff_check,
     gradient_weights,
     softmax_ce,
-    total_loss,
     triplet_hinge,
     weighted_embedding_loss,
 )
+from modalmetric.mining import TripletKind
+from oracles import brute_force_mine, finite_diff_check
 
 
 def tetra_batch():
@@ -515,54 +512,6 @@ class TestFusedLossOracle:
             assert_array_equal(report.grad, grad)
             regimes.add(regime(active))
         assert regimes == {"none", "partly", "fully"}
-
-
-class TestTotalLoss:
-    def _reports(self):
-        cls = LossReport(value=1.0, active_fraction=1.0,
-                         grad=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        embed = LossReport(value=0.5, active_fraction=1.0,
-                           grad=np.array([[0.5, 0.5], [-1.0, 0.0]]))
-        return cls, embed
-
-    def test_combination(self):
-        cls, embed = self._reports()
-        out = total_loss(cls, embed, 1.0)
-        assert_allclose(out.value, 1.5, rtol=1e-12)
-        assert_allclose(out.grad, cls.grad + embed.grad, rtol=1e-12)
-
-    def test_lambda_zero_is_classification(self):
-        cls, embed = self._reports()
-        out = total_loss(cls, embed, 0.0)
-        assert out.value == cls.value
-        assert_array_equal(out.grad, cls.grad)
-
-    def test_lambda_scales_embedding_term(self):
-        cls, embed = self._reports()
-        out = total_loss(cls, embed, 2.5)
-        assert_allclose(out.value, 1.0 + 2.5 * 0.5, rtol=1e-12)
-        assert_allclose(out.grad, cls.grad + 2.5 * embed.grad, rtol=1e-12)
-
-    def test_accepts_bundle(self):
-        rng = np.random.default_rng(41)
-        e, labels, mods = pk_batch(rng, 2, 2, 4)
-        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
-        cls = LossReport(value=0.3, active_fraction=1.0,
-                         grad=np.zeros_like(e))
-        out = total_loss(cls, bundle, 1.0)
-        assert_allclose(out.value, 0.3 + bundle.value, rtol=1e-12)
-        assert_allclose(out.grad, bundle.grad, atol=1e-15)
-
-    def test_negative_lambda(self):
-        cls, embed = self._reports()
-        with pytest.raises(ValueError):
-            total_loss(cls, embed, -0.1)
-
-    def test_shape_mismatch(self):
-        cls, _ = self._reports()
-        embed = LossReport(value=0.5, active_fraction=1.0, grad=np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="shapes"):
-            total_loss(cls, embed, 1.0)
 
 
 class TestAdversarialLosses:

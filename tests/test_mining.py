@@ -5,16 +5,11 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import mine_one, pk_batch, unit_rows
-from modalmetric import (
-    ALL_KINDS,
-    LossConfig,
-    MiningError,
-    TripletKind,
-    batch_hard_mine,
-    brute_force_mine,
-    pairwise_distance,
-    weighted_embedding_loss,
-)
+from modalmetric import MiningError
+from modalmetric.geometry import pairwise_distance
+from modalmetric.losses import ALL_KINDS, LossConfig, weighted_embedding_loss
+from modalmetric.mining import TripletKind, batch_hard_mine
+from oracles import brute_force_mine, negative_modality, positive_modality
 
 KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
 
@@ -23,12 +18,13 @@ class TestTripletKind:
     def test_modality_routing(self):
         for anchor_mod in (0, 1):
             other = 1 - anchor_mod
-            assert TripletKind.CROSS.positive_modality(anchor_mod) == other
-            assert TripletKind.CROSS.negative_modality(anchor_mod) == other
-            assert TripletKind.WITHIN.positive_modality(anchor_mod) == anchor_mod
-            assert TripletKind.WITHIN.negative_modality(anchor_mod) == anchor_mod
-            assert TripletKind.HYBRID.positive_modality(anchor_mod) == other
-            assert TripletKind.HYBRID.negative_modality(anchor_mod) == anchor_mod
+            cross, within, hybrid = KINDS
+            assert positive_modality(cross, anchor_mod) == other
+            assert negative_modality(cross, anchor_mod) == other
+            assert positive_modality(within, anchor_mod) == anchor_mod
+            assert negative_modality(within, anchor_mod) == anchor_mod
+            assert positive_modality(hybrid, anchor_mod) == other
+            assert negative_modality(hybrid, anchor_mod) == anchor_mod
 
 
 class TestBatchHardMine:
@@ -40,20 +36,27 @@ class TestBatchHardMine:
         return e, labels, mods
 
     def test_unique_candidates_cross(self):
+        # the four-sample batch plus a class-1 sketch, so that every
+        # anchor has a cross-modal negative
         e, labels, mods = self._four_sample_batch()
+        e = np.vstack((e, unit_rows(np.random.default_rng(1), 1, 6)))
+        labels = np.append(labels, 1)
+        mods = np.append(mods, 0)
         dist = pairwise_distance(e, e)
-        # anchor 0 is a class-0 sketch: the only class-0 photo is index 2
-        # and the only other-class photo is index 3
-        got = mine_one(dist, labels, mods, TripletKind.CROSS, anchors=[0])
-        assert_array_equal(got, [[0], [2], [3]])
+        # anchors 0 and 1 are class-0 sketches: the only class-0 photo is
+        # index 2 and the only other-class photo is index 3; anchor 4, the
+        # class-1 sketch, has the one class-1 photo 3 and the one
+        # other-class photo 2
+        got = mine_one(dist, labels, mods, TripletKind.CROSS,
+                       anchors=[0, 1, 4])
+        assert_array_equal(got, [[0, 1, 4], [2, 2, 3], [3, 3, 2]])
 
     def test_no_within_negative(self):
         e, labels, mods = self._four_sample_batch()
         dist = pairwise_distance(e, e)
         # no other-class sketch exists for anchor 0
         with pytest.raises(MiningError, match="anchor 0: no valid negative"):
-            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,),
-                            anchors=[0])
+            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,))
 
     def test_no_within_positive(self):
         rng = np.random.default_rng(1)
@@ -62,8 +65,7 @@ class TestBatchHardMine:
         mods = np.array([0, 1, 0, 1])
         dist = pairwise_distance(e, e)
         with pytest.raises(MiningError, match="anchor 0: no valid positive"):
-            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,),
-                            anchors=[0])
+            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,))
 
     def test_weighted_loss_raises_the_same_error(self):
         # a batch with no candidate must fail on the training path with
@@ -97,16 +99,6 @@ class TestBatchHardMine:
         assert_array_equal(got[:, 0], [0, 2, 6])
         assert np.array_equal(
             got, brute_force_mine(e, labels, mods, TripletKind.CROSS))
-
-    def test_anchor_order_preserved(self):
-        rng = np.random.default_rng(2)
-        e, labels, mods = pk_batch(rng, 2, 2, 5)
-        dist = pairwise_distance(e, e)
-        anchors, mined = batch_hard_mine(dist, labels, mods,
-                                         (TripletKind.HYBRID,),
-                                         anchors=[5, 1, 3])
-        assert_array_equal(anchors, [5, 1, 3])
-        assert [len(a) for a in mined[0]] == [3, 3]
 
     def test_default_anchors_whole_batch(self):
         rng = np.random.default_rng(3)

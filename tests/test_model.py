@@ -8,34 +8,31 @@ from numpy.testing import assert_allclose, assert_array_equal
 from modalmetric import (
     AdamState,
     ConfigError,
-    LossConfig,
     NumericError,
     SyntheticConfig,
     TrainConfig,
-    TripletKind,
-    ablation_variants,
     adam_step,
-    cosine_lr,
-    embed_backward,
-    embed_forward,
-    finite_diff_check,
     generate_synthetic,
-    init_params,
-    load_checkpoint,
-    log_columns,
-    save_checkpoint,
-    softmax_ce,
     train,
-    weighted_embedding_loss,
 )
 from modalmetric.geometry import EPS_NORM
+from modalmetric.losses import LossConfig, softmax_ce, weighted_embedding_loss
+from modalmetric.mining import TripletKind
 from modalmetric.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     EmbedderParams,
     ModelParams,
+    cosine_lr,
+    embed_backward,
+    embed_forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
 )
+from modalmetric.training import ablation_variants, log_columns
+from oracles import finite_diff_check
 
 
 def small_dataset(seed=5):
@@ -468,13 +465,19 @@ class TestTrain:
 
     def test_weighting_identities_in_log(self):
         # per-row invariant: active contributions w*g agree and sum to
-        # the active g total; dead losses carry weight zero
+        # the active g total; dead losses carry weight zero; the total is
+        # L_cls + lam * sum(w * L)
         ds = small_dataset()
-        result = train(ds, small_config("mathm", iters=25))
+        result = train(ds, small_config("mathm", iters=25,
+                                        loss=LossConfig(lam=2.5)))
         eps = result.config.loss.eps_g
         for row in result.log:
             g = np.array([row["g_cross"], row["g_in"], row["g_hyb"]])
             w = np.array([row["w_cross"], row["w_in"], row["w_hyb"]])
+            losses = np.array([row["l_cross"], row["l_in"], row["l_hyb"]])
+            assert_allclose(row["l_total"],
+                            row["l_cls"] + 2.5 * (w * losses).sum(),
+                            rtol=1e-12)
             active = g > eps
             assert_array_equal(w[~active], 0.0)
             if active.any():
