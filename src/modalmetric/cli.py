@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, ensure_dir, write_json
 from .model import embed_forward, load_checkpoint, save_checkpoint
-from .training import ablation_variants, log_columns, train
+from .training import METHOD_RECIPES, ablation_variants, log_columns, train
 
 DIAGNOSE_METHODS = ("baseline", "mathm", "gan")
 DEFAULT_LAMBDAS = "0,0.5,1,2"
@@ -106,11 +106,17 @@ def _read_checkpoint(path, d_in):
     d_in, or holds non-finite weights, raises DataError naming the path.
 
     Returns:
-        (params, meta), with an iterable meta["train_class_ids"].
+        (params, meta), with meta["train_class_ids"] a non-empty list of
+        distinct ints.
     """
     try:
         params, meta = load_checkpoint(path)
-        set(meta["train_class_ids"])  # read by every caller
+        ids = meta["train_class_ids"]  # the zero-shot guard reads them
+        if not (isinstance(ids, list) and ids
+                and all(type(i) is int for i in ids)  # no bools
+                and len(set(ids)) == len(ids)):
+            raise ValueError("train_class_ids must be a non-empty list "
+                             "of distinct ints")
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{exc.strerror or exc}") from None
@@ -308,7 +314,7 @@ def build_parser():
         p.add_argument("--config", default=None, help="config file (INI)")
         p.add_argument("--method", default=None,
                        help="training method tag "
-                            "(cls-only | baseline | mathm | gan)")
+                            f"({' | '.join(METHOD_RECIPES)})")
         p.add_argument("--seed", type=int, default=None,
                        help="pin a single seed (sets n_seeds=1)")
         p.add_argument("--out", default=None, help="output directory")

@@ -10,7 +10,7 @@ and weighting, [eval] for metric knobs, [run] for seeds and output.
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .data import (
     CSV_MODALITY_TAGS,
@@ -23,33 +23,28 @@ from .errors import ConfigError
 from .losses import LossConfig
 from .training import TrainConfig
 
+
+def _field_schema(cls, skip=()):
+    """key -> (type, default) for the dataclass fields not in `skip`."""
+    return {f.name: (f.type, f.default) for f in fields(cls)
+            if f.name not in skip}
+
+
 # section -> key -> (type, default); the single source of truth for what
-# a config file / override may set.
+# a config file / override may set. The [data] generator keys, [train]
+# and [loss] come from the dataclasses that take them. data.seed seeds
+# both the generator and the split.
 SCHEMA = {
     "data": {
         "source": (str, "synthetic"),
-        "n_classes": (int, 16),
-        "samples_per_class_per_modality": (int, 32),
-        "d_in": (int, 32),
-        "sigma": (float, 0.3),
-        "offset_norm": (float, 0.6),
+        **_field_schema(SyntheticConfig, skip=("seed",)),
         "n_unseen": (int, 4),
         "seed": (int, 7),
     },
-    "train": {
-        "method": (str, "mathm"),
-        "d_emb": (int, 16),
-        "classes_per_batch": (int, 8),
-        "samples_per_class": (int, 4),
-        "base_lr": (float, 1e-4),
-        "total_iters": (int, 2000),
-        "disc_lr_scale": (float, 100.0),
-    },
-    "loss": {
-        "margin": (float, 0.2),
-        "lam": (float, 1.0),
-        "eps_g": (float, 1e-6),
-    },
+    "train": _field_schema(
+        TrainConfig,
+        skip=("seed", "loss", "triplet_kinds", "use_weighting")),
+    "loss": _field_schema(LossConfig),
     "eval": {
         "k": (int, 100),
         "query_modality": (str, "sketch"),
@@ -139,14 +134,7 @@ class RunConfig:
         if d["source"] == "synthetic":
             try:
                 synth = SyntheticConfig(
-                    n_classes=d["n_classes"],
-                    samples_per_class_per_modality=
-                        d["samples_per_class_per_modality"],
-                    d_in=d["d_in"],
-                    sigma=d["sigma"],
-                    offset_norm=d["offset_norm"],
-                    seed=d["seed"],
-                )
+                    **{f.name: d[f.name] for f in fields(SyntheticConfig)})
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
             try:
@@ -227,24 +215,11 @@ def load_config(path=None, overrides=None, method=None, seed=None, out=None):
         raise ConfigError("eval.k must be >= 1")
 
     try:
-        loss = LossConfig(
-            margin=values["loss"]["margin"],
-            lam=values["loss"]["lam"],
-            eps_g=values["loss"]["eps_g"],
-        )
+        loss = LossConfig(**values["loss"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    train = TrainConfig(
-        method=values["train"]["method"],
-        d_emb=values["train"]["d_emb"],
-        classes_per_batch=values["train"]["classes_per_batch"],
-        samples_per_class=values["train"]["samples_per_class"],
-        base_lr=values["train"]["base_lr"],
-        total_iters=values["train"]["total_iters"],
-        disc_lr_scale=values["train"]["disc_lr_scale"],
-        seed=values["run"]["base_seed"],
-        loss=loss,
-    )
+    train = TrainConfig(**values["train"], seed=values["run"]["base_seed"],
+                        loss=loss)
     return RunConfig(
         data=dict(values["data"]),
         train=train,

@@ -3,7 +3,7 @@ cosine decay, per-iteration diagnostics rows, and the alternating
 generator/discriminator schedule for the adversarial variant.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -104,24 +104,13 @@ class TrainConfig:
         return kinds, weighting, adversarial
 
     def to_dict(self):
-        """JSON-serializable snapshot, stored in checkpoints."""
-        kinds = self.triplet_kinds
-        return {
-            "method": self.method,
-            "d_emb": self.d_emb,
-            "classes_per_batch": self.classes_per_batch,
-            "samples_per_class": self.samples_per_class,
-            "base_lr": self.base_lr,
-            "total_iters": self.total_iters,
-            "seed": self.seed,
-            "margin": self.loss.margin,
-            "lam": self.loss.lam,
-            "eps_g": self.loss.eps_g,
-            "triplet_kinds": None if kinds is None
-                else [k.name for k in kinds],
-            "use_weighting": self.use_weighting,
-            "disc_lr_scale": self.disc_lr_scale,
-        }
+        """JSON-serializable snapshot, stored in checkpoints: the fields,
+        the loss knobs flattened in, the triplet kinds by name."""
+        out = asdict(self)
+        out.update(out.pop("loss"))
+        if self.triplet_kinds is not None:
+            out["triplet_kinds"] = [k.name for k in self.triplet_kinds]
+        return out
 
 
 @dataclass

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -98,8 +99,13 @@ class TestTrainCommand:
         train_once(ini, tmp_path, "--loss.margin", "0.3", "--seed", "5")
         path = tmp_path / "mathm" / "seed-5" / "checkpoint.json"
         meta = json.loads(path.read_text())["meta"]
-        assert meta["train"]["margin"] == 0.3
-        assert meta["train"]["seed"] == 5
+        assert meta["train"] == {
+            "method": "mathm", "d_emb": 4, "classes_per_batch": 3,
+            "samples_per_class": 2, "base_lr": 0.001, "total_iters": 20,
+            "seed": 5, "margin": 0.3, "lam": 1.0, "eps_g": 1e-06,
+            "triplet_kinds": None, "use_weighting": None,
+            "disc_lr_scale": 100.0,
+        }
         assert meta["n_train_classes"] == 4
         assert len(meta["train_class_ids"]) == 4
 
@@ -247,6 +253,19 @@ CORRUPTIONS = {
         "embedder.W"]["data"].__setitem__(0, 1e200)), "overflows"),
     "class_ids_not_a_list": (_edit_payload(
         lambda p: p["meta"].update(train_class_ids=5)), "malformed"),
+    # iterable, but not a non-empty list of distinct ints
+    "class_ids_string": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids="abc")), "malformed"),
+    "class_ids_dict": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids={"x": 1})), "malformed"),
+    "class_ids_empty": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids=[])), "malformed"),
+    "class_ids_strings": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids=["a", "b"])), "malformed"),
+    "class_ids_bools": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids=[True])), "malformed"),
+    "class_ids_repeated": (_edit_payload(lambda p: p["meta"].update(
+        train_class_ids=p["meta"]["train_class_ids"] * 2)), "malformed"),
     "deeply_nested": (_deeply_nested, "malformed"),
     # reshape would fill in the -1 and load an (8, 4) W
     "negative_dim": (_edit_payload(lambda p: p["tensors"]["embedder.W"]
@@ -413,7 +432,7 @@ class TestDiagnoseCommand:
         # forge a checkpoint whose recorded training classes differ
         doctored = tmp_path / "doctored.json"
         payload = json.loads(
-            open(three_checkpoints["baseline"], encoding="utf-8").read())
+            Path(three_checkpoints["baseline"]).read_text(encoding="utf-8"))
         payload["meta"]["train_class_ids"] = list(
             reversed(payload["meta"]["train_class_ids"]))
         doctored.write_text(json.dumps(payload))

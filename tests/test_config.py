@@ -1,8 +1,10 @@
 """Tests for config resolution: defaults, file parsing, overrides."""
 
+from dataclasses import fields
+
 import pytest
 
-from modalmetric import ConfigError
+from modalmetric import ConfigError, SyntheticConfig, TrainConfig
 from modalmetric.config import load_config, parse_overrides
 
 
@@ -19,6 +21,13 @@ class TestDefaults:
         assert cfg.query_modality == 0
         assert cfg.seeds() == [0]
         assert cfg.out == "runs"
+
+    def test_library_defaults(self):
+        # the CLI's defaults are the dataclasses' own, data.seed aside
+        cfg = load_config()
+        assert cfg.train == TrainConfig()
+        generator = {f.name: cfg.data[f.name] for f in fields(SyntheticConfig)}
+        assert SyntheticConfig(**generator) == SyntheticConfig(seed=7)
 
     def test_load_data_split(self):
         cfg = load_config(overrides=parse_overrides(

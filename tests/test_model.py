@@ -562,6 +562,10 @@ class TestAblationVariants:
             assert (kinds, weighting) == want[name]
             assert not adversarial
             assert cfg.method == ("cls-only" if not kinds else "mathm")
+            # the checkpoint snapshot names the kinds
+            snapshot = cfg.to_dict()
+            assert snapshot["triplet_kinds"] == [k.name for k in kinds]
+            assert snapshot["use_weighting"] is weighting
 
     def test_preserves_other_knobs(self):
         base = TrainConfig(method="mathm", d_emb=6, total_iters=123, seed=11)

@@ -1,19 +1,24 @@
 """README's "Library use" section is the package's documented surface:
 its examples run as written, and it names exactly what `modalmetric`
-exports."""
+exports. Its table of config keys is exactly `config.SCHEMA`."""
 
 import os
 import re
 
 import modalmetric
+from modalmetric.config import SCHEMA
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def readme_text():
+    with open(README, encoding="utf-8") as f:
+        return f.read()
+
+
 def library_use():
     """The text of README's "Library use" section."""
-    with open(README, encoding="utf-8") as f:
-        text = f.read()
+    text = readme_text()
     start = text.index("## Library use")
     return text[start:text.index("\n## ", start)]
 
@@ -40,3 +45,15 @@ def test_exports_are_the_documented_names():
     assert imported and imported <= exported, imported - exported
     assert exported <= set(re.findall(r"\w+", section)), (
         exported - set(re.findall(r"\w+", section)))
+
+
+def test_settings_table_is_the_schema():
+    table = {(section, key): (kind, default) for section, key, kind, default
+             in re.findall(r"^\| (\w+) \| `(\w+)` \| (\w+) \| (.*?) \|$",
+                           readme_text(), re.M)}
+    schema = {(section, key): spec for section, keys in SCHEMA.items()
+              for key, spec in keys.items()}
+    assert table.keys() == schema.keys(), table.keys() ^ schema.keys()
+    for name, (kind, default) in schema.items():
+        assert table[name][0] == kind.__name__, name
+        assert kind(table[name][1]) == default, name
