@@ -28,7 +28,8 @@ from .config import load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, ensure_dir, write_json
-from .model import embed_forward, load_checkpoint, save_checkpoint
+from .model import (embed_forward, load_checkpoint, model_shapes,
+                    save_checkpoint)
 from .training import METHOD_RECIPES, ablation_variants, log_columns, train
 
 DIAGNOSE_METHODS = ("baseline", "mathm", "gan")
@@ -102,12 +103,13 @@ def evaluate_params(params, test_set, cfg, train_class_ids,
 
 def _read_checkpoint(path, d_in):
     """`load_checkpoint` for a command: a checkpoint that is missing,
-    unreadable or malformed, whose embedder does not fit the data's
-    d_in, or holds non-finite weights, raises DataError naming the path.
+    unreadable or malformed, whose tensors do not fit one model for the
+    data's d_in and its recorded training classes, or that holds a
+    non-finite weight, raises DataError naming the path.
 
     Returns:
         (params, meta), with meta["train_class_ids"] a non-empty list of
-        distinct ints.
+        distinct ints, meta["n_train_classes"] of them.
     """
     try:
         params, meta = load_checkpoint(path)
@@ -117,6 +119,9 @@ def _read_checkpoint(path, d_in):
                 and len(set(ids)) == len(ids)):
             raise ValueError("train_class_ids must be a non-empty list "
                              "of distinct ints")
+        if meta["n_train_classes"] != len(ids):
+            raise ValueError(f"n_train_classes {meta['n_train_classes']!r} "
+                             "is not the number of train_class_ids")
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{exc.strerror or exc}") from None
@@ -124,30 +129,17 @@ def _read_checkpoint(path, d_in):
             RecursionError) as exc:
         # RecursionError: json nests past the interpreter's stack limit
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
-    emb = params.embedder
-    if emb.W.ndim != 2 or emb.W.shape[0] != d_in:
+    # W is (d_in, d_emb); a W of another rank fits no model
+    d_emb = params.shapes[0][1] if len(params.shapes[0]) == 2 else 0
+    if d_emb < 2 or params.shapes != model_shapes(d_in, d_emb, len(ids)):
         raise DataError(
-            f"{path}: checkpoint embedder W has shape {emb.W.shape}, "
-            f"the data has d_in = {d_in}"
+            f"{path}: checkpoint tensor shapes {params.shapes} do not fit "
+            f"one model for d_in = {d_in}, d_emb >= 2 and {len(ids)} "
+            "training classes"
         )
-    d_emb = emb.W.shape[1]
-    if emb.b.shape != (d_emb,) or emb.modality_offset.shape != (2, d_emb):
-        raise DataError(
-            f"{path}: checkpoint embedder b {emb.b.shape} and "
-            f"modality_offset {emb.modality_offset.shape} do not fit "
-            f"W {emb.W.shape}"
-        )
-    if not all(np.isfinite(t).all() for t in (emb.W, emb.b,
-                                               emb.modality_offset)):
-        raise DataError(f"{path}: checkpoint embedder has non-finite weights")
+    if not np.isfinite(params.vector).all():
+        raise DataError(f"{path}: checkpoint has non-finite weights")
     return params, meta
-
-
-def _train_and_eval(cfg, train_set, test_set, train_config):
-    result = train(train_set, train_config)
-    return evaluate_params(
-        result.params, test_set, cfg, result.train_class_ids
-    )
 
 
 def cmd_train(cfg, args):
@@ -234,11 +226,12 @@ def _grid_table(cfg, command, label_column, variants, keys):
     ensure_dir(os.path.join(cfg.out, command))
     rows = []
     for label, variant in variants:
-        snapshots = [
-            _train_and_eval(cfg, train_set, test_set,
-                            replace(variant, seed=seed)).to_dict()
-            for seed in cfg.seeds()
-        ]
+        snapshots = []
+        for seed in cfg.seeds():
+            result = train(train_set, replace(variant, seed=seed))
+            snapshots.append(evaluate_params(
+                result.params, test_set, cfg, result.train_class_ids
+            ).to_dict())
         rows.append({label_column: label, **_mean_std(snapshots, keys)})
     return _emit_table(cfg, command, label_column, rows, keys)
 

@@ -249,6 +249,17 @@ def _clamped(scores, name):
     return clamped, interior
 
 
+def _bce(ones, zeros, ones_name, zeros_name):
+    """Clamped binary cross-entropy of `ones` scored against label 1 and
+    `zeros` against label 0: (value, grad_ones, grad_zeros)."""
+    s1, in1 = _clamped(ones, ones_name)
+    s0, in0 = _clamped(zeros, zeros_name)
+    value = -(float(np.log(s1).mean()) + float(np.log1p(-s0).mean()))
+    grad1 = np.where(in1, -1.0 / (len(s1) * s1), 0.0)
+    grad0 = np.where(in0, 1.0 / (len(s0) * (1.0 - s0)), 0.0)
+    return value, grad1, grad0
+
+
 def adversarial_d_loss(disc_scores_photo, disc_scores_sketch):
     """Discriminator objective: score photos near 1 and sketches near 0.
 
@@ -257,21 +268,15 @@ def adversarial_d_loss(disc_scores_photo, disc_scores_sketch):
     (d/d photo_scores, d/d sketch_scores); entries where the clamp binds
     get zero gradient.
     """
-    sp, in_p = _clamped(disc_scores_photo, "photo")
-    ss, in_s = _clamped(disc_scores_sketch, "sketch")
-    value = -(float(np.log(sp).mean()) + float(np.log1p(-ss).mean()))
-    grad_p = np.where(in_p, -1.0 / (len(sp) * sp), 0.0)
-    grad_s = np.where(in_s, 1.0 / (len(ss) * (1.0 - ss)), 0.0)
+    value, grad_p, grad_s = _bce(disc_scores_photo, disc_scores_sketch,
+                                 "photo", "sketch")
     return LossReport(value=value, active_fraction=1.0, grad=(grad_p, grad_s))
 
 
 def adversarial_g_loss(disc_scores_photo, disc_scores_sketch):
-    """Generator objective: push the discriminator toward the wrong
-    modality call on every sample (labels flipped relative to the
-    discriminator loss)."""
-    sp, in_p = _clamped(disc_scores_photo, "photo")
-    ss, in_s = _clamped(disc_scores_sketch, "sketch")
-    value = -(float(np.log1p(-sp).mean()) + float(np.log(ss).mean()))
-    grad_p = np.where(in_p, 1.0 / (len(sp) * (1.0 - sp)), 0.0)
-    grad_s = np.where(in_s, -1.0 / (len(ss) * ss), 0.0)
+    """Generator objective: the discriminator's with the labels swapped,
+    so sketches are scored near 1 and photos near 0 (the non-saturating
+    form). Same arguments and `grad` pair as `adversarial_d_loss`."""
+    value, grad_s, grad_p = _bce(disc_scores_sketch, disc_scores_photo,
+                                 "sketch", "photo")
     return LossReport(value=value, active_fraction=1.0, grad=(grad_p, grad_s))

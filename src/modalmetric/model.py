@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
+from .fsutil import atomic_write_text
 from .geometry import EPS_NORM
 
 ADAM_BETA1 = 0.9
@@ -108,14 +109,18 @@ class ModelParams:
                 (slice(split, len(self.vector)), layout[MAIN_TENSORS:]))
 
 
+def model_shapes(d_in, d_emb, n_classes):
+    """The shape of every tensor of one model, in TENSOR_NAMES order."""
+    return ((d_in, d_emb), (d_emb,), (2, d_emb), (n_classes, d_emb),
+            (d_emb,), ())
+
+
 def init_params(d_in, d_emb, n_classes, rng):
     """Draw fresh parameters: Gaussian weights scaled by 1/sqrt(fan_in),
     zero biases and zero modality offsets."""
     if d_emb < 2:
         raise ValueError("d_emb must be >= 2")
-    # one shape per name in TENSOR_NAMES
-    shapes = ((d_in, d_emb), (d_emb,), (2, d_emb), (n_classes, d_emb),
-              (d_emb,), ())
+    shapes = model_shapes(d_in, d_emb, n_classes)
     params = ModelParams(np.zeros(sum(math.prod(s) for s in shapes)), shapes)
     params.embedder.W[...] = rng.standard_normal((d_in, d_emb)) / np.sqrt(d_in)
     params.classifier.W_c[...] = (
@@ -283,10 +288,7 @@ def save_checkpoint(path, params, meta):
             "shape": list(arr.shape),
             "data": np.asarray(arr, dtype=np.float64).ravel().tolist(),
         }
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    from .fsutil import atomic_write_text
-
-    atomic_write_text(path, text)
+    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
 
 
 def load_checkpoint(path):

@@ -144,18 +144,18 @@ def _sigmoid(x):
     return out
 
 
-def _discriminator_scores(params, embeddings):
-    raw = embeddings @ params.discriminator.w_d + params.discriminator.b_d
-    return _sigmoid(raw)
-
-
-def _score_backward(params, embeddings, scores, d_scores):
-    """Backprop through sigmoid(E @ w_d + b_d); returns (dE, dw_d, db_d)."""
+def _adversarial(params, embeddings, photo, objective):
+    """One pass through the discriminator head sigmoid(E @ w_d + b_d):
+    `objective` scores the photo and the sketch rows, and its gradient
+    is pulled back through the head. Returns (value, dE, dw_d, db_d)."""
+    w_d = params.discriminator.w_d
+    scores = _sigmoid(embeddings @ w_d + params.discriminator.b_d)
+    report = objective(scores[photo], scores[~photo])
+    d_scores = np.zeros_like(scores)
+    d_scores[photo], d_scores[~photo] = report.grad
     d_raw = d_scores * scores * (1.0 - scores)
-    d_e = d_raw[:, None] * params.discriminator.w_d[None, :]
-    d_w = embeddings.T @ d_raw
-    d_b = np.asarray(d_raw.sum())
-    return d_e, d_w, d_b
+    d_e = d_raw[:, None] * w_d[None, :]
+    return report.value, d_e, embeddings.T @ d_raw, np.asarray(d_raw.sum())
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -241,15 +241,10 @@ def train(dataset: Dataset, config: TrainConfig):
             value = cls.value
 
         if adversarial:
-            scores = _discriminator_scores(params, embeddings)
-            g_report = adversarial_g_loss(scores[photo], scores[~photo])
-            d_scores = np.zeros_like(scores)
-            d_scores[photo], d_scores[~photo] = g_report.grad
-            d_e_adv, _, _ = _score_backward(params, embeddings, scores,
-                                            d_scores)
+            row["l_adv_g"], d_e_adv, _, _ = _adversarial(
+                params, embeddings, photo, adversarial_g_loss)
             d_embed = d_embed + d_e_adv
-            value = value + g_report.value
-            row["l_adv_g"] = g_report.value
+            value = value + row["l_adv_g"]
 
         if not np.isfinite(value):
             raise NumericError(f"non-finite loss at iteration {it}")
@@ -263,16 +258,10 @@ def train(dataset: Dataset, config: TrainConfig):
         if adversarial:
             # Discriminator step on the freshly updated (frozen) embedder.
             fresh, _ = embed_forward(params.embedder, x, mods)
-            scores = _discriminator_scores(params, fresh)
-            d_report = adversarial_d_loss(scores[photo], scores[~photo])
-            d_scores = np.zeros_like(scores)
-            d_scores[photo], d_scores[~photo] = d_report.grad
-            _, d_w, d_b = _score_backward(params, fresh, scores, d_scores)
-            g_wd[...] = d_w
-            g_bd[...] = d_b
+            row["l_adv_d"], _, g_wd[...], g_bd[...] = _adversarial(
+                params, fresh, photo, adversarial_d_loss)
             adam_step(disc_params, disc_grads, disc_state,
                       lr * config.disc_lr_scale)
-            row["l_adv_d"] = d_report.value
 
         row["l_total"] = float(value)
         log.append(row)

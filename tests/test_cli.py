@@ -221,6 +221,15 @@ def _deeply_nested(good, bad):
     bad.write_text("[" * 200_000 + "]" * 200_000)
 
 
+def _zero_width(payload):
+    # every tensor sized by d_emb, with d_emb 0: they fit one another
+    for name, shape in (("embedder.W", [8, 0]), ("embedder.b", [0]),
+                        ("embedder.modality_offset", [2, 0]),
+                        ("classifier.W_c", [4, 0]),
+                        ("discriminator.w_d", [0])):
+        payload["tensors"][name] = {"shape": shape, "data": []}
+
+
 def _edit_payload(edit):
     def corrupt(good, bad):
         payload = json.loads(good.read_text())
@@ -266,6 +275,22 @@ CORRUPTIONS = {
         lambda p: p["meta"].update(train_class_ids=[True])), "malformed"),
     "class_ids_repeated": (_edit_payload(lambda p: p["meta"].update(
         train_class_ids=p["meta"]["train_class_ids"] * 2)), "malformed"),
+    # each loads and embeds, but its tensors and class count do not all
+    # fit one model of the 4 training classes and d_emb 4
+    "class_ids_unknown": (_edit_payload(
+        lambda p: p["meta"].update(train_class_ids=[999])), "malformed"),
+    "class_count": (_edit_payload(
+        lambda p: p["meta"].update(n_train_classes=3)), "malformed"),
+    "classifier_rows": (_edit_payload(lambda p: p["tensors"].update({
+        "classifier.W_c": {"shape": [3, 4], "data": [0.1] * 12}})),
+        "do not fit"),
+    "discriminator_shape": (_edit_payload(lambda p: p["tensors"].update({
+        "discriminator.w_d": {"shape": [3], "data": [0.1] * 3}})),
+        "do not fit"),
+    "nan_classifier": (_edit_payload(lambda p: p["tensors"][
+        "classifier.W_c"]["data"].__setitem__(0, float("nan"))),
+        "non-finite"),
+    "zero_width": (_edit_payload(_zero_width), "do not fit"),
     "deeply_nested": (_deeply_nested, "malformed"),
     # reshape would fill in the -1 and load an (8, 4) W
     "negative_dim": (_edit_payload(lambda p: p["tensors"]["embedder.W"]

@@ -566,3 +566,12 @@ class TestAdversarialLosses:
             adversarial_d_loss(np.array([]), np.array([0.5]))
         with pytest.raises(ValueError, match="1-D"):
             adversarial_g_loss(np.full((2, 2), 0.5), np.array([0.5]))
+        # each objective names the argument at fault, whichever way round
+        # it scores the two
+        good = np.array([0.5])
+        for fn in (adversarial_d_loss, adversarial_g_loss):
+            for bad in (np.array([]), np.full((2, 2), 0.5)):
+                with pytest.raises(ValueError, match="photo"):
+                    fn(bad, good)
+                with pytest.raises(ValueError, match="sketch"):
+                    fn(good, bad)

@@ -16,7 +16,13 @@ from modalmetric import (
     train,
 )
 from modalmetric.geometry import EPS_NORM
-from modalmetric.losses import LossConfig, softmax_ce, weighted_embedding_loss
+from modalmetric.losses import (
+    LossConfig,
+    adversarial_d_loss,
+    adversarial_g_loss,
+    softmax_ce,
+    weighted_embedding_loss,
+)
 from modalmetric.mining import TripletKind
 from modalmetric.model import (
     ADAM_BETA1,
@@ -31,7 +37,7 @@ from modalmetric.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from modalmetric.training import ablation_variants, log_columns
+from modalmetric.training import _adversarial, ablation_variants, log_columns
 from oracles import finite_diff_check
 
 
@@ -534,6 +540,39 @@ class TestTrain:
         monkeypatch.setattr("modalmetric.training.softmax_ce", bad_softmax)
         with pytest.raises(NumericError, match="iteration 0"):
             train(ds, small_config("cls-only", iters=2))
+
+
+class TestAdversarialHead:
+    """`_adversarial` pulls each objective's gradient back through
+    sigmoid(E @ w_d + b_d) to the embeddings and the head."""
+
+    @pytest.mark.parametrize("objective",
+                             [adversarial_g_loss, adversarial_d_loss])
+    def test_finite_diff(self, objective):
+        rng = np.random.default_rng(4)
+        params = init_params(5, 3, 4, rng)
+        e = 0.5 * rng.standard_normal((8, 3))
+        photo = np.tile([True, False], 4)
+        w_d, b_d = params.discriminator.w_d, params.discriminator.b_d
+        scores = 1.0 / (1.0 + np.exp(-(e @ w_d + b_d)))
+        assert ((scores > 0.05) & (scores < 0.95)).all()  # clear of the clamp
+        _, d_e, d_w, d_b = _adversarial(params, e, photo, objective)
+        assert np.abs(d_e).max() > 0 and np.abs(d_w).max() > 0
+
+        err_e = finite_diff_check(
+            lambda x: _adversarial(params, x, photo, objective)[0], e, d_e)
+        head = params.groups()[1][0]  # w_d, then b_d
+
+        def value_at(head_values):
+            vector = params.vector.copy()
+            vector[head] = head_values
+            moved = ModelParams(vector, params.shapes)
+            return _adversarial(moved, e, photo, objective)[0]
+
+        err_head = finite_diff_check(value_at, params.vector[head],
+                                     np.append(d_w, d_b))
+        assert err_e < 1e-6
+        assert err_head < 1e-6
 
 
 class TestAblationVariants:

@@ -80,15 +80,20 @@ def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
 @pytest.mark.parametrize("method, adam_per_iter", [("cls-only", 1),
                                                    ("mathm", 1), ("gan", 2)])
 def test_train_looks_up_the_traced_names(monkeypatch, method, adam_per_iter):
-    # model.adam_step, model.embed_backward and data.sample read real
-    # calls only while train reaches them through these names
+    # model.adam_step, model.embed_backward, losses.adversarial and
+    # data.sample read real calls only while train reaches them through
+    # these names
     calls = count_calls(monkeypatch, training,
-                        ("adam_step", "embed_backward"))
+                        ("adam_step", "embed_backward", "adversarial_g_loss",
+                         "adversarial_d_loss"))
     samples = count_calls(monkeypatch, data.PKSampler, ("sample",))
     ds = generate_synthetic(SyntheticConfig(
         n_classes=3, samples_per_class_per_modality=4, d_in=5, seed=2))
     training.train(ds, TrainConfig(method=method, d_emb=3,
                                    classes_per_batch=2, samples_per_class=2,
                                    total_iters=4))
-    assert calls == {"adam_step": 4 * adam_per_iter, "embed_backward": 4}
+    adversarial = 4 if method == "gan" else 0
+    assert calls == {"adam_step": 4 * adam_per_iter, "embed_backward": 4,
+                     "adversarial_g_loss": adversarial,
+                     "adversarial_d_loss": adversarial}
     assert samples == {"sample": 4}
