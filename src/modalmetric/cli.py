@@ -30,7 +30,7 @@ from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, ensure_dir, write_json
 from .model import (embed_forward, load_checkpoint, model_shapes,
                     save_checkpoint)
-from .training import METHOD_RECIPES, ablation_variants, log_columns, train
+from .training import METHOD_RECIPES, ablation_variants, train
 
 DIAGNOSE_METHODS = ("baseline", "mathm", "gan")
 DEFAULT_LAMBDAS = "0,0.5,1,2"
@@ -149,11 +149,9 @@ def cmd_train(cfg, args):
         tc = cfg.train_config(seed)
         result = train(train_set, tc)
         out_dir = os.path.join(cfg.out, tc.method, f"seed-{seed}")
-        write_csv(
-            os.path.join(out_dir, "training_log.csv"),
-            log_columns(tc),
-            result.log,
-        )
+        # every row has the keys of the first, in the same order
+        write_csv(os.path.join(out_dir, "training_log.csv"),
+                  list(result.log[0]), result.log)
         meta = {
             "d_in": train_set.d_in,
             "n_train_classes": train_set.n_classes,
@@ -249,20 +247,19 @@ def cmd_diagnose(cfg, args):
             "--mathm and --gan"
         )
     _, test_set = cfg.load_data()
-    rows, metas = [], []
-    for method, path in zip(DIAGNOSE_METHODS, given):
-        params, meta = _read_checkpoint(path, test_set.d_in)
-        metas.append(meta)
+    loaded = [_read_checkpoint(path, test_set.d_in) for path in given]
+    # the split is in each meta, so compare it before evaluating any
+    if len({tuple(meta["train_class_ids"]) for _, meta in loaded}) > 1:
+        raise ProtocolError(
+            "diagnose checkpoints were trained on different splits"
+        )
+    rows = []
+    for method, path, (params, meta) in zip(DIAGNOSE_METHODS, given, loaded):
         metrics = evaluate_params(
             params, test_set, cfg, meta["train_class_ids"], source=path
         )
         rows.append({"method": method, **_mean_std([metrics.to_dict()],
                                                     METRIC_KEYS)})
-    splits = {tuple(m["train_class_ids"]) for m in metas}
-    if len(splits) > 1:
-        raise ProtocolError(
-            "diagnose checkpoints were trained on different splits"
-        )
     return _emit_table(cfg, "diagnose", "method", rows, METRIC_KEYS)
 
 

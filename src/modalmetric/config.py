@@ -118,7 +118,7 @@ class RunConfig:
     out: str
 
     def seeds(self):
-        return [self.base_seed + i for i in range(self.n_seeds)]
+        return range(self.base_seed, self.base_seed + self.n_seeds)
 
     def train_config(self, seed):
         return replace(self.train, seed=seed)
@@ -145,6 +145,10 @@ class RunConfig:
                     "data.n_classes x data.samples_per_class_per_modality "
                     "x data.d_in is too large to allocate"
                 ) from None
+            except OverflowError:
+                raise ConfigError(f"data.sigma = {synth.sigma!r} and "
+                                  f"data.offset_norm = {synth.offset_norm!r} "
+                                  "overflow the synthetic features") from None
         else:
             full = read_dataset(d["source"])
         try:
@@ -176,6 +180,8 @@ def load_config(path=None, overrides=None, method=None, seed=None, out=None):
             raise ConfigError(f"{path}: not UTF-8 text") from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        if parser.defaults():  # configparser copies them to every section
+            raise ConfigError(f"{path}: keys under [DEFAULT] are not allowed")
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"{path}: unknown section [{section}]")

@@ -128,7 +128,8 @@ def generate_synthetic(cfg):
 
     Returns a Dataset whose samples are ordered class-major, sketches
     before photos within each class, with ids 0..N-1 in that order.
-    Identical seeds give bit-identical datasets.
+    Identical seeds give bit-identical datasets. Raises OverflowError if
+    sigma and offset_norm put a feature past the float64 range.
     """
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_in
@@ -140,14 +141,18 @@ def generate_synthetic(cfg):
     offset = cfg.offset_norm * direction
 
     per = cfg.samples_per_class_per_modality
-    blocks = []
-    for c in range(cfg.n_classes):
-        blocks.append(centers[c] + cfg.sigma * rng.standard_normal((per, d)))
-        blocks.append(
-            centers[c] + offset + cfg.sigma * rng.standard_normal((per, d))
-        )
+    # one draw, streamed as a (per, d) draw per class and modality; in
+    # place, each feature is still sigma * noise + center (+ offset)
+    features = rng.standard_normal((cfg.n_classes, 2, per, d))
+    with np.errstate(over="ignore"):
+        features *= cfg.sigma
+        features[:, 0] += centers[:, None]
+        features[:, 1] += (centers + offset)[:, None]
+    if not np.isfinite(features).all():
+        raise OverflowError("sigma and offset_norm put a feature past the "
+                            "float64 range")
     return Dataset(
-        np.concatenate(blocks),
+        features.reshape(-1, d),
         np.repeat(np.arange(cfg.n_classes), 2 * per),
         np.tile(np.repeat([0, 1], per), cfg.n_classes),
         np.arange(2 * per * cfg.n_classes),

@@ -84,7 +84,6 @@ class WeightedLossBundle:
     """Per-kind triplet reports and their weighted combination: `value`
     and `grad` play the same roles as in a LossReport."""
 
-    kinds: Tuple[TripletKind, ...]
     reports: Tuple[LossReport, ...]
     weights: np.ndarray
     value: float
@@ -229,7 +228,6 @@ def weighted_embedding_loss(
         if w != 0.0:
             grad += w * r.grad
     return WeightedLossBundle(
-        kinds=tuple(kinds),
         reports=reports,
         weights=weights,
         value=float(sum(w * r.value for w, r in zip(weights, reports))),

@@ -136,7 +136,6 @@ class EmbedCache:
 
     features: np.ndarray
     modalities: np.ndarray
-    pre_norm: np.ndarray
     norms: np.ndarray
     embeddings: np.ndarray
 
@@ -162,7 +161,7 @@ def embed_forward(params, features, modalities):
     z = x @ params.W + params.b + params.modality_offset[mods]
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     e = z / np.maximum(norms, EPS_NORM)
-    cache = EmbedCache(x, mods, z, norms[:, 0], e)
+    cache = EmbedCache(x, mods, norms[:, 0], e)
     return e, cache
 
 

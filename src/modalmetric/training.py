@@ -117,22 +117,7 @@ class TrainConfig:
 class TrainResult:
     params: object
     log: list
-    config: TrainConfig
     train_class_ids: tuple
-
-
-def log_columns(config):
-    """Column order of the per-iteration log for this run's recipe."""
-    kinds, weighting, adversarial = config.recipe()
-    cols = ["iter", "lr", "l_cls"]
-    cols += [f"l_{KIND_TAGS[k]}" for k in kinds]
-    cols += [f"g_{KIND_TAGS[k]}" for k in kinds]
-    if weighting:
-        cols += [f"w_{KIND_TAGS[k]}" for k in kinds]
-    if adversarial:
-        cols += ["l_adv_g", "l_adv_d"]
-    cols.append("l_total")
-    return cols
 
 
 def _sigmoid(x):
@@ -164,7 +149,8 @@ def train(dataset: Dataset, config: TrainConfig):
 
     One shared rng (seeded from config.seed) drives parameter init and
     batch sampling, so runs are bit-reproducible. Each iteration appends
-    one ordered dict-like row of diagnostics (see log_columns).
+    one dict row of diagnostics; every row has the same keys in the same
+    order, and they are the columns of the training log.
 
     Raises:
         ConfigError: if the parameters are too large to allocate.
@@ -229,12 +215,12 @@ def train(dataset: Dataset, config: TrainConfig):
             lam = config.loss.lam
             d_embed = cls_grad + lam * bundle.grad
             value = float(cls.value + lam * bundle.value)
-            for k, report in zip(bundle.kinds, bundle.reports):
+            for k, report in zip(kinds, bundle.reports):
                 row[f"l_{KIND_TAGS[k]}"] = report.value
-            for k, report in zip(bundle.kinds, bundle.reports):
+            for k, report in zip(kinds, bundle.reports):
                 row[f"g_{KIND_TAGS[k]}"] = report.active_fraction
             if weighting:
-                for k, w in zip(bundle.kinds, bundle.weights):
+                for k, w in zip(kinds, bundle.weights):
                     row[f"w_{KIND_TAGS[k]}"] = float(w)
         else:
             d_embed = cls_grad
@@ -266,7 +252,7 @@ def train(dataset: Dataset, config: TrainConfig):
         row["l_total"] = float(value)
         log.append(row)
 
-    return TrainResult(params, log, config, tuple(dataset.class_ids))
+    return TrainResult(params, log, tuple(dataset.class_ids))
 
 
 def ablation_variants(config: TrainConfig):

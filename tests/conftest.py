@@ -1,4 +1,5 @@
-"""Shared batch builders and the acceptance-report summary hook."""
+"""Shared batch builders, the training log's columns and the
+acceptance-report summary hook."""
 
 import numpy as np
 
@@ -10,6 +11,18 @@ from modalmetric.mining import batch_hard_mine
 # criterion; printing them in the terminal summary keeps the whole gate
 # visible in one block at the end of the run.
 ACCEPTANCE_LINES = []
+
+# the columns of each method's training log, in order: the keys of every
+# row `train` logs, and the header of its training_log.csv
+LOG_COLUMNS = {
+    "cls-only": ["iter", "lr", "l_cls", "l_total"],
+    "baseline": ["iter", "lr", "l_cls", "l_cross", "g_cross", "l_total"],
+    "mathm": ["iter", "lr", "l_cls", "l_cross", "l_in", "l_hyb",
+              "g_cross", "g_in", "g_hyb", "w_cross", "w_in", "w_hyb",
+              "l_total"],
+    "gan": ["iter", "lr", "l_cls", "l_cross", "g_cross",
+            "l_adv_g", "l_adv_d", "l_total"],
+}
 
 
 def pytest_terminal_summary(terminalreporter):

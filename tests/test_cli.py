@@ -11,14 +11,14 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import modalmetric
+from conftest import LOG_COLUMNS
 from modalmetric import (
     NumericError,
     SyntheticConfig,
-    TrainConfig,
     generate_synthetic,
     train,
     write_dataset,
@@ -27,7 +27,6 @@ from modalmetric import (
 from modalmetric.cli import METRIC_KEYS, main
 from modalmetric.config import SCHEMA
 from modalmetric.model import TENSOR_NAMES
-from modalmetric.training import log_columns
 
 TINY_INI = """\
 [data]
@@ -71,7 +70,7 @@ class TestTrainCommand:
         train_once(ini, tmp_path)
         run_dir = tmp_path / "mathm" / "seed-0"
         rows = read_rows(run_dir / "training_log.csv")
-        assert rows[0] == log_columns(TrainConfig(method="mathm"))
+        assert rows[0] == LOG_COLUMNS["mathm"]
         assert len(rows) == 21
         assert (run_dir / "checkpoint.json").exists()
         assert "trained mathm seed 0" in capsys.readouterr().out
@@ -80,7 +79,7 @@ class TestTrainCommand:
     def test_log_columns_per_method(self, ini, tmp_path, method):
         train_once(ini, tmp_path, "--method", method)
         rows = read_rows(tmp_path / method / "seed-0" / "training_log.csv")
-        assert rows[0] == log_columns(TrainConfig(method=method))
+        assert rows[0] == LOG_COLUMNS[method]
 
     def test_multiple_seeds(self, ini, tmp_path):
         train_once(ini, tmp_path, "--n_seeds", "2")
@@ -453,7 +452,17 @@ class TestDiagnoseCommand:
         assert "needs all" in capsys.readouterr().err
 
     def test_mismatched_splits(self, ini, tmp_path, three_checkpoints,
-                               capsys):
+                               monkeypatch, capsys):
+        from modalmetric import cli
+
+        scored = []
+        compute_metrics = cli.compute_metrics
+
+        def counted(*args, **kwargs):
+            scored.append(1)
+            return compute_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_metrics", counted)
         # forge a checkpoint whose recorded training classes differ
         doctored = tmp_path / "doctored.json"
         payload = json.loads(
@@ -467,6 +476,8 @@ class TestDiagnoseCommand:
                    "--gan", three_checkpoints["gan"]])
         assert rc == 4
         assert "different splits" in capsys.readouterr().err
+        # the splits are in the metas: no checkpoint is scored first
+        assert scored == []
 
 
 class TestAblateCommand:
@@ -539,6 +550,22 @@ class TestConfigHandling:
         assert rc == 2
         assert "unknown section" in capsys.readouterr().err
 
+    # configparser copies [DEFAULT] keys into every section: alone it
+    # ignored total_iters, and beside [train] it misplaced sigma there
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\ntotal_iters = 5\n",
+        "[DEFAULT]\nsigma = 0.2\n[train]\ntotal_iters = 5\n"],
+        ids=["alone", "beside_train"])
+    def test_default_section(self, tmp_path, text, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        rc = main(["train", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "[DEFAULT]" in err and str(path) in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nmomentum = 0.9\n")
@@ -587,6 +614,24 @@ class TestConfigHandling:
         assert "finite" in err and key in err
         assert not (tmp_path / "mathm").exists()
 
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_overflowing_synthetic_draw(self, ini, tmp_path, good_checkpoint,
+                                        command, capsys):
+        # finite, but sigma times a draw past 1.8 is past the float64 range
+        argv = [command, "--config", ini, "--out", str(tmp_path / "out"),
+                "--sigma", "1e308"]
+        if command == "eval":
+            argv += ["--checkpoint", str(good_checkpoint)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "data.sigma" in err and "data.offset_norm" in err
+        assert "too large to allocate" not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("classes_per_batch", "1"), ("classes_per_batch", "-3"),
@@ -712,6 +757,9 @@ class TestGeneratedConfigs:
            st.sampled_from(["train", "eval", "diagnose", "ablate",
                             "sweep-lambda"]))
     @settings(max_examples=200, derandomize=True, deadline=None)
+    # a synthetic draw past the float64 range, which numpy warned about
+    @example(sections=[("data", [("sigma", "1e308")])], junk=[],
+             overrides=[], stray=False, command="train")
     def test_exit_code_in_contract(self, good_checkpoint, workdir, sections,
                                    junk, overrides, stray, command):
         path = workdir / "generated.ini"

@@ -1,5 +1,6 @@
 """Tests for config resolution: defaults, file parsing, overrides."""
 
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -19,7 +20,7 @@ class TestDefaults:
         assert cfg.train.total_iters == 2000
         assert cfg.eval_k == 100
         assert cfg.query_modality == 0
-        assert cfg.seeds() == [0]
+        assert list(cfg.seeds()) == [0]
         assert cfg.out == "runs"
 
     def test_library_defaults(self):
@@ -41,9 +42,23 @@ class TestDefaults:
     def test_train_config_stamps_seed(self):
         cfg = load_config(overrides=parse_overrides(["--n_seeds", "3",
                                                      "--base_seed", "10"]))
-        assert cfg.seeds() == [10, 11, 12]
+        assert list(cfg.seeds()) == [10, 11, 12]
         assert cfg.train_config(11).seed == 11
         assert cfg.train_config(11).method == cfg.train.method
+
+    def test_seeds_are_not_materialized(self):
+        # a run over many seeds holds one seed at a time
+        cfg = load_config(overrides=parse_overrides(
+            ["--n_seeds", str(10**6), "--base_seed", "5"]))
+        tracemalloc.start()
+        try:
+            seeds = cfg.seeds()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert seeds[-1] == 5 + 10**6 - 1
+        assert len(seeds) == 10**6
 
 
 class TestPrecedence:
@@ -59,7 +74,7 @@ class TestPrecedence:
     def test_seed_flag_pins_single_run(self):
         cfg = load_config(overrides=parse_overrides(["--n_seeds", "4"]),
                           seed=9)
-        assert cfg.seeds() == [9]
+        assert list(cfg.seeds()) == [9]
         assert cfg.train.seed == 9
 
     def test_query_modality_mapping(self):

@@ -343,7 +343,6 @@ class TestWeightedEmbeddingLoss:
         bundle = weighted_embedding_loss(e, labels, mods, cfg)
         standalone = [mined_loss(e, labels, mods, kind, cfg.margin)
                       for kind in ALL_KINDS]
-        assert bundle.kinds == ALL_KINDS
         for got, want in zip(bundle.reports, standalone):
             assert got.value == want.value
             assert got.active_fraction == want.active_fraction
@@ -361,7 +360,6 @@ class TestWeightedEmbeddingLoss:
         bundle = weighted_embedding_loss(
             e, labels, mods, LossConfig(), kinds=(TripletKind.CROSS,)
         )
-        assert bundle.kinds == (TripletKind.CROSS,)
         assert len(bundle.reports) == 1
         assert_allclose(bundle.value, 0.2, rtol=1e-12)
 
@@ -447,7 +445,6 @@ class TestFusedLossOracle:
                                           use_weighting)
             reports, weights, value, grad = reference_bundle(
                 e, labels, mods, cfg, kinds, use_weighting)
-            assert got.kinds == kinds
             for report, (r_value, r_active, r_grad) in zip(got.reports,
                                                            reports):
                 assert report.value == r_value
