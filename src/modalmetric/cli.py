@@ -72,9 +72,11 @@ def evaluate_params(params, test_set, cfg, train_class_ids,
     """Embed the evaluation split and compute all metrics, enforcing the
     zero-shot guard against the training classes recorded at train time.
 
-    Raises DataError naming `source` when the embedder overflows on the
-    split: weights that are finite but huge give rows whose norm is not
-    finite, and those normalize to zeros or NaN.
+    Raises DataError when the embedded rows' norms are not finite, since
+    those rows normalize to zeros or NaN. It names the data (`source`
+    and, for synthetic data, `sigma` and `offset_norm` of cfg.data) when
+    the split's own feature rows have non-finite norms, and `source`
+    otherwise: then the weights are finite but huge.
     """
     overlap = sorted(set(train_class_ids) & set(test_set.class_ids))
     if overlap:
@@ -88,6 +90,16 @@ def evaluate_params(params, test_set, cfg, train_class_ids,
     # a finite norm means a finite pre-normalization row, so a finite
     # embedding
     if not np.isfinite(cache.norms).all():
+        with np.errstate(over="ignore"):
+            feature_norms = np.linalg.norm(test_set.features, axis=1)
+        if not np.isfinite(feature_norms).all():
+            d = cfg.data
+            name = f"data.source = {d['source']!r}"
+            if d["source"] == "synthetic":
+                name += (f", data.sigma = {d['sigma']!r} and "
+                         f"data.offset_norm = {d['offset_norm']!r}")
+            raise DataError(f"{name}: the evaluation split's feature rows "
+                            "have non-finite norms")
         raise DataError(
             f"{source}: the embedder overflows on the evaluation split "
             "(non-finite embedding norms)"

@@ -228,6 +228,17 @@ class PKSampler:
         self._cells = np.full(shape, -1, dtype=np.int64)
         self._cells[~self._pad] = np.argsort(cell_id, kind="stable")
 
+    def layout(self):
+        """(labels, modalities) of the rows of every batch `sample`
+        draws, with class block i labelled i: two rows of a batch share
+        a class exactly when they share a block, whichever classes were
+        drawn.
+        """
+        labels = np.repeat(np.arange(self.P), 2 * self.K)
+        modalities = np.tile(np.repeat(_MODALITY_COLUMN[:, 0], self.K),
+                             self.P)
+        return labels, modalities
+
     def sample(self):
         """Return one batch of 2*P*K distinct indices, class-major with
         the K sketches before the K photos inside each class block.

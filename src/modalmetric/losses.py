@@ -19,16 +19,21 @@ whose g falls below `eps_g` are dropped from the system (weight 0)
 instead of having g clamped upward, so a dead loss cannot be handed an
 inflated weight.
 
-Triplets are (anchor, positive, negative) index arrays throughout:
-`weighted_embedding_loss` mines every requested kind with
-`batch_hard_mine` and scores each with `triplet_hinge`. `triplet_hinge`
-scatters its gradient with one `np.bincount` over the anchor rows, then
-the positive rows, then the negative rows, each in triplet order.
-bincount adds its weights one at a time, in input order, into an output
-that starts at 0.0. That is the order in which three successive
-`numpy.add.at` scatters (anchors, positives, negatives) sum each cell,
-so the gradients, and every training artifact, are bit-identical to
-that scatter.
+Triplets are (anchor, positive, negative) index arrays throughout.
+`weighted_embedding_loss` takes a `mining.MiningPlan`, built once per
+batch layout (once per training run), mines every distinct candidate
+set of its kinds with one `batch_hard_mine` call and scores all the
+kinds with one `triplet_hinge` call. `triplet_hinge` scatters every
+kind's gradient with one `np.bincount`: kind j's cells are offset by
+j*B*d, so the kinds' cell ranges are disjoint, and within a kind the
+anchor rows come first, then the positive rows, then the negative
+rows, each in triplet order. bincount adds its weights one at a time,
+in input order, into an output that starts at 0.0. That is the order in
+which three successive `numpy.add.at` scatters (anchors, positives,
+negatives) sum each cell of one kind's gradient, so the gradients, and
+every training artifact, are bit-identical to that scatter. Inactive
+triplets stay in the scatter with zero terms: adding a zero to a sum
+that started at +0.0 leaves its bits unchanged.
 """
 
 from dataclasses import dataclass
@@ -114,60 +119,82 @@ def softmax_ce(logits, labels):
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    value = -float(log_probs[np.arange(b), labels].mean())
+    sums = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(b)
+    log_probs = shifted[rows, labels] - np.log(sums[:, 0])
+    value = -float(log_probs.mean())
 
-    grad = probs.copy()
-    grad[np.arange(b), labels] -= 1.0
+    grad = exp / sums
+    grad[rows, labels] -= 1.0
     grad /= b
     return LossReport(value=value, active_fraction=1.0, grad=grad)
 
 
 def triplet_hinge(embeddings, anchors, positives, negatives, margin):
-    """Mean hinge loss over mined triplets, with its embedding gradient.
+    """Mean hinge loss of each of k triplet kinds over shared anchors,
+    with its embedding gradient.
 
-    The triplets are three equal-length int index arrays. value = (1/N) *
-    sum_t max(0, d_ap - d_an + margin). The active fraction counts
-    triplets whose hinge argument is strictly positive; a triplet exactly
-    on the boundary contributes zero loss and zero (sub)gradient. Each
-    active triplet adds (u_ap - u_an)/N to its anchor row, -u_ap/N
-    to its positive row and u_an/N to its negative row, scattered by one
-    `np.bincount` in the order the module docstring describes.
+    `anchors` is an (N,) int index array and `positives`, `negatives`
+    are (k, N): kind j's triplets are (anchors[t], positives[j, t],
+    negatives[j, t]). Negative indices address rows from the end, as in
+    numpy indexing. Kind j's value = (1/N) * sum_t max(0, d_ap - d_an +
+    margin). Its active fraction counts triplets whose hinge argument is
+    strictly positive; a triplet exactly on the boundary contributes
+    zero loss and zero (sub)gradient. Each active triplet adds
+    (u_ap - u_an)/N to its anchor row, -u_ap/N to its positive row and
+    u_an/N to its negative row, scattered by one `np.bincount` over all
+    kinds in the order the module docstring describes.
+
+    Returns:
+        tuple of k LossReports, in kind order.
     """
-    n_trip = len(anchors)
+    anchors = np.asarray(anchors)
+    positives = np.asarray(positives)
+    negatives = np.asarray(negatives)
+    if (positives.ndim != 2 or negatives.shape != positives.shape
+            or anchors.shape != positives.shape[1:]):
+        raise ValueError("anchors must be (N,), positives and negatives "
+                         "(k, N)")
+    k, n_trip = positives.shape
     if n_trip == 0:
         raise ValueError("triplet list is empty")
     e = np.asarray(embeddings, dtype=np.float64)
     e_anchor = e[anchors]
     diff_ap = e_anchor - e[positives]
     diff_an = e_anchor - e[negatives]
-    # the reduction np.linalg.norm(axis=1) runs, without its Python layer
-    d_ap = np.sqrt((diff_ap * diff_ap).sum(axis=1))
-    d_an = np.sqrt((diff_an * diff_an).sum(axis=1))
+    # the reduction np.linalg.norm(axis=-1) runs, without its Python layer
+    d_ap = np.sqrt((diff_ap * diff_ap).sum(axis=2))
+    d_an = np.sqrt((diff_an * diff_an).sum(axis=2))
     hinge = d_ap - d_an + margin
     active = hinge > 0.0
+    values = np.maximum(hinge, 0.0).sum(axis=1) / n_trip
+    fractions = active.sum(axis=1) / n_trip
 
-    value = float(np.maximum(hinge, 0.0).sum() / n_trip)
-    g = float(active.sum() / n_trip)
-
-    if not active.all():
-        anchors, positives, negatives = (
-            anchors[active], positives[active], negatives[active])
-        diff_ap, diff_an = diff_ap[active], diff_an[active]
-        d_ap, d_an = d_ap[active], d_an[active]
-    u_ap = diff_ap / np.maximum(d_ap, EPS_DIST)[:, None]
-    u_an = diff_an / np.maximum(d_an, EPS_DIST)[:, None]
+    # an inactive triplet divides by inf: its unit vectors and terms are
+    # zeros, which leave every cell's sum unchanged
+    u_ap = diff_ap / np.where(active, np.maximum(d_ap, EPS_DIST),
+                              np.inf)[..., None]
+    u_an = diff_an / np.where(active, np.maximum(d_an, EPS_DIST),
+                              np.inf)[..., None]
     b, d = e.shape
-    # negative indices address rows from the end, as in numpy indexing
-    rows = np.concatenate((anchors, positives, negatives)) % b
-    terms = np.concatenate(
-        ((u_ap - u_an) / n_trip, -u_ap / n_trip, u_an / n_trip)
+    # stacked as (k, 3, N, d); np.stack's Python layer costs more than this
+    terms = np.concatenate((((u_ap - u_an) / n_trip)[:, None],
+                            (-u_ap / n_trip)[:, None],
+                            (u_an / n_trip)[:, None]), axis=1)
+    # kind j's cell of (row, column) is (j*b + row)*d + column; negative
+    # indices address rows from the end, as in numpy indexing
+    rows = np.empty((k, 3, n_trip), dtype=np.int64)
+    rows[:, 0], rows[:, 1], rows[:, 2] = anchors, positives, negatives
+    rows %= b
+    rows += (np.arange(k) * b)[:, None, None]
+    rows *= d
+    cells = (rows[..., None] + np.arange(d)).ravel()
+    grads = np.bincount(cells, weights=terms.ravel(),
+                        minlength=k * b * d).reshape(k, b, d)
+    return tuple(
+        LossReport(value=float(v), active_fraction=float(g), grad=grad)
+        for v, g, grad in zip(values, fractions, grads)
     )
-    cells = (rows[:, None] * d + np.arange(d)).ravel()
-    grad = np.bincount(cells, weights=terms.ravel(), minlength=b * d)
-    return LossReport(value=value, active_fraction=g,
-                      grad=grad.reshape(b, d))
 
 
 def gradient_weights(g, eps_g=1e-6):
@@ -194,29 +221,23 @@ def gradient_weights(g, eps_g=1e-6):
     return w
 
 
-def weighted_embedding_loss(
-    embeddings, labels, modalities, cfg, kinds=ALL_KINDS, use_weighting=True
-):
-    """Mine and combine a set of triplet losses over one batch.
+def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
+    """Mine and combine the triplet losses of `plan`'s kinds over one
+    batch laid out as the plan's.
 
-    One distance matrix and one set of label/modality masks are shared
-    by all kinds: `batch_hard_mine` mines them as index arrays and
-    `triplet_hinge` scores each kind.
+    One distance matrix is shared by all kinds: `batch_hard_mine` picks
+    every distinct candidate set of the plan once and `triplet_hinge`
+    scores all the kinds in one call.
     With `use_weighting` the combination weights come from
     `gradient_weights` on the active fractions; otherwise every included
     loss gets weight 1 (plain sum).
     The weights are constants of the current step: they are not
     differentiated through.
     """
-    if len(kinds) == 0:
-        raise ValueError("at least one triplet kind is required")
     e = np.asarray(embeddings, dtype=np.float64)
-    anchors, mined = batch_hard_mine(
-        pairwise_distance(e, e), labels, modalities, kinds
-    )
-    reports = tuple(
-        triplet_hinge(e, anchors, pos, neg, cfg.margin) for pos, neg in mined
-    )
+    picks = batch_hard_mine(pairwise_distance(e, e), plan)
+    reports = triplet_hinge(e, plan.anchors, picks[plan.positive_cells],
+                            picks[plan.negative_cells], cfg.margin)
     if use_weighting:
         weights = gradient_weights(
             np.array([r.active_fraction for r in reports]), cfg.eps_g

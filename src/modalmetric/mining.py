@@ -12,11 +12,17 @@ farthest same-class candidate and the negative the nearest other-class
 candidate, restricted to the kind's modality pattern; distance ties are
 broken toward the lowest batch index so the result is deterministic.
 
-Triplets are (anchor, positive, negative) int64 index arrays.
-`batch_hard_mine` builds the label and modality masks once per batch and
-mines every requested kind from them.
+Triplets are (anchor, positive, negative) int64 index arrays. Which rows
+are candidates depends only on which rows share a class and a modality,
+so the work splits in two. `mining_plan` builds, once per batch layout,
+the distinct candidate masks the requested kinds use (at most four: the
+hybrid kind shares the cross kind's positives and the within kind's
+negatives) and checks that every anchor has candidates.
+`batch_hard_mine` then picks, once per batch, the hardest row of every
+distinct mask from one distance matrix.
 """
 
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,58 +36,67 @@ class TripletKind(Enum):
     HYBRID = "hybrid"
 
 
-def batch_hard_mine(dist, labels, modalities, kinds):
-    """Mine one hardest triplet per batch sample for each of several kinds.
+# kind -> (positive from the anchor's own modality, negative from it)
+OWN_MODALITY = {
+    TripletKind.CROSS: (False, False),
+    TripletKind.WITHIN: (True, True),
+    TripletKind.HYBRID: (False, True),
+}
 
-    The label and modality masks are built once and shared by every
-    kind; each kind's positive (negative) is the argmax (argmin) of the
-    anchor's distance row over its candidate mask, so ties go to the
-    lowest batch index.
 
-    Args:
-        dist: (B, B) distance matrix over the batch embeddings.
-        labels: (B,) class labels.
-        modalities: (B,) modality flags (0 sketch, 1 photo).
-        kinds: sequence of TripletKind to mine.
+@dataclass(frozen=True)
+class MiningPlan:
+    """The candidate masks of one batch layout, stacked.
 
-    Returns:
-        (anchors, [(positives, negatives) per kind]): int64 arrays, one
-        entry per anchor; the anchors are 0..B-1.
+    `masks` holds the m distinct masks the kinds use, the
+    `n_positive` positive masks first, and `fills` their (m, 1, 1)
+    values for excluded rows: -inf under a positive mask, so argmax
+    skips them, +inf under a negative one, so argmin does. The j-th
+    planned kind takes its positives from mask `positive_cells[j]` and
+    its negatives from mask `negative_cells[j]`; `anchors` is 0..B-1.
+    """
+
+    anchors: np.ndarray
+    masks: np.ndarray
+    fills: np.ndarray
+    n_positive: int
+    positive_cells: np.ndarray
+    negative_cells: np.ndarray
+
+
+def mining_plan(labels, modalities, kinds):
+    """Plan the mining of `kinds` over batches laid out as `labels` and
+    `modalities` (0 sketch, 1 photo), both (B,).
 
     Raises:
+        ValueError: if the arrays are not 1-D and of equal length, or
+            no kind is requested.
         MiningError: if some anchor has no valid positive or negative;
             kinds are checked in order and, within a kind, the first
             failing anchor is reported, its positive before its negative.
     """
-    dist = np.asarray(dist, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     modalities = np.asarray(modalities, dtype=np.int64)
     if labels.shape != modalities.shape or labels.ndim != 1:
         raise ValueError("labels and modalities must be 1-D and equal length")
-    n = labels.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError(f"dist must be ({n}, {n}), got {dist.shape}")
+    if len(kinds) == 0:
+        raise ValueError("at least one triplet kind is required")
 
     a_mod = modalities[:, None]
     same_label = labels[:, None] == labels
     other_label = ~same_label
     own_mod = modalities == a_mod
-    other_mod = modalities == 1 - a_mod
     own_pos = same_label & own_mod
     np.fill_diagonal(own_pos, False)  # the anchor itself
-    other_pos = same_label & other_mod
-    own_neg = other_label & own_mod
-    cells = {
-        TripletKind.CROSS: (other_pos, other_label & other_mod),
-        TripletKind.WITHIN: (own_pos, own_neg),
-        TripletKind.HYBRID: (other_pos, own_neg),
-    }
+    other_mod = modalities == 1 - a_mod
+    # indexed by the own-modality flag
+    positive = (same_label & other_mod, own_pos)
+    negative = (other_label & other_mod, other_label & own_mod)
 
-    mined = []
     for kind in kinds:
-        pos_mask, neg_mask = cells[kind]
-        no_pos = ~pos_mask.any(axis=1)
-        no_neg = ~neg_mask.any(axis=1)
+        own_p, own_n = OWN_MODALITY[kind]
+        no_pos = ~positive[own_p].any(axis=1)
+        no_neg = ~negative[own_n].any(axis=1)
         bad = no_pos | no_neg
         if bad.any():
             row = int(np.argmax(bad))
@@ -89,7 +104,44 @@ def batch_hard_mine(dist, labels, modalities, kinds):
             raise MiningError(
                 f"anchor {row}: no valid {role} for kind {kind.value}"
             )
-        pos = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
-        neg = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
-        mined.append((pos, neg))
-    return np.arange(n), mined
+
+    own = [OWN_MODALITY[kind] for kind in kinds]
+    pos_used = list(dict.fromkeys(own_p for own_p, _ in own))
+    neg_used = list(dict.fromkeys(own_n for _, own_n in own))
+    n_pos = len(pos_used)
+    fills = np.array([-np.inf] * n_pos + [np.inf] * len(neg_used))
+    return MiningPlan(
+        anchors=np.arange(labels.shape[0]),
+        masks=np.stack([positive[f] for f in pos_used]
+                       + [negative[f] for f in neg_used]),
+        fills=fills[:, None, None],
+        n_positive=n_pos,
+        positive_cells=np.array([pos_used.index(p) for p, _ in own]),
+        negative_cells=np.array([n_pos + neg_used.index(n) for _, n in own]),
+    )
+
+
+def batch_hard_mine(dist, plan):
+    """Pick the hardest candidate of every mask of `plan`, per anchor.
+
+    One `np.where` fills the excluded rows of all the masks at once; one
+    argmax over the positive masks and one argmin over the negative ones
+    pick, so ties go to the lowest batch index.
+
+    Args:
+        dist: (B, B) distance matrix over the batch embeddings.
+        plan: MiningPlan of the batch's layout.
+
+    Returns:
+        (m, B) int64 picks, row i from mask i of the plan: kind j's
+        positives are row `plan.positive_cells[j]`, its negatives row
+        `plan.negative_cells[j]`.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != plan.masks.shape[1:]:
+        raise ValueError(
+            f"dist must be {plan.masks.shape[1:]}, got {dist.shape}")
+    scored = np.where(plan.masks, dist, plan.fills)
+    n_pos = plan.n_positive
+    return np.concatenate((scored[:n_pos].argmax(axis=2),
+                           scored[n_pos:].argmin(axis=2)))

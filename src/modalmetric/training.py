@@ -17,7 +17,7 @@ from .losses import (
     softmax_ce,
     weighted_embedding_loss,
 )
-from .mining import TripletKind
+from .mining import TripletKind, mining_plan
 from .model import (
     AdamState,
     ModelParams,
@@ -174,6 +174,9 @@ def train(dataset: Dataset, config: TrainConfig):
     sampler = PKSampler(
         dataset, config.classes_per_batch, config.samples_per_class, rng
     )
+    # which batch rows share a class and a modality is the same for every
+    # batch, so the candidate masks are too
+    plan = mining_plan(*sampler.layout(), kinds) if kinds else None
     features = dataset.features
     labels = dataset.labels
     modalities = dataset.modalities
@@ -210,7 +213,7 @@ def train(dataset: Dataset, config: TrainConfig):
         row = {"iter": it, "lr": lr, "l_cls": cls.value}
         if kinds:
             bundle = weighted_embedding_loss(
-                embeddings, y, mods, config.loss, kinds, weighting
+                embeddings, plan, config.loss, weighting
             )
             lam = config.loss.lam
             d_embed = cls_grad + lam * bundle.grad

@@ -5,7 +5,7 @@ import numpy as np
 
 from modalmetric import Dataset
 from modalmetric.losses import LossConfig, weighted_embedding_loss
-from modalmetric.mining import batch_hard_mine
+from modalmetric.mining import batch_hard_mine, mining_plan
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
 # criterion; printing them in the terminal summary keeps the whole gate
@@ -61,14 +61,16 @@ def mine_one(dist, labels, mods, kind, anchors=None):
     brute_force_mine's result compares: a (3, n) array of anchor,
     positive and negative rows, restricted to the columns of `anchors`
     when given."""
-    mined, [(pos, neg)] = batch_hard_mine(dist, labels, mods, (kind,))
-    triplets = np.stack((mined, pos, neg))
+    plan = mining_plan(labels, mods, (kind,))
+    picks = batch_hard_mine(dist, plan)
+    triplets = np.stack((plan.anchors, picks[plan.positive_cells[0]],
+                         picks[plan.negative_cells[0]]))
     return triplets if anchors is None else triplets[:, anchors]
 
 
 def mined_loss(e, labels, mods, kind, margin=0.2):
     """The one-kind hinge report the training path computes: mined by
     batch_hard_mine, scored by triplet_hinge."""
-    bundle = weighted_embedding_loss(e, labels, mods, LossConfig(margin),
-                                     (kind,), use_weighting=False)
+    bundle = weighted_embedding_loss(e, mining_plan(labels, mods, (kind,)),
+                                     LossConfig(margin), use_weighting=False)
     return bundle.reports[0]

@@ -37,7 +37,7 @@ from modalmetric.losses import (
     triplet_hinge,
     weighted_embedding_loss,
 )
-from modalmetric.mining import TripletKind
+from modalmetric.mining import TripletKind, mining_plan
 from modalmetric.model import embed_backward, embed_forward, init_params
 from oracles import average_precision, brute_force_mine, finite_diff_check
 
@@ -152,9 +152,11 @@ def test_criterion_3_gradient_checks():
         for _ in range(20):
             e, labels, mods = pk_batch(rng, 3, 2, 5)
             trips = brute_force_mine(e, labels, mods, TripletKind.CROSS)
-            report = triplet_hinge(e, *trips, 0.5)
+            a, p, n = trips
+            [report] = triplet_hinge(e, a, [p], [n], 0.5)
             err = finite_diff_check(
-                lambda E: triplet_hinge(E, *trips, 0.5).value, e, report.grad
+                lambda E: triplet_hinge(E, a, [p], [n], 0.5)[0].value, e,
+                report.grad
             )
             assert err <= 1e-4
 
@@ -177,18 +179,19 @@ def test_criterion_3_gradient_checks():
             x = rng.standard_normal((12, 5))
             labels = np.repeat(np.arange(3), 4)
             mods = np.tile([0, 0, 1, 1], 3)
+            plan = mining_plan(labels, mods, KINDS)
 
             def objective(w_embed, w_cls):
                 p = replace(params.embedder, W=w_embed)
                 e, _ = embed_forward(p, x, mods)
                 cls = softmax_ce(e @ w_cls.T, labels)
-                bundle = weighted_embedding_loss(e, labels, mods, cfg)
+                bundle = weighted_embedding_loss(e, plan, cfg)
                 return cls.value + cfg.lam * bundle.value
 
             e, cache = embed_forward(params.embedder, x, mods)
             cls = softmax_ce(e @ params.classifier.W_c.T, labels)
             d_wc = cls.grad.T @ e
-            bundle = weighted_embedding_loss(e, labels, mods, cfg)
+            bundle = weighted_embedding_loss(e, plan, cfg)
             d_embed = cls.grad @ params.classifier.W_c + cfg.lam * bundle.grad
             grads = embed_backward(cache, d_embed)
             err_w = finite_diff_check(

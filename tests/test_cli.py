@@ -175,6 +175,40 @@ class TestEvalCommand:
         snapshot = json.loads((tmp_path / "metrics.json").read_text())
         assert snapshot["map_at_all"] > 0.95
 
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    def test_overflowing_data_names_the_data(self, ini, tmp_path,
+                                             good_checkpoint, source,
+                                             capsys):
+        # finite features whose row norms overflow: the data is at fault,
+        # not the checkpoint (huge_weight below is the converse)
+        argv = ["eval", "--config", ini, "--out", str(tmp_path / "out"),
+                "--checkpoint", str(good_checkpoint)]
+        if source == "synthetic":
+            argv += ["--offset_norm", "1.7e308"]
+            names = ["data.source = 'synthetic'", "data.sigma = 0.25",
+                     "data.offset_norm = 1.7e+308"]
+        else:
+            ds = generate_synthetic(SyntheticConfig(
+                n_classes=6, samples_per_class_per_modality=6, d_in=8,
+                sigma=0.25, offset_norm=0.5, seed=3))
+            ds.features *= 1e200
+            path = tmp_path / "huge.csv"
+            write_dataset(ds, path)
+            argv += ["--source", str(path)]
+            names = [f"data.source = {str(path)!r}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        for name in names:
+            assert name in err
+        assert "feature rows have non-finite norms" in err
+        assert str(good_checkpoint) not in err
+        assert ("data.sigma" in err) == (source == "synthetic")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
     def test_query_modality_photo(self, ini, tmp_path, checkpoint):
         rc = main(["eval", "--config", ini, "--out", str(tmp_path / "p"),
                    "--checkpoint", checkpoint, "--query_modality", "photo"])

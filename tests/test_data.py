@@ -158,6 +158,28 @@ class TestPKSampler:
         assert_array_equal(mods, np.tile([0, 0, 1, 1], 2))
         assert len(set(labels.tolist())) == 2
 
+    @pytest.mark.parametrize("P, K", [(2, 2), (3, 2), (4, 3), (5, 4)])
+    def test_batches_follow_layout(self, P, K):
+        # train mines every batch with a plan built once from layout(),
+        # which holds only if every batch's same-class and same-modality
+        # pattern is the layout's, whichever classes and rows it drew
+        rng = np.random.default_rng(P * 10 + K)
+        counts = K + rng.integers(0, 4, size=(6, 2))  # unequal cells
+        labels = np.repeat(np.arange(6), counts.sum(axis=1))
+        mods = np.concatenate([np.repeat([0, 1], c) for c in counts])
+        order = rng.permutation(len(labels))
+        ds = make_dataset(rng.standard_normal((len(labels), 3)),
+                          labels[order], mods[order])
+        sampler = PKSampler(ds, P, K, np.random.default_rng(K))
+        want_labels, want_mods = sampler.layout()
+        assert want_labels.shape == want_mods.shape == (2 * P * K,)
+        want_same = want_labels[:, None] == want_labels
+        for _ in range(200):
+            idx = sampler.sample()
+            got = ds.labels[idx]
+            assert_array_equal(got[:, None] == got, want_same)
+            assert_array_equal(ds.modalities[idx], want_mods)
+
     def test_deterministic(self):
         ds = generate_synthetic(SyntheticConfig(n_classes=5,
                                                 samples_per_class_per_modality=3,

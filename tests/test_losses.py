@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import mined_loss, pk_batch, unit_rows
+from modalmetric.geometry import pairwise_distance
 from modalmetric.losses import (
     ALL_KINDS,
     LossConfig,
@@ -16,7 +17,8 @@ from modalmetric.losses import (
     triplet_hinge,
     weighted_embedding_loss,
 )
-from modalmetric.mining import TripletKind
+from modalmetric.mining import TripletKind, mining_plan
+from modalmetric.training import TrainConfig, ablation_variants
 from oracles import brute_force_mine, finite_diff_check
 
 
@@ -121,19 +123,25 @@ class TestSoftmaxCE:
             softmax_ce(np.zeros((2, 2)), np.array([0, 2]))
 
 
+def hinge_one(e, anchors, positives, negatives, margin):
+    """triplet_hinge's report for one kind of triplets."""
+    [report] = triplet_hinge(e, anchors, [positives], [negatives], margin)
+    return report
+
+
 class TestTripletHinge:
     def test_satisfied_triplet(self):
         e = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        report = triplet_hinge(e, np.array([0]), np.array([1]),
-                               np.array([2]), 0.2)
+        report = hinge_one(e, np.array([0]), np.array([1]),
+                           np.array([2]), 0.2)
         assert report.value == 0.0
         assert report.active_fraction == 0.0
         assert_array_equal(report.grad, np.zeros_like(e))
 
     def test_violating_triplet(self):
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        report = triplet_hinge(e, np.array([0]), np.array([1]),
-                               np.array([2]), 0.2)
+        report = hinge_one(e, np.array([0]), np.array([1]),
+                           np.array([2]), 0.2)
         assert_allclose(report.value, 2.0 - np.sqrt(2.0) + 0.2, rtol=1e-12)
         assert_allclose(report.value, 0.78579, atol=5e-6)
         assert report.active_fraction == 1.0
@@ -142,8 +150,8 @@ class TestTripletHinge:
         # hinge argument is exactly zero: sqrt(2) - 2 + (2 - sqrt(2));
         # strict positivity means no loss and no gradient
         e = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        report = triplet_hinge(e, np.array([0]), np.array([1]),
-                               np.array([2]), 2.0 - np.sqrt(2.0))
+        report = hinge_one(e, np.array([0]), np.array([1]),
+                           np.array([2]), 2.0 - np.sqrt(2.0))
         assert report.value == 0.0
         assert report.active_fraction == 0.0
         assert_array_equal(report.grad, np.zeros_like(e))
@@ -151,24 +159,33 @@ class TestTripletHinge:
     def test_mean_and_active_fraction(self):
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         # (0, 1, 2) is active at 2 - sqrt(2) + 0.2; (0, 2, 1) is satisfied
-        report = triplet_hinge(e, np.array([0, 0]), np.array([1, 2]),
-                               np.array([2, 1]), 0.2)
+        report = hinge_one(e, np.array([0, 0]), np.array([1, 2]),
+                           np.array([2, 1]), 0.2)
         assert_allclose(report.value, (2.0 - np.sqrt(2.0) + 0.2) / 2, rtol=1e-12)
         assert report.active_fraction == 0.5
 
     def test_empty_list(self):
         none = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="empty"):
-            triplet_hinge(np.zeros((2, 2)), none, none, none, 0.2)
+            hinge_one(np.zeros((2, 2)), none, none, none, 0.2)
+
+    def test_shape_errors(self):
+        e = np.eye(3)
+        with pytest.raises(ValueError, match="positives"):
+            triplet_hinge(e, [0], [1], [2], 0.2)  # not stacked by kind
+        with pytest.raises(ValueError, match="positives"):
+            triplet_hinge(e, [0, 0], [[1]], [[2]], 0.2)
+        with pytest.raises(ValueError, match="positives"):
+            triplet_hinge(e, [0], [[1]], [[2], [1]], 0.2)
 
     def test_finite_diff_fixed_triplets(self):
         rng = np.random.default_rng(5)
         e, labels, mods = pk_batch(rng, 3, 2, 6)
         trips = brute_force_mine(e, labels, mods, TripletKind.CROSS)
-        report = triplet_hinge(e, *trips, 0.5)
+        report = hinge_one(e, *trips, 0.5)
         assert report.active_fraction > 0
         err = finite_diff_check(
-            lambda E: triplet_hinge(E, *trips, 0.5).value, e, report.grad
+            lambda E: hinge_one(E, *trips, 0.5).value, e, report.grad
         )
         assert err < 1e-6
 
@@ -231,7 +248,7 @@ class TestMinedLosses:
         mods = np.array([0, 1, 0])
         trips = brute_force_mine(e, labels, mods, TripletKind.HYBRID, anchors=[0])
         assert_array_equal(trips, [[0], [1], [2]])
-        report = triplet_hinge(e, *trips, 0.2)
+        report = hinge_one(e, *trips, 0.2)
         assert_allclose(report.value, np.sqrt(2.0) - 1.0 + 0.2, rtol=1e-12)
 
     def test_matches_brute_force_composition(self):
@@ -241,7 +258,7 @@ class TestMinedLosses:
             e, labels, mods = pk_batch(rng, 3, 2, 8)
             for kind in ALL_KINDS:
                 got = mined_loss(e, labels, mods, kind)
-                want = triplet_hinge(
+                want = hinge_one(
                     e, *brute_force_mine(e, labels, mods, kind), 0.2
                 )
                 assert got.value == want.value
@@ -308,8 +325,9 @@ class TestGradientWeights:
 class TestWeightedEmbeddingLoss:
     def test_square_batch_plain_sum(self):
         e, labels, mods = square_batch()
+        plan = mining_plan(labels, mods, ALL_KINDS)
         cfg = LossConfig()
-        bundle = weighted_embedding_loss(e, labels, mods, cfg,
+        bundle = weighted_embedding_loss(e, plan, cfg,
                                          use_weighting=False)
         assert_array_equal(bundle.weights, np.ones(3))
         assert_allclose(bundle.value, 0.6, rtol=1e-12)
@@ -317,13 +335,15 @@ class TestWeightedEmbeddingLoss:
     def test_square_batch_weighting_neutral(self):
         # equal active fractions leave the weights at one
         e, labels, mods = square_batch()
-        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
+        plan = mining_plan(labels, mods, ALL_KINDS)
+        bundle = weighted_embedding_loss(e, plan, LossConfig())
         assert_allclose(bundle.weights, np.ones(3), rtol=1e-12)
         assert_allclose(bundle.value, 0.6, rtol=1e-12)
 
     def test_tetra_batch_drops_dead_loss(self):
         e, labels, mods = tetra_batch()
-        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
+        plan = mining_plan(labels, mods, ALL_KINDS)
+        bundle = weighted_embedding_loss(e, plan, LossConfig())
         assert [r.active_fraction for r in bundle.reports] == [1.0, 1.0, 0.0]
         assert_allclose(bundle.weights, [1.0, 1.0, 0.0], rtol=1e-12)
         assert_allclose([r.value for r in bundle.reports], [0.2, 0.2, 0.0],
@@ -332,15 +352,17 @@ class TestWeightedEmbeddingLoss:
 
     def test_tilted_pair_hybrid_takes_all(self):
         e, labels, mods = tilted_pair_batch()
-        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
+        plan = mining_plan(labels, mods, ALL_KINDS)
+        bundle = weighted_embedding_loss(e, plan, LossConfig())
         assert_allclose(bundle.weights, [0.0, 0.0, 1.0], rtol=1e-12)
         assert_allclose(bundle.value, 0.45, rtol=1e-12)
 
     def test_reports_match_standalone(self):
         rng = np.random.default_rng(31)
         e, labels, mods = pk_batch(rng, 4, 2, 8)
+        plan = mining_plan(labels, mods, ALL_KINDS)
         cfg = LossConfig()
-        bundle = weighted_embedding_loss(e, labels, mods, cfg)
+        bundle = weighted_embedding_loss(e, plan, cfg)
         standalone = [mined_loss(e, labels, mods, kind, cfg.margin)
                       for kind in ALL_KINDS]
         for got, want in zip(bundle.reports, standalone):
@@ -351,22 +373,23 @@ class TestWeightedEmbeddingLoss:
     def test_grad_is_weighted_sum(self):
         rng = np.random.default_rng(32)
         e, labels, mods = pk_batch(rng, 3, 3, 6)
-        bundle = weighted_embedding_loss(e, labels, mods, LossConfig())
+        plan = mining_plan(labels, mods, ALL_KINDS)
+        bundle = weighted_embedding_loss(e, plan, LossConfig())
         want = sum(w * r.grad for w, r in zip(bundle.weights, bundle.reports))
         assert_allclose(bundle.grad, want, atol=1e-15)
 
     def test_kind_subset(self):
         e, labels, mods = square_batch()
         bundle = weighted_embedding_loss(
-            e, labels, mods, LossConfig(), kinds=(TripletKind.CROSS,)
+            e, mining_plan(labels, mods, (TripletKind.CROSS,)), LossConfig()
         )
         assert len(bundle.reports) == 1
         assert_allclose(bundle.value, 0.2, rtol=1e-12)
 
     def test_empty_kinds(self):
-        e, labels, mods = square_batch()
+        _, labels, mods = square_batch()
         with pytest.raises(ValueError):
-            weighted_embedding_loss(e, labels, mods, LossConfig(), kinds=())
+            mining_plan(labels, mods, ())
 
     def test_finite_diff_end_to_end(self):
         # weights and mined triplets are locally constant, so between
@@ -374,10 +397,11 @@ class TestWeightedEmbeddingLoss:
         # differences; flip points show up as kinks and are excluded
         rng = np.random.default_rng(33)
         e, labels, mods = pk_batch(rng, 3, 2, 6)
+        plan = mining_plan(labels, mods, ALL_KINDS)
         cfg = LossConfig(margin=0.5)
-        bundle = weighted_embedding_loss(e, labels, mods, cfg)
+        bundle = weighted_embedding_loss(e, plan, cfg)
         err = finite_diff_check(
-            lambda E: weighted_embedding_loss(E, labels, mods, cfg).value,
+            lambda E: weighted_embedding_loss(E, plan, cfg).value,
             e,
             bundle.grad,
         )
@@ -414,22 +438,32 @@ def regime(active_fraction):
             else "fully" if active_fraction == 1.0 else "partly")
 
 
-def reference_bundle(e, labels, mods, cfg, kinds, use_weighting):
-    """weighted_embedding_loss rebuilt from the exhaustive miner, the
-    add.at hinge and gradient_weights, summing in the same order."""
-    reports = [reference_hinge(e, brute_force_mine(e, labels, mods, kind),
-                               cfg.margin) for kind in kinds]
+def reference_bundle(e, cfg, references, use_weighting):
+    """weighted_embedding_loss rebuilt from per-kind reference_hinge
+    results (of the exhaustive miner's triplets) and gradient_weights,
+    summing in the same order."""
     if use_weighting:
-        weights = gradient_weights(np.array([r[1] for r in reports]),
+        weights = gradient_weights(np.array([r[1] for r in references]),
                                    cfg.eps_g)
     else:
-        weights = np.ones(len(kinds))
-    value = float(sum(w * r[0] for w, r in zip(weights, reports)))
+        weights = np.ones(len(references))
+    value = float(sum(w * r[0] for w, r in zip(weights, references)))
     grad = np.zeros_like(e)
-    for w, r in zip(weights, reports):
+    for w, r in zip(weights, references):
         if w != 0.0:
             grad += w * r[2]
-    return reports, weights, value, grad
+    return weights, value, grad
+
+
+def ablation_kind_sets():
+    """The distinct triplet-kind sets of the loss ablation's rows, in row
+    order; the cls-only row's empty set has no plan (test_empty_kinds)."""
+    kind_sets = []
+    for _, variant in ablation_variants(TrainConfig()):
+        kinds = variant.recipe()[0]
+        if kinds and kinds not in kind_sets:
+            kind_sets.append(kinds)
+    return kind_sets
 
 
 class TestFusedLossOracle:
@@ -437,22 +471,38 @@ class TestFusedLossOracle:
     with the exhaustive reference and scattering with np.add.at give:
     artifact byte-identity rests on this summation order."""
 
-    RECIPES = ((ALL_KINDS, True), ((TripletKind.CROSS,), False))
+    KIND_SETS = ablation_kind_sets()
+
+    def test_covers_the_ablation(self):
+        assert len(self.KIND_SETS) == 6
+        assert set(map(frozenset, self.KIND_SETS)) == {
+            frozenset(s) for s in ((TripletKind.CROSS,),
+                                   (TripletKind.WITHIN,),
+                                   (TripletKind.HYBRID,),
+                                   (TripletKind.CROSS, TripletKind.WITHIN),
+                                   (TripletKind.CROSS, TripletKind.HYBRID),
+                                   ALL_KINDS)}
 
     def _check(self, e, labels, mods, cfg):
-        for kinds, use_weighting in self.RECIPES:
-            got = weighted_embedding_loss(e, labels, mods, cfg, kinds,
-                                          use_weighting)
-            reports, weights, value, grad = reference_bundle(
-                e, labels, mods, cfg, kinds, use_weighting)
-            for report, (r_value, r_active, r_grad) in zip(got.reports,
-                                                           reports):
-                assert report.value == r_value
-                assert report.active_fraction == r_active
-                assert_array_equal(report.grad, r_grad)
-            assert_array_equal(got.weights, weights)
-            assert got.value == value
-            assert_array_equal(got.grad, grad)
+        references = {kind: reference_hinge(
+            e, brute_force_mine(e, labels, mods, kind), cfg.margin)
+            for kind in ALL_KINDS}
+        for kinds in self.KIND_SETS:
+            plan = mining_plan(labels, mods, kinds)
+            for use_weighting in (False, True):
+                got = weighted_embedding_loss(e, plan, cfg, use_weighting)
+                wanted = [references[kind] for kind in kinds]
+                weights, value, grad = reference_bundle(e, cfg, wanted,
+                                                        use_weighting)
+                assert len(got.reports) == len(kinds)
+                for report, (r_value, r_active, r_grad) in zip(got.reports,
+                                                               wanted):
+                    assert report.value == r_value
+                    assert report.active_fraction == r_active
+                    assert_array_equal(report.grad, r_grad)
+                assert_array_equal(got.weights, weights)
+                assert got.value == value
+                assert_array_equal(got.grad, grad)
 
     def test_random_batches(self):
         rng = np.random.default_rng(51)
@@ -475,10 +525,46 @@ class TestFusedLossOracle:
             e = codebook[rng.integers(0, 3, size=len(labels))]
             self._check(e, labels, mods, LossConfig())
 
+    @pytest.mark.parametrize("shared", ["positive", "negative"])
+    def test_shared_pick_ties(self, shared):
+        # The cross and hybrid kinds share one positive pick per anchor,
+        # the within and hybrid kinds one negative pick. Here that shared
+        # pick is a distance tie on most anchors, so the lowest-index rule
+        # decides it for both kinds at once. "positive": every
+        # (class, modality) cell repeats one codebook row, so all of an
+        # anchor's other-modality positives coincide. "negative": each
+        # modality's rows come from its own 2-row codebook, so the anchor's
+        # own-modality negatives tie at distance 0 or at one other value.
+        rng = np.random.default_rng(55 if shared == "positive" else 56)
+        tied = total = 0
+        for _ in range(30):
+            p = int(rng.integers(2, 6))
+            k = int(rng.integers(2, 5))
+            _, labels, mods = pk_batch(rng, p, k, 6)
+            if shared == "positive":
+                cells = unit_rows(rng, 2 * p, 6)
+                e = cells[2 * labels + mods]
+                candidates = ((labels[:, None] == labels)
+                              & (mods[:, None] != mods))
+                best = np.where(candidates, pairwise_distance(e, e),
+                                -np.inf).max(axis=1, keepdims=True)
+            else:
+                books = unit_rows(rng, 4, 6).reshape(2, 2, 6)
+                e = books[mods, rng.integers(0, 2, size=len(labels))]
+                candidates = ((labels[:, None] != labels)
+                              & (mods[:, None] == mods))
+                best = np.where(candidates, pairwise_distance(e, e),
+                                np.inf).min(axis=1, keepdims=True)
+            dist = np.where(candidates, pairwise_distance(e, e), np.nan)
+            tied += int(((dist == best).sum(axis=1) > 1).sum())
+            total += len(labels)
+            self._check(e, labels, mods, LossConfig())
+        assert tied > total / 2
+
     @pytest.mark.parametrize("margin", [0.2, 2.5])
     def test_partly_and_fully_active_batches(self, margin):
         # unit rows keep |d_ap - d_an| <= 2, so a margin past 2 makes
-        # every triplet active and triplet_hinge skips its selections
+        # every triplet active
         rng = np.random.default_rng(53)
         regimes = set()
         for _ in range(40):
@@ -486,28 +572,36 @@ class TestFusedLossOracle:
                                        int(rng.integers(2, 5)), 8)
             cfg = LossConfig(margin=margin)
             self._check(e, labels, mods, cfg)
-            bundle = weighted_embedding_loss(e, labels, mods, cfg)
+            bundle = weighted_embedding_loss(
+                e, mining_plan(labels, mods, ALL_KINDS), cfg)
             regimes.update(regime(r.active_fraction)
                            for r in bundle.reports)
         assert regimes == ({"partly", "fully"} if margin < 2
                            else {"fully"})
 
     def test_negative_index_arrays(self):
-        # negative indices address rows from the end, as in numpy
-        # indexing and np.add.at
+        # arbitrary index arrays of one to three kinds, negative indices
+        # addressing rows from the end, as in numpy indexing and
+        # np.add.at; each kind's report must be its own reference hinge
         rng = np.random.default_rng(54)
         regimes = set()
         for _ in range(100):
             b = int(rng.integers(3, 12))
             e = unit_rows(rng, b, 4)
-            a, p, n = rng.integers(-b, b, size=(3, int(rng.integers(1, 9))))
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 9))
+            a = rng.integers(-b, b, size=n)
+            p, q = rng.integers(-b, b, size=(2, k, n))
             margin = float(rng.choice([0.01, 0.2, 1.0, 2.5]))
-            report = triplet_hinge(e, a, p, n, margin)
-            value, active, grad = reference_hinge(e, (a, p, n), margin)
-            assert report.value == value
-            assert report.active_fraction == active
-            assert_array_equal(report.grad, grad)
-            regimes.add(regime(active))
+            reports = triplet_hinge(e, a, p, q, margin)
+            assert len(reports) == k
+            for j, report in enumerate(reports):
+                value, active, grad = reference_hinge(e, (a, p[j], q[j]),
+                                                      margin)
+                assert report.value == value
+                assert report.active_fraction == active
+                assert_array_equal(report.grad, grad)
+                regimes.add(regime(active))
         assert regimes == {"none", "partly", "fully"}
 
 

@@ -7,8 +7,8 @@ from numpy.testing import assert_array_equal
 from conftest import mine_one, pk_batch, unit_rows
 from modalmetric import MiningError
 from modalmetric.geometry import pairwise_distance
-from modalmetric.losses import ALL_KINDS, LossConfig, weighted_embedding_loss
-from modalmetric.mining import TripletKind, batch_hard_mine
+from modalmetric.losses import ALL_KINDS
+from modalmetric.mining import TripletKind, batch_hard_mine, mining_plan
 from oracles import brute_force_mine, negative_modality, positive_modality
 
 KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
@@ -52,25 +52,22 @@ class TestBatchHardMine:
         assert_array_equal(got, [[0, 1, 4], [2, 2, 3], [3, 3, 2]])
 
     def test_no_within_negative(self):
-        e, labels, mods = self._four_sample_batch()
-        dist = pairwise_distance(e, e)
+        _, labels, mods = self._four_sample_batch()
         # no other-class sketch exists for anchor 0
         with pytest.raises(MiningError, match="anchor 0: no valid negative"):
-            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,))
+            mining_plan(labels, mods, (TripletKind.WITHIN,))
 
     def test_no_within_positive(self):
-        rng = np.random.default_rng(1)
-        e = unit_rows(rng, 4, 6)
         labels = np.array([0, 0, 1, 1])
         mods = np.array([0, 1, 0, 1])
-        dist = pairwise_distance(e, e)
         with pytest.raises(MiningError, match="anchor 0: no valid positive"):
-            batch_hard_mine(dist, labels, mods, (TripletKind.WITHIN,))
+            mining_plan(labels, mods, (TripletKind.WITHIN,))
 
     def test_weighted_loss_raises_the_same_error(self):
-        # a batch with no candidate must fail on the training path with
-        # the reference miner's message, naming the first failing kind,
-        # then anchor, positive before negative
+        # a batch layout with no candidate must fail when its plan is
+        # built, the one path to mining, with the reference miner's
+        # message, naming the first failing kind, then anchor, positive
+        # before negative
         rng = np.random.default_rng(1)
         no_within_positive = (unit_rows(rng, 4, 6), np.array([0, 0, 1, 1]),
                               np.array([0, 1, 0, 1]))
@@ -78,14 +75,13 @@ class TestBatchHardMine:
                          np.array([0, 1]))
         for e, labels, mods in (self._four_sample_batch(),
                                 no_within_positive, no_candidates):
-            dist = pairwise_distance(e, e)
-            for kinds in ((TripletKind.WITHIN,), ALL_KINDS):
+            for kinds in ((TripletKind.WITHIN,), ALL_KINDS,
+                          (TripletKind.HYBRID, TripletKind.WITHIN)):
                 with pytest.raises(MiningError) as want:
                     for kind in kinds:
                         brute_force_mine(e, labels, mods, kind)
                 with pytest.raises(MiningError) as got:
-                    weighted_embedding_loss(e, labels, mods, LossConfig(),
-                                            kinds)
+                    mining_plan(labels, mods, kinds)
                 assert str(got.value) == str(want.value)
 
     def test_tie_break_lowest_index(self):
@@ -102,18 +98,68 @@ class TestBatchHardMine:
 
     def test_default_anchors_whole_batch(self):
         rng = np.random.default_rng(3)
-        e, labels, mods = pk_batch(rng, 3, 2, 5)
-        dist = pairwise_distance(e, e)
-        anchors, _ = batch_hard_mine(dist, labels, mods, KINDS)
-        assert_array_equal(anchors, np.arange(12))
+        _, labels, mods = pk_batch(rng, 3, 2, 5)
+        assert_array_equal(mining_plan(labels, mods, KINDS).anchors,
+                           np.arange(12))
 
     def test_shape_errors(self):
         rng = np.random.default_rng(4)
-        e, labels, mods = pk_batch(rng, 2, 2, 5)
+        _, labels, mods = pk_batch(rng, 2, 2, 5)
+        plan = mining_plan(labels, mods, KINDS)
         with pytest.raises(ValueError, match="dist"):
-            batch_hard_mine(np.zeros((3, 3)), labels, mods, KINDS)
+            batch_hard_mine(np.zeros((3, 3)), plan)
         with pytest.raises(ValueError):
-            batch_hard_mine(np.zeros((8, 8)), labels[:4], mods, KINDS)
+            mining_plan(labels[:4], mods, KINDS)
+        with pytest.raises(ValueError, match="kind"):
+            mining_plan(labels, mods, ())
+
+
+class TestMiningPlan:
+    C, W, H = KINDS
+
+    @pytest.mark.parametrize("kinds, positive_cells, negative_cells", [
+        ((C,), [0], [1]),
+        ((W,), [0], [1]),
+        ((H,), [0], [1]),
+        ((C, W), [0, 1], [2, 3]),
+        ((C, H), [0, 0], [1, 2]),
+        ((W, H), [0, 1], [2, 2]),
+        ((C, W, H), [0, 1, 0], [2, 3, 3]),
+    ])
+    def test_distinct_masks(self, kinds, positive_cells, negative_cells):
+        # the hybrid kind shares the cross kind's positive mask and the
+        # within kind's negative mask: a kind set never needs more than
+        # four masks, one positive and one negative per modality pattern
+        _, labels, mods = pk_batch(np.random.default_rng(5), 3, 2, 4)
+        plan = mining_plan(labels, mods, kinds)
+        n_masks = max(negative_cells) + 1
+        assert plan.masks.shape == (n_masks, 12, 12)
+        assert plan.n_positive == max(positive_cells) + 1
+        assert_array_equal(plan.positive_cells, positive_cells)
+        assert_array_equal(plan.negative_cells, negative_cells)
+        assert_array_equal(plan.fills.ravel(),
+                           [-np.inf] * plan.n_positive
+                           + [np.inf] * (n_masks - plan.n_positive))
+
+    def test_picks_follow_the_masks(self):
+        # every pick of batch_hard_mine is its mask's hardest row, the
+        # lowest index among ties
+        rng = np.random.default_rng(6)
+        codebook = unit_rows(np.random.default_rng(7), 3, 4)
+        for _ in range(20):
+            _, labels, mods = pk_batch(rng, 3, 3, 4)
+            e = codebook[rng.integers(0, 3, size=len(labels))]
+            dist = pairwise_distance(e, e)
+            plan = mining_plan(labels, mods, KINDS)
+            picks = batch_hard_mine(dist, plan)
+            assert picks.shape == (4, 18)
+            for mask, fill, row in zip(plan.masks, plan.fills.ravel(),
+                                       picks):
+                for a in range(18):
+                    cand = np.flatnonzero(mask[a])
+                    best = (dist[a, cand].max() if fill < 0
+                            else dist[a, cand].min())
+                    assert row[a] == cand[dist[a, cand] == best][0]
 
 
 class TestMinerAgreement:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import modalmetric.training as training
 from conftest import LOG_COLUMNS
 from modalmetric import (
     AdamState,
@@ -18,13 +19,14 @@ from modalmetric import (
 )
 from modalmetric.geometry import EPS_NORM
 from modalmetric.losses import (
+    ALL_KINDS,
     LossConfig,
     adversarial_d_loss,
     adversarial_g_loss,
     softmax_ce,
     weighted_embedding_loss,
 )
-from modalmetric.mining import TripletKind
+from modalmetric.mining import TripletKind, mining_plan
 from modalmetric.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -141,15 +143,16 @@ class TestEmbedBackward:
         params, x, _ = self._setup(seed=4)
         labels = np.repeat(np.arange(3), 4)
         mods = np.tile([0, 0, 1, 1], 3)
+        plan = mining_plan(labels, mods, ALL_KINDS)
         cfg = LossConfig(margin=0.5)
 
         def loss_of_w(w):
             p = EmbedderParams(w, params.b.copy(), params.modality_offset.copy())
             e, _ = embed_forward(p, x, mods)
-            return weighted_embedding_loss(e, labels, mods, cfg).value
+            return weighted_embedding_loss(e, plan, cfg).value
 
         e, cache = embed_forward(params, x, mods)
-        bundle = weighted_embedding_loss(e, labels, mods, cfg)
+        bundle = weighted_embedding_loss(e, plan, cfg)
         grads = embed_backward(cache, bundle.grad)
         err = finite_diff_check(loss_of_w, params.W, grads["W"])
         assert err < 1e-4
@@ -454,6 +457,25 @@ class TestTrain:
             assert len(result.log) == 3
             for row in result.log:
                 assert list(row) == list(result.log[0])
+
+    @pytest.mark.parametrize("method, builds", [
+        ("cls-only", 0), ("baseline", 1), ("mathm", 1), ("gan", 1)])
+    def test_one_mining_plan_per_run(self, monkeypatch, method, builds):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mining_plan(*args)
+
+        monkeypatch.setattr(training, "mining_plan", counted)
+        cfg = small_config(method, iters=5)
+        train(small_dataset(), cfg)
+        assert len(calls) == builds
+        for labels, mods, kinds in calls:
+            # the sampler's layout: 3 class blocks of 2 sketches, 2 photos
+            assert_array_equal(labels, np.repeat(np.arange(3), 4))
+            assert_array_equal(mods, np.tile([0, 0, 1, 1], 3))
+            assert kinds == cfg.recipe()[0]
 
     def test_deterministic(self):
         ds = small_dataset()

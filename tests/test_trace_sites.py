@@ -19,6 +19,7 @@ import modalmetric.losses as losses
 import modalmetric.training as training
 from conftest import pk_batch
 from modalmetric import SyntheticConfig, TrainConfig, generate_synthetic
+from modalmetric.mining import mining_plan
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                       "tracer.py")
@@ -50,12 +51,16 @@ def count_calls(monkeypatch, owner, names):
 
 
 def test_weighted_loss_looks_up_the_traced_names(monkeypatch):
+    # one call of each per iteration: the losses.triplet_hinge span
+    # covers every triplet kind of the step
     calls = count_calls(monkeypatch, losses,
-                        ("batch_hard_mine", "triplet_hinge"))
+                        ("pairwise_distance", "batch_hard_mine",
+                         "triplet_hinge"))
     e, labels, mods = pk_batch(np.random.default_rng(0), 3, 2, 6)
-    losses.weighted_embedding_loss(e, labels, mods, losses.LossConfig(),
-                                   losses.ALL_KINDS)
-    assert calls == {"batch_hard_mine": 1, "triplet_hinge": 3}
+    losses.weighted_embedding_loss(
+        e, mining_plan(labels, mods, losses.ALL_KINDS), losses.LossConfig())
+    assert calls == {"pairwise_distance": 1, "batch_hard_mine": 1,
+                     "triplet_hinge": 1}
 
 
 def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
