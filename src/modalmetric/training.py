@@ -132,15 +132,15 @@ def _sigmoid(x):
 def _adversarial(params, embeddings, photo, objective):
     """One pass through the discriminator head sigmoid(E @ w_d + b_d):
     `objective` scores the photo and the sketch rows, and its gradient
-    is pulled back through the head. Returns (value, dE, dw_d, db_d)."""
-    w_d = params.discriminator.w_d
-    scores = _sigmoid(embeddings @ w_d + params.discriminator.b_d)
+    is pulled back through the sigmoid. Returns (value, d_raw), d_raw
+    the (B,) gradient on the head's pre-activations: the rows' gradient
+    is d_raw[:, None] * w_d, and the head's is (E.T @ d_raw, d_raw.sum())."""
+    scores = _sigmoid(embeddings @ params.discriminator.w_d
+                      + params.discriminator.b_d)
     report = objective(scores[photo], scores[~photo])
     d_scores = np.zeros_like(scores)
     d_scores[photo], d_scores[~photo] = report.grad
-    d_raw = d_scores * scores * (1.0 - scores)
-    d_e = d_raw[:, None] * w_d[None, :]
-    return report.value, d_e, embeddings.T @ d_raw, np.asarray(d_raw.sum())
+    return report.value, d_scores * scores * (1.0 - scores)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -230,9 +230,9 @@ def train(dataset: Dataset, config: TrainConfig):
             value = cls.value
 
         if adversarial:
-            row["l_adv_g"], d_e_adv, _, _ = _adversarial(
+            row["l_adv_g"], d_raw = _adversarial(
                 params, embeddings, photo, adversarial_g_loss)
-            d_embed = d_embed + d_e_adv
+            d_embed = d_embed + d_raw[:, None] * params.discriminator.w_d
             value = value + row["l_adv_g"]
 
         if not np.isfinite(value):
@@ -247,8 +247,10 @@ def train(dataset: Dataset, config: TrainConfig):
         if adversarial:
             # Discriminator step on the freshly updated (frozen) embedder.
             fresh, _ = embed_forward(params.embedder, x, mods)
-            row["l_adv_d"], _, g_wd[...], g_bd[...] = _adversarial(
+            row["l_adv_d"], d_raw = _adversarial(
                 params, fresh, photo, adversarial_d_loss)
+            g_wd[...] = fresh.T @ d_raw
+            g_bd[...] = d_raw.sum()
             adam_step(disc_params, disc_grads, disc_state,
                       lr * config.disc_lr_scale)
 

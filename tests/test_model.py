@@ -560,7 +560,8 @@ class TestTrain:
 
 class TestAdversarialHead:
     """`_adversarial` pulls each objective's gradient back through
-    sigmoid(E @ w_d + b_d) to the embeddings and the head."""
+    sigmoid(E @ w_d + b_d); from it follow the gradients on the
+    embeddings and on the head."""
 
     @pytest.mark.parametrize("objective",
                              [adversarial_g_loss, adversarial_d_loss])
@@ -572,7 +573,9 @@ class TestAdversarialHead:
         w_d, b_d = params.discriminator.w_d, params.discriminator.b_d
         scores = 1.0 / (1.0 + np.exp(-(e @ w_d + b_d)))
         assert ((scores > 0.05) & (scores < 0.95)).all()  # clear of the clamp
-        _, d_e, d_w, d_b = _adversarial(params, e, photo, objective)
+        _, d_raw = _adversarial(params, e, photo, objective)
+        # the products each caller forms from the pre-activation gradient
+        d_e, d_w, d_b = d_raw[:, None] * w_d, e.T @ d_raw, d_raw.sum()
         assert np.abs(d_e).max() > 0 and np.abs(d_w).max() > 0
 
         err_e = finite_diff_check(
