@@ -27,7 +27,7 @@ import numpy as np
 from .config import load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
-from .fsutil import atomic_write_text, ensure_dir, write_json
+from .fsutil import atomic_write_text, output_dir, write_json
 from .model import (embed_forward, load_checkpoint, model_shapes,
                     save_checkpoint)
 from .training import METHOD_RECIPES, ablation_variants, train
@@ -156,24 +156,24 @@ def _read_checkpoint(path, d_in):
 
 def cmd_train(cfg, args):
     train_set, _ = cfg.load_data()
-    ensure_dir(cfg.out)
-    for seed in cfg.seeds():
-        tc = cfg.train_config(seed)
-        result = train(train_set, tc)
-        out_dir = os.path.join(cfg.out, tc.method, f"seed-{seed}")
-        # every row has the keys of the first, in the same order
-        write_csv(os.path.join(out_dir, "training_log.csv"),
-                  list(result.log[0]), result.log)
-        meta = {
-            "d_in": train_set.d_in,
-            "n_train_classes": train_set.n_classes,
-            "train_class_ids": list(result.train_class_ids),
-            "train": tc.to_dict(),
-        }
-        save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
-                        result.params, meta)
-        print(f"trained {tc.method} seed {seed}: "
-              f"final loss {result.log[-1]['l_total']:.6f} -> {out_dir}")
+    with output_dir(cfg.out):
+        for seed in cfg.seeds():
+            tc = cfg.train_config(seed)
+            result = train(train_set, tc)
+            out_dir = os.path.join(cfg.out, tc.method, f"seed-{seed}")
+            # every row has the keys of the first, in the same order
+            write_csv(os.path.join(out_dir, "training_log.csv"),
+                      list(result.log[0]), result.log)
+            meta = {
+                "d_in": train_set.d_in,
+                "n_train_classes": train_set.n_classes,
+                "train_class_ids": list(result.train_class_ids),
+                "train": tc.to_dict(),
+            }
+            save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
+                            result.params, meta)
+            print(f"trained {tc.method} seed {seed}: "
+                  f"final loss {result.log[-1]['l_total']:.6f} -> {out_dir}")
     return 0
 
 
@@ -181,20 +181,20 @@ def cmd_eval(cfg, args):
     if not args.checkpoint:
         raise ConfigError("eval requires at least one --checkpoint")
     _, test_set = cfg.load_data()
-    ensure_dir(cfg.out)
     snapshots = []
-    for i, path in enumerate(args.checkpoint):
-        params, meta = _read_checkpoint(path, test_set.d_in)
-        metrics = evaluate_params(
-            params, test_set, cfg, meta["train_class_ids"], source=path
-        )
-        snapshot = metrics.to_dict()
-        snapshots.append(snapshot)
-        name = ("metrics.json" if len(args.checkpoint) == 1
-                else f"metrics-{i}.json")
-        write_json(os.path.join(cfg.out, name), snapshot)
-        print(f"{path}: map_at_all={snapshot['map_at_all']:.4f} "
-              f"prec_at_{snapshot['k']}={snapshot['prec_at_k']:.4f}")
+    with output_dir(cfg.out):
+        for i, path in enumerate(args.checkpoint):
+            params, meta = _read_checkpoint(path, test_set.d_in)
+            metrics = evaluate_params(
+                params, test_set, cfg, meta["train_class_ids"], source=path
+            )
+            snapshot = metrics.to_dict()
+            snapshots.append(snapshot)
+            name = ("metrics.json" if len(args.checkpoint) == 1
+                    else f"metrics-{i}.json")
+            write_json(os.path.join(cfg.out, name), snapshot)
+            print(f"{path}: map_at_all={snapshot['map_at_all']:.4f} "
+                  f"prec_at_{snapshot['k']}={snapshot['prec_at_k']:.4f}")
     if len(snapshots) > 1:
         mean = _mean_std(snapshots, METRIC_KEYS)
         mean["k"] = snapshots[0]["k"]
@@ -233,17 +233,17 @@ def _grid_table(cfg, command, label_column, variants, keys):
             variant's config with that seed.
     """
     train_set, test_set = cfg.load_data()
-    ensure_dir(os.path.join(cfg.out, command))
     rows = []
-    for label, variant in variants:
-        snapshots = []
-        for seed in cfg.seeds():
-            result = train(train_set, replace(variant, seed=seed))
-            snapshots.append(evaluate_params(
-                result.params, test_set, cfg, result.train_class_ids
-            ).to_dict())
-        rows.append({label_column: label, **_mean_std(snapshots, keys)})
-    return _emit_table(cfg, command, label_column, rows, keys)
+    with output_dir(os.path.join(cfg.out, command)):
+        for label, variant in variants:
+            snapshots = []
+            for seed in cfg.seeds():
+                result = train(train_set, replace(variant, seed=seed))
+                snapshots.append(evaluate_params(
+                    result.params, test_set, cfg, result.train_class_ids
+                ).to_dict())
+            rows.append({label_column: label, **_mean_std(snapshots, keys)})
+        return _emit_table(cfg, command, label_column, rows, keys)
 
 
 def cmd_diagnose(cfg, args):

@@ -866,6 +866,45 @@ class TestUnusableOut:
         assert not list(tmp_path.rglob(".tmp-*"))
 
 
+class TestFailedCommandOutput:
+    """A command that fails after creating its output directory removes
+    the directories it created that are still empty, and no other."""
+
+    # command -> (flags that make it fail after creating --out, exit code)
+    FAILURES = {
+        "train": (["--offset_norm", "1e308"], 5),
+        "eval": (["--offset_norm", "1.7e308"], 3),
+        "ablate": (["--offset_norm", "1e308"], 5),
+    }
+
+    def _fail(self, ini, out, command, good_checkpoint, capsys):
+        flags, code = self.FAILURES[command]
+        argv = [command, "--config", ini, "--out", str(out), *flags]
+        if command == "eval":
+            argv += ["--checkpoint", str(good_checkpoint)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(FAILURES))
+    def test_new_out_removed(self, ini, tmp_path, good_checkpoint, command,
+                             capsys):
+        self._fail(ini, tmp_path / "new" / "out", command, good_checkpoint,
+                   capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(FAILURES))
+    def test_existing_out_kept(self, ini, tmp_path, good_checkpoint, command,
+                               capsys):
+        # empty, so only its having existed before keeps it
+        out = tmp_path / "out"
+        out.mkdir()
+        self._fail(ini, out, command, good_checkpoint, capsys)
+        assert out.is_dir()
+        assert list(out.iterdir()) == []
+
+
 class TestDatasetSources:
     def test_csv_source_end_to_end(self, tmp_path):
         ds = generate_synthetic(SyntheticConfig(
