@@ -1,9 +1,10 @@
 """Loss functions with analytic gradients.
 
-Every loss returns a LossReport carrying its scalar value, the fraction
-of active (strictly positive hinge) triplets, and the gradient with
-respect to its direct inputs. Triplet losses differentiate w.r.t. the
-already-normalized embedding rows; pulling those gradients back through
+The classification and adversarial losses return a LossReport carrying
+the scalar value and the gradient with respect to their direct inputs.
+The triplet losses report each kind's value and fraction of active
+(strictly positive hinge) triplets, and differentiate w.r.t. the
+already-normalized embedding rows; pulling that gradient back through
 the normalization and the affine map is the model's backward pass.
 
 The three modality-aware triplet losses are combined by a closed-form
@@ -23,17 +24,17 @@ Triplets are (anchor, positive, negative) index arrays throughout.
 `weighted_embedding_loss` takes a `mining.MiningPlan`, built once per
 batch layout (once per training run), mines every distinct candidate
 set of its kinds with one `batch_hard_mine` call and scores all the
-kinds with one `triplet_hinge` call. `triplet_hinge` scatters every
-kind's gradient with one `np.bincount`: kind j's cells are offset by
-j*B*d, so the kinds' cell ranges are disjoint, and within a kind the
-anchor rows come first, then the positive rows, then the negative
-rows, each in triplet order. bincount adds its weights one at a time,
-in input order, into an output that starts at 0.0. That is the order in
-which three successive `numpy.add.at` scatters (anchors, positives,
-negatives) sum each cell of one kind's gradient, so the gradients, and
-every training artifact, are bit-identical to that scatter. Inactive
-triplets stay in the scatter with zero terms: adding a zero to a sum
-that started at +0.0 leaves its bits unchanged.
+kinds with one `triplet_hinge` call.
+
+A hinge's gradient lives on pairs of rows, not on triplets: an active
+triplet pulls its anchor and positive together with weight 1/(N d_ap)
+and pushes its anchor and negative apart with weight -1/(N d_an), and a
+pair weighted w adds w (e_i - e_j) to row i and w (e_j - e_i) to row j.
+`triplet_hinge` returns those pair weights, the combination weights
+scale them, and `pair_gradient` sums every kind's pairs into one
+symmetric (B, B) matrix A and returns the Laplacian product
+diag(A 1) E - A E: one bincount and one matrix product per batch,
+however many kinds there are.
 """
 
 from dataclasses import dataclass
@@ -44,11 +45,16 @@ import numpy as np
 from .geometry import pairwise_distance
 from .mining import TripletKind, batch_hard_mine
 
-# Floor on distances when dividing by d_ap / d_an in the hinge gradient;
-# only reachable when two embedding rows coincide exactly.
+# Floor on d_ap / d_an when dividing by them in the hinge's pair
+# weights; only rows closer than this but not coincident reach it (a
+# pair at distance exactly 0 weighs 0).
 EPS_DIST = 1e-12
 
 ALL_KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
+
+# the sign of an (anchor, positive) and an (anchor, negative) pair's
+# weight in the hinge gradient, as a (2, 1) column
+PAIR_SIGNS = np.array([[1.0], [-1.0]])
 
 
 @dataclass
@@ -71,12 +77,12 @@ class LossConfig:
 
 @dataclass
 class LossReport:
-    """Scalar loss value, active-triplet fraction, and input gradient.
+    """Scalar loss value, active fraction, and input gradient of the
+    classification and adversarial losses.
 
-    `grad` matches the shape of the loss's direct input: the (B, d)
-    embedding matrix for triplet losses, the (B, C) logits for the
-    classification loss, and a (grad_photo, grad_sketch) pair of score
-    vectors for the adversarial losses.
+    `grad` matches the shape of the loss's direct input: the (B, C)
+    logits for the classification loss, and a (grad_photo, grad_sketch)
+    pair of score vectors for the adversarial losses.
     """
 
     value: float
@@ -86,10 +92,12 @@ class LossReport:
 
 @dataclass
 class WeightedLossBundle:
-    """Per-kind triplet reports and their weighted combination: `value`
-    and `grad` play the same roles as in a LossReport."""
+    """The triplet losses of one batch: each kind's value and active
+    fraction, in kind order, the combination weights, and the weighted
+    sum's value and (B, d) gradient on the embedding rows."""
 
-    reports: Tuple[LossReport, ...]
+    values: Tuple[float, ...]
+    fractions: Tuple[float, ...]
     weights: np.ndarray
     value: float
     grad: np.ndarray
@@ -132,7 +140,7 @@ def softmax_ce(logits, labels):
 
 def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     """Mean hinge loss of each of k triplet kinds over shared anchors,
-    with its embedding gradient.
+    with the pair weights of its embedding gradient.
 
     `anchors` is an (N,) int index array and `positives`, `negatives`
     are (k, N): kind j's triplets are (anchors[t], positives[j, t],
@@ -140,13 +148,16 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     numpy indexing. Kind j's value = (1/N) * sum_t max(0, d_ap - d_an +
     margin). Its active fraction counts triplets whose hinge argument is
     strictly positive; a triplet exactly on the boundary contributes
-    zero loss and zero (sub)gradient. Each active triplet adds
-    (u_ap - u_an)/N to its anchor row, -u_ap/N to its positive row and
-    u_an/N to its negative row, scattered by one `np.bincount` over all
-    kinds in the order the module docstring describes.
+    zero loss and zero (sub)gradient.
 
     Returns:
-        tuple of k LossReports, in kind order.
+        (values, fractions, pair_weights): (k,) values, (k,) active
+        fractions and (k, 2, N) pair weights. An active triplet weighs
+        its (anchor, positive) pair 1/(N * d_ap) and its (anchor,
+        negative) pair -1/(N * d_an), so `pair_gradient` of those pairs
+        is kind j's gradient on the embedding rows. Inactive triplets,
+        and pairs at distance exactly 0, whose difference vector is
+        zero, weigh 0.
     """
     anchors = np.asarray(anchors)
     positives = np.asarray(positives)
@@ -155,46 +166,41 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
             or anchors.shape != positives.shape[1:]):
         raise ValueError("anchors must be (N,), positives and negatives "
                          "(k, N)")
-    k, n_trip = positives.shape
+    n_trip = positives.shape[1]
     if n_trip == 0:
         raise ValueError("triplet list is empty")
     e = np.asarray(embeddings, dtype=np.float64)
-    e_anchor = e[anchors]
-    diff_ap = e_anchor - e[positives]
-    diff_an = e_anchor - e[negatives]
+    diff = e[anchors] - e[np.stack((positives, negatives), axis=1)]
     # the reduction np.linalg.norm(axis=-1) runs, without its Python layer
-    d_ap = np.sqrt((diff_ap * diff_ap).sum(axis=2))
-    d_an = np.sqrt((diff_an * diff_an).sum(axis=2))
-    hinge = d_ap - d_an + margin
+    dist = np.sqrt((diff * diff).sum(axis=3))
+    hinge = dist[:, 0] - dist[:, 1] + margin
     active = hinge > 0.0
     values = np.maximum(hinge, 0.0).sum(axis=1) / n_trip
     fractions = active.sum(axis=1) / n_trip
+    live = active[:, None] & (dist > 0.0)
+    pair_weights = np.where(
+        live, PAIR_SIGNS / (n_trip * np.maximum(dist, EPS_DIST)), 0.0)
+    return values, fractions, pair_weights
 
-    # an inactive triplet divides by inf: its unit vectors and terms are
-    # zeros, which leave every cell's sum unchanged
-    u_ap = diff_ap / np.where(active, np.maximum(d_ap, EPS_DIST),
-                              np.inf)[..., None]
-    u_an = diff_an / np.where(active, np.maximum(d_an, EPS_DIST),
-                              np.inf)[..., None]
-    b, d = e.shape
-    # stacked as (k, 3, N, d); np.stack's Python layer costs more than this
-    terms = np.concatenate((((u_ap - u_an) / n_trip)[:, None],
-                            (-u_ap / n_trip)[:, None],
-                            (u_an / n_trip)[:, None]), axis=1)
-    # kind j's cell of (row, column) is (j*b + row)*d + column; negative
-    # indices address rows from the end, as in numpy indexing
-    rows = np.empty((k, 3, n_trip), dtype=np.int64)
-    rows[:, 0], rows[:, 1], rows[:, 2] = anchors, positives, negatives
-    rows %= b
-    rows += (np.arange(k) * b)[:, None, None]
-    rows *= d
-    cells = (rows[..., None] + np.arange(d)).ravel()
-    grads = np.bincount(cells, weights=terms.ravel(),
-                        minlength=k * b * d).reshape(k, b, d)
-    return tuple(
-        LossReport(value=float(v), active_fraction=float(g), grad=grad)
-        for v, g, grad in zip(values, fractions, grads)
-    )
+
+def pair_gradient(embeddings, firsts, seconds, weights):
+    """Gradient on the embedding rows from weighted pairs of rows: pair
+    p = (i, j) = (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j)
+    to row i and its negation to row j. With weights c / d_ij that is
+    the gradient of sum_p c * d_ij.
+
+    The weights are summed into one symmetric (B, B) matrix A, so the
+    gradient is the graph Laplacian product diag(A @ 1) @ E - A @ E.
+    The index and weight arrays share one shape, of any rank; negative
+    indices address rows from the end, as in numpy indexing.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    b = len(e)
+    cells = (np.asarray(firsts) % b) * b + np.asarray(seconds) % b
+    a = np.bincount(cells.ravel(), weights=np.ravel(weights),
+                    minlength=b * b).reshape(b, b)
+    a = a + a.T
+    return a.sum(axis=1)[:, None] * e - a @ e
 
 
 def gradient_weights(g, eps_g=1e-6):
@@ -227,32 +233,32 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
 
     One distance matrix is shared by all kinds: `batch_hard_mine` picks
     every distinct candidate set of the plan once and `triplet_hinge`
-    scores all the kinds in one call.
-    With `use_weighting` the combination weights come from
-    `gradient_weights` on the active fractions; otherwise every included
-    loss gets weight 1 (plain sum).
+    scores all the kinds in one call. With `use_weighting` the
+    combination weights come from `gradient_weights` on the active
+    fractions; otherwise every included loss gets weight 1 (plain sum).
     The weights are constants of the current step: they are not
-    differentiated through.
+    differentiated through. They scale each kind's pair weights, and one
+    `pair_gradient` call turns all of them into the gradient.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     picks = batch_hard_mine(pairwise_distance(e, e), plan)
-    reports = triplet_hinge(e, plan.anchors, picks[plan.positive_cells],
-                            picks[plan.negative_cells], cfg.margin)
+    positives = picks[plan.positive_cells]
+    negatives = picks[plan.negative_cells]
+    values, fractions, pair_weights = triplet_hinge(
+        e, plan.anchors, positives, negatives, cfg.margin)
     if use_weighting:
-        weights = gradient_weights(
-            np.array([r.active_fraction for r in reports]), cfg.eps_g
-        )
+        weights = gradient_weights(fractions, cfg.eps_g)
     else:
-        weights = np.ones(len(reports), dtype=np.float64)
-    grad = np.zeros_like(e)
-    for w, r in zip(weights, reports):
-        if w != 0.0:
-            grad += w * r.grad
+        weights = np.ones(len(values), dtype=np.float64)
     return WeightedLossBundle(
-        reports=reports,
+        values=tuple(values.tolist()),
+        fractions=tuple(fractions.tolist()),
         weights=weights,
-        value=float(sum(w * r.value for w, r in zip(weights, reports))),
-        grad=grad,
+        value=float(sum(weights * values)),
+        grad=pair_gradient(
+            e, np.broadcast_to(plan.anchors, pair_weights.shape),
+            np.stack((positives, negatives), axis=1),
+            weights[:, None, None] * pair_weights),
     )
 
 

@@ -218,10 +218,10 @@ def train(dataset: Dataset, config: TrainConfig):
             lam = config.loss.lam
             d_embed = cls_grad + lam * bundle.grad
             value = float(cls.value + lam * bundle.value)
-            for k, report in zip(kinds, bundle.reports):
-                row[f"l_{KIND_TAGS[k]}"] = report.value
-            for k, report in zip(kinds, bundle.reports):
-                row[f"g_{KIND_TAGS[k]}"] = report.active_fraction
+            for k, v in zip(kinds, bundle.values):
+                row[f"l_{KIND_TAGS[k]}"] = v
+            for k, g in zip(kinds, bundle.fractions):
+                row[f"g_{KIND_TAGS[k]}"] = g
             if weighting:
                 for k, w in zip(kinds, bundle.weights):
                     row[f"w_{KIND_TAGS[k]}"] = float(w)

@@ -4,7 +4,8 @@ acceptance-report summary hook."""
 import numpy as np
 
 from modalmetric import Dataset
-from modalmetric.losses import LossConfig, weighted_embedding_loss
+from modalmetric.losses import (LossConfig, LossReport, pair_gradient,
+                                triplet_hinge, weighted_embedding_loss)
 from modalmetric.mining import batch_hard_mine, mining_plan
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
@@ -69,8 +70,18 @@ def mine_one(dist, labels, mods, kind, anchors=None):
 
 
 def mined_loss(e, labels, mods, kind, margin=0.2):
-    """The one-kind hinge report the training path computes: mined by
-    batch_hard_mine, scored by triplet_hinge."""
+    """The one-kind hinge the training path computes, mined by
+    batch_hard_mine and scored by triplet_hinge, as a LossReport."""
     bundle = weighted_embedding_loss(e, mining_plan(labels, mods, (kind,)),
                                      LossConfig(margin), use_weighting=False)
-    return bundle.reports[0]
+    return LossReport(bundle.values[0], bundle.fractions[0], bundle.grad)
+
+
+def hinge_one(e, anchors, positives, negatives, margin):
+    """triplet_hinge of one kind of fixed triplets as a LossReport, its
+    gradient the pair_gradient of the hinge's pair weights."""
+    [value], [fraction], [weights] = triplet_hinge(
+        e, anchors, [positives], [negatives], margin)
+    grad = pair_gradient(e, np.broadcast_to(anchors, weights.shape),
+                         np.stack((positives, negatives)), weights)
+    return LossReport(float(value), float(fraction), grad)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import modalmetric.training
-from conftest import (ACCEPTANCE_LINES, mine_one, mined_loss, pk_batch,
-                      unit_rows)
+from conftest import (ACCEPTANCE_LINES, hinge_one, mine_one, mined_loss,
+                      pk_batch, unit_rows)
 from modalmetric import (
     SyntheticConfig,
     TrainConfig,
@@ -34,7 +34,6 @@ from modalmetric.losses import (
     adversarial_g_loss,
     gradient_weights,
     softmax_ce,
-    triplet_hinge,
     weighted_embedding_loss,
 )
 from modalmetric.mining import TripletKind, mining_plan
@@ -152,11 +151,9 @@ def test_criterion_3_gradient_checks():
         for _ in range(20):
             e, labels, mods = pk_batch(rng, 3, 2, 5)
             trips = brute_force_mine(e, labels, mods, TripletKind.CROSS)
-            a, p, n = trips
-            [report] = triplet_hinge(e, a, [p], [n], 0.5)
+            report = hinge_one(e, *trips, 0.5)
             err = finite_diff_check(
-                lambda E: triplet_hinge(E, a, [p], [n], 0.5)[0].value, e,
-                report.grad
+                lambda E: hinge_one(E, *trips, 0.5).value, e, report.grad
             )
             assert err <= 1e-4
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import mined_loss, pk_batch, unit_rows
+from conftest import hinge_one, mined_loss, pk_batch, unit_rows
 from modalmetric.geometry import pairwise_distance
 from modalmetric.losses import (
     ALL_KINDS,
@@ -13,6 +13,7 @@ from modalmetric.losses import (
     adversarial_d_loss,
     adversarial_g_loss,
     gradient_weights,
+    pair_gradient,
     softmax_ce,
     triplet_hinge,
     weighted_embedding_loss,
@@ -121,12 +122,6 @@ class TestSoftmaxCE:
             softmax_ce(np.zeros((3, 2)), np.array([0, 0]))
         with pytest.raises(ValueError, match="range"):
             softmax_ce(np.zeros((2, 2)), np.array([0, 2]))
-
-
-def hinge_one(e, anchors, positives, negatives, margin):
-    """triplet_hinge's report for one kind of triplets."""
-    [report] = triplet_hinge(e, anchors, [positives], [negatives], margin)
-    return report
 
 
 class TestTripletHinge:
@@ -258,12 +253,12 @@ class TestMinedLosses:
             e, labels, mods = pk_batch(rng, 3, 2, 8)
             for kind in ALL_KINDS:
                 got = mined_loss(e, labels, mods, kind)
-                want = hinge_one(
-                    e, *brute_force_mine(e, labels, mods, kind), 0.2
-                )
+                trips = brute_force_mine(e, labels, mods, kind)
+                want = hinge_one(e, *trips, 0.2)
                 assert got.value == want.value
                 assert got.active_fraction == want.active_fraction
-                assert_array_equal(got.grad, want.grad)
+                assert_allclose(got.grad, reference_hinge(e, trips, 0.2)[2],
+                                rtol=0, atol=1e-12)
 
 
 class TestGradientWeights:
@@ -344,10 +339,9 @@ class TestWeightedEmbeddingLoss:
         e, labels, mods = tetra_batch()
         plan = mining_plan(labels, mods, ALL_KINDS)
         bundle = weighted_embedding_loss(e, plan, LossConfig())
-        assert [r.active_fraction for r in bundle.reports] == [1.0, 1.0, 0.0]
+        assert bundle.fractions == (1.0, 1.0, 0.0)
         assert_allclose(bundle.weights, [1.0, 1.0, 0.0], rtol=1e-12)
-        assert_allclose([r.value for r in bundle.reports], [0.2, 0.2, 0.0],
-                        rtol=1e-12)
+        assert_allclose(bundle.values, [0.2, 0.2, 0.0], rtol=1e-12)
         assert_allclose(bundle.value, 0.4, rtol=1e-12)
 
     def test_tilted_pair_hybrid_takes_all(self):
@@ -363,27 +357,32 @@ class TestWeightedEmbeddingLoss:
         plan = mining_plan(labels, mods, ALL_KINDS)
         cfg = LossConfig()
         bundle = weighted_embedding_loss(e, plan, cfg)
-        standalone = [mined_loss(e, labels, mods, kind, cfg.margin)
-                      for kind in ALL_KINDS]
-        for got, want in zip(bundle.reports, standalone):
-            assert got.value == want.value
-            assert got.active_fraction == want.active_fraction
-            assert_array_equal(got.grad, want.grad)
+        for j, kind in enumerate(ALL_KINDS):
+            want = mined_loss(e, labels, mods, kind, cfg.margin)
+            assert bundle.values[j] == want.value
+            assert bundle.fractions[j] == want.active_fraction
+            trips = brute_force_mine(e, labels, mods, kind)
+            assert_allclose(want.grad,
+                            reference_hinge(e, trips, cfg.margin)[2],
+                            rtol=0, atol=1e-12)
 
     def test_grad_is_weighted_sum(self):
         rng = np.random.default_rng(32)
         e, labels, mods = pk_batch(rng, 3, 3, 6)
         plan = mining_plan(labels, mods, ALL_KINDS)
-        bundle = weighted_embedding_loss(e, plan, LossConfig())
-        want = sum(w * r.grad for w, r in zip(bundle.weights, bundle.reports))
-        assert_allclose(bundle.grad, want, atol=1e-15)
+        cfg = LossConfig()
+        bundle = weighted_embedding_loss(e, plan, cfg)
+        want = sum(w * reference_hinge(
+            e, brute_force_mine(e, labels, mods, kind), cfg.margin)[2]
+            for w, kind in zip(bundle.weights, ALL_KINDS))
+        assert_allclose(bundle.grad, want, rtol=0, atol=1e-12)
 
     def test_kind_subset(self):
         e, labels, mods = square_batch()
         bundle = weighted_embedding_loss(
             e, mining_plan(labels, mods, (TripletKind.CROSS,)), LossConfig()
         )
-        assert len(bundle.reports) == 1
+        assert len(bundle.values) == len(bundle.fractions) == 1
         assert_allclose(bundle.value, 0.2, rtol=1e-12)
 
     def test_empty_kinds(self):
@@ -441,7 +440,7 @@ def regime(active_fraction):
 def reference_bundle(e, cfg, references, use_weighting):
     """weighted_embedding_loss rebuilt from per-kind reference_hinge
     results (of the exhaustive miner's triplets) and gradient_weights,
-    summing in the same order."""
+    summing the kinds in kind order."""
     if use_weighting:
         weights = gradient_weights(np.array([r[1] for r in references]),
                                    cfg.eps_g)
@@ -467,9 +466,11 @@ def ablation_kind_sets():
 
 
 class TestFusedLossOracle:
-    """The fused training path must reproduce, bit for bit, what mining
-    with the exhaustive reference and scattering with np.add.at give:
-    artifact byte-identity rests on this summation order."""
+    """The fused training path must reproduce what mining with the
+    exhaustive reference and scattering with np.add.at give: values,
+    active fractions, weights and the combined value bit for bit, and
+    the gradient, which sums the same terms in another order, to
+    1e-12."""
 
     KIND_SETS = ablation_kind_sets()
 
@@ -494,15 +495,11 @@ class TestFusedLossOracle:
                 wanted = [references[kind] for kind in kinds]
                 weights, value, grad = reference_bundle(e, cfg, wanted,
                                                         use_weighting)
-                assert len(got.reports) == len(kinds)
-                for report, (r_value, r_active, r_grad) in zip(got.reports,
-                                                               wanted):
-                    assert report.value == r_value
-                    assert report.active_fraction == r_active
-                    assert_array_equal(report.grad, r_grad)
+                assert got.values == tuple(r[0] for r in wanted)
+                assert got.fractions == tuple(r[1] for r in wanted)
                 assert_array_equal(got.weights, weights)
                 assert got.value == value
-                assert_array_equal(got.grad, grad)
+                assert_allclose(got.grad, grad, rtol=0, atol=1e-12)
 
     def test_random_batches(self):
         rng = np.random.default_rng(51)
@@ -574,15 +571,15 @@ class TestFusedLossOracle:
             self._check(e, labels, mods, cfg)
             bundle = weighted_embedding_loss(
                 e, mining_plan(labels, mods, ALL_KINDS), cfg)
-            regimes.update(regime(r.active_fraction)
-                           for r in bundle.reports)
+            regimes.update(map(regime, bundle.fractions))
         assert regimes == ({"partly", "fully"} if margin < 2
                            else {"fully"})
 
     def test_negative_index_arrays(self):
         # arbitrary index arrays of one to three kinds, negative indices
         # addressing rows from the end, as in numpy indexing and
-        # np.add.at; each kind's report must be its own reference hinge
+        # np.add.at; each kind's value, active fraction and pair-weight
+        # gradient must be its own reference hinge's
         rng = np.random.default_rng(54)
         regimes = set()
         for _ in range(100):
@@ -593,16 +590,72 @@ class TestFusedLossOracle:
             a = rng.integers(-b, b, size=n)
             p, q = rng.integers(-b, b, size=(2, k, n))
             margin = float(rng.choice([0.01, 0.2, 1.0, 2.5]))
-            reports = triplet_hinge(e, a, p, q, margin)
-            assert len(reports) == k
-            for j, report in enumerate(reports):
+            values, fractions, pair_weights = triplet_hinge(e, a, p, q,
+                                                            margin)
+            assert pair_weights.shape == (k, 2, n)
+            for j in range(k):
                 value, active, grad = reference_hinge(e, (a, p[j], q[j]),
                                                       margin)
-                assert report.value == value
-                assert report.active_fraction == active
-                assert_array_equal(report.grad, grad)
+                assert values[j] == value
+                assert fractions[j] == active
+                assert_allclose(
+                    pair_gradient(e, np.broadcast_to(a, (2, n)),
+                                  np.stack((p[j], q[j])), pair_weights[j]),
+                    grad, rtol=0, atol=1e-12)
                 regimes.add(regime(active))
         assert regimes == {"none", "partly", "fully"}
+
+
+class TestPairGradient:
+    """pair_gradient against an np.add.at scatter of w * (e_i - e_j) to
+    row i and its negation to row j, over arbitrary pair lists."""
+
+    @staticmethod
+    def scatter(e, firsts, seconds, weights):
+        terms = weights[:, None] * (e[firsts] - e[seconds])
+        grad = np.zeros_like(e)
+        np.add.at(grad, firsts, terms)
+        np.add.at(grad, seconds, -terms)
+        return grad
+
+    def test_matches_scatter(self):
+        # repeated pairs, both orders of a pair, self pairs, negative
+        # indices and zero weights
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            b = int(rng.integers(1, 10))
+            e = rng.standard_normal((b, int(rng.integers(1, 6))))
+            n = int(rng.integers(0, 30))
+            firsts, seconds = rng.integers(-b, b, size=(2, n))
+            weights = rng.standard_normal(n) * (rng.random(n) < 0.7)
+            assert_allclose(pair_gradient(e, firsts, seconds, weights),
+                            self.scatter(e, firsts, seconds, weights),
+                            rtol=0, atol=1e-12)
+
+    def test_stacked_pairs(self):
+        # (k, 2, N) arrays, as weighted_embedding_loss passes them, sum
+        # like the same pairs flattened
+        rng = np.random.default_rng(62)
+        e = unit_rows(rng, 8, 3)
+        firsts, seconds = rng.integers(-8, 8, size=(2, 3, 2, 5))
+        weights = rng.standard_normal((3, 2, 5))
+        assert_allclose(pair_gradient(e, firsts, seconds, weights),
+                        self.scatter(e, firsts.ravel(), seconds.ravel(),
+                                     weights.ravel()),
+                        rtol=0, atol=1e-12)
+
+    def test_hinge_weights(self):
+        # an active triplet at distances 2 and sqrt(2), of N = 2 with one
+        # satisfied triplet, and a pair at distance 0 weighing 0
+        e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        values, fractions, weights = triplet_hinge(
+            e, [0, 0], [[1, 0]], [[2, 1]], 0.2)
+        assert fractions[0] == 0.5
+        assert_allclose(weights, [[[1 / 4, 0.0],
+                                   [-1 / (2 * np.sqrt(2.0)), 0.0]]],
+                        rtol=1e-15)
+        _, _, weights = triplet_hinge(e, [0], [[0]], [[1]], 2.5)
+        assert_array_equal(weights, [[[0.0], [-1 / 2]]])
 
 
 class TestAdversarialLosses:
