@@ -11,41 +11,36 @@ from .errors import ConfigError
 def ensure_dir(path):
     """Create directory `path` and its parents unless it exists.
 
-    Returns:
-        list of the directories this call created, deepest first.
-
     Raises:
         ConfigError: naming the path, if it cannot be created (say, a
             regular file sits on it or on one of its parents).
     """
-    missing = []
-    head = os.path.abspath(path)
-    while not os.path.lexists(head):
-        missing.append(head)
-        head = os.path.dirname(head)
     try:
-        os.makedirs(os.path.abspath(path), exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
             f"cannot create output directory {path}: {exc.strerror or exc}"
         ) from None
-    return missing
 
 
 @contextlib.contextmanager
 def output_dir(path):
-    """Create directory `path` before the body of a with block, so an
-    unusable path fails before any work. If the body raises, remove the
-    directories this created that are still empty, deepest first; a
-    directory that existed before is never removed."""
-    created = ensure_dir(path)
+    """ensure_dir(path) for a with block, so an unusable path fails before
+    any work; if the block raises, remove the directories this created
+    that are still empty, and never one that existed before."""
+    created = []  # deepest first
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    ensure_dir(path)
     try:
         yield
     except BaseException:
         for directory in created:
             try:
                 os.rmdir(directory)
-            except OSError:  # not empty: neither are its parents
+            except OSError:  # not empty, so neither are its parents
                 break
         raise
 

@@ -26,15 +26,13 @@ batch layout (once per training run), mines every distinct candidate
 set of its kinds with one `batch_hard_mine` call and scores all the
 kinds with one `triplet_hinge` call.
 
-A hinge's gradient lives on pairs of rows, not on triplets: an active
-triplet pulls its anchor and positive together with weight 1/(N d_ap)
-and pushes its anchor and negative apart with weight -1/(N d_an), and a
-pair weighted w adds w (e_i - e_j) to row i and w (e_j - e_i) to row j.
-`triplet_hinge` returns those pair weights, the combination weights
-scale them, and `pair_gradient` sums every kind's pairs into one
-symmetric (B, B) matrix A and returns the Laplacian product
-diag(A 1) E - A E: one bincount and one matrix product per batch,
-however many kinds there are.
+The hinge's gradient lives on pairs of rows: an active triplet weighs
+its (anchor, positive) pair 1/(N d_ap) and its (anchor, negative) pair
+-1/(N d_an), and a pair (i, j) weighted w adds w (e_i - e_j) to row i
+and the negation to row j. `triplet_hinge` returns the pair weights,
+the combination weights scale them, and `pair_gradient` sums every
+kind's pairs into one graph Laplacian L = diag(A 1) - A of the (B, B)
+pair-weight matrix A: one bincount and one product L E per batch.
 """
 
 from dataclasses import dataclass
@@ -45,15 +43,13 @@ import numpy as np
 from .geometry import pairwise_distance
 from .mining import TripletKind, batch_hard_mine
 
-# Floor on d_ap / d_an when dividing by them in the hinge's pair
-# weights; only rows closer than this but not coincident reach it (a
-# pair at distance exactly 0 weighs 0).
+# Floor on d_ap / d_an in the hinge's pair weights, for rows closer than
+# this but not coincident (a pair at distance exactly 0 weighs 0).
 EPS_DIST = 1e-12
 
 ALL_KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
 
-# the sign of an (anchor, positive) and an (anchor, negative) pair's
-# weight in the hinge gradient, as a (2, 1) column
+# signs of the (anchor, positive) and (anchor, negative) pair weights
 PAIR_SIGNS = np.array([[1.0], [-1.0]])
 
 
@@ -151,13 +147,10 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     zero loss and zero (sub)gradient.
 
     Returns:
-        (values, fractions, pair_weights): (k,) values, (k,) active
-        fractions and (k, 2, N) pair weights. An active triplet weighs
-        its (anchor, positive) pair 1/(N * d_ap) and its (anchor,
-        negative) pair -1/(N * d_an), so `pair_gradient` of those pairs
-        is kind j's gradient on the embedding rows. Inactive triplets,
-        and pairs at distance exactly 0, whose difference vector is
-        zero, weigh 0.
+        (values, fractions, pair_weights): (k,) arrays, and the (k, 2, N)
+        `pair_gradient` weights of each triplet's (anchor, positive) and
+        (anchor, negative) pairs, 1/(N d_ap) and -1/(N d_an); 0 for an
+        inactive triplet and for a pair at distance exactly 0.
     """
     anchors = np.asarray(anchors)
     positives = np.asarray(positives)
@@ -184,23 +177,21 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
 
 
 def pair_gradient(embeddings, firsts, seconds, weights):
-    """Gradient on the embedding rows from weighted pairs of rows: pair
-    p = (i, j) = (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j)
-    to row i and its negation to row j. With weights c / d_ij that is
-    the gradient of sum_p c * d_ij.
-
-    The weights are summed into one symmetric (B, B) matrix A, so the
-    gradient is the graph Laplacian product diag(A @ 1) @ E - A @ E.
-    The index and weight arrays share one shape, of any rank; negative
-    indices address rows from the end, as in numpy indexing.
-    """
+    """Gradient on the embedding rows of weighted pairs: pair (i, j) =
+    (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j) to row i and
+    the negation to row j. That is L @ E, L = diag(A @ 1) - A the graph
+    Laplacian of the symmetric matrix A of summed pair weights, and one
+    bincount builds L. The three arrays share one shape; negative
+    indices address rows from the end, as in numpy indexing."""
     e = np.asarray(embeddings, dtype=np.float64)
     b = len(e)
-    cells = (np.asarray(firsts) % b) * b + np.asarray(seconds) % b
-    a = np.bincount(cells.ravel(), weights=np.ravel(weights),
-                    minlength=b * b).reshape(b, b)
-    a = a + a.T
-    return a.sum(axis=1)[:, None] * e - a @ e
+    i, j, w = np.ravel(firsts), np.ravel(seconds), np.ravel(weights)
+    cells = np.ravel_multi_index((np.concatenate((i, j, i, j)),
+                                  np.concatenate((i, j, j, i))),
+                                 (b, b), mode="wrap")
+    laplacian = np.bincount(cells, np.concatenate((w, w, -w, -w)),
+                            minlength=b * b).reshape(b, b)
+    return laplacian @ e
 
 
 def gradient_weights(g, eps_g=1e-6):
@@ -246,10 +237,8 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
     negatives = picks[plan.negative_cells]
     values, fractions, pair_weights = triplet_hinge(
         e, plan.anchors, positives, negatives, cfg.margin)
-    if use_weighting:
-        weights = gradient_weights(fractions, cfg.eps_g)
-    else:
-        weights = np.ones(len(values), dtype=np.float64)
+    weights = (gradient_weights(fractions, cfg.eps_g) if use_weighting
+               else np.ones(len(values)))
     return WeightedLossBundle(
         values=tuple(values.tolist()),
         fractions=tuple(fractions.tolist()),
