@@ -49,9 +49,6 @@ EPS_DIST = 1e-12
 
 ALL_KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
 
-# signs of the (anchor, positive) and (anchor, negative) pair weights
-PAIR_SIGNS = np.array([[1.0], [-1.0]])
-
 
 @dataclass
 class LossConfig:
@@ -170,9 +167,9 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
     active = hinge > 0.0
     values = np.maximum(hinge, 0.0).sum(axis=1) / n_trip
     fractions = active.sum(axis=1) / n_trip
-    live = active[:, None] & (dist > 0.0)
-    pair_weights = np.where(
-        live, PAIR_SIGNS / (n_trip * np.maximum(dist, EPS_DIST)), 0.0)
+    pair_weights = np.where(active[:, None] & (dist > 0.0),
+                            1.0 / (n_trip * np.maximum(dist, EPS_DIST)), 0.0)
+    pair_weights[:, 1] *= -1.0  # (anchor, negative) pairs push apart
     return values, fractions, pair_weights
 
 
