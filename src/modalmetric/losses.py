@@ -1,11 +1,12 @@
 """Loss functions with analytic gradients.
 
-The classification and adversarial losses return a LossReport carrying
-the scalar value and the gradient with respect to their direct inputs.
-The triplet losses report each kind's value and fraction of active
-(strictly positive hinge) triplets, and differentiate w.r.t. the
-already-normalized embedding rows; pulling that gradient back through
-the normalization and the affine map is the model's backward pass.
+Every loss takes the batch's arrays whole. The classification and
+adversarial losses return a LossReport: the value and the gradient on
+the (B, C) logits or the (B,) discriminator scores. The triplet losses
+report each kind's value and fraction of active (strictly positive
+hinge) triplets, and differentiate w.r.t. the already-normalized
+embedding rows; pulling that gradient back through the normalization
+and the affine map is the model's backward pass.
 
 The three modality-aware triplet losses are combined by a closed-form
 weighting that equalizes each loss's gradient contribution while
@@ -20,7 +21,8 @@ whose g falls below `eps_g` are dropped from the system (weight 0)
 instead of having g clamped upward, so a dead loss cannot be handed an
 inflated weight.
 
-Triplets are (anchor, positive, negative) index arrays throughout.
+Triplets are (N,) anchors and one (k, 2, N) index array of k kinds'
+positives and negatives, the shape of their pair weights.
 `weighted_embedding_loss` takes a `mining.MiningPlan`, built once per
 batch layout (once per training run), mines every distinct candidate
 set of its kinds with one `batch_hard_mine` call and scores all the
@@ -70,17 +72,16 @@ class LossConfig:
 
 @dataclass
 class LossReport:
-    """Scalar loss value, active fraction, and input gradient of the
-    classification and adversarial losses.
+    """Scalar loss value and input gradient of the classification and
+    adversarial losses.
 
     `grad` matches the shape of the loss's direct input: the (B, C)
-    logits for the classification loss, and a (grad_photo, grad_sketch)
-    pair of score vectors for the adversarial losses.
+    logits for the classification loss, the (B,) discriminator scores
+    for the adversarial losses.
     """
 
     value: float
-    active_fraction: float
-    grad: object
+    grad: np.ndarray
 
 
 @dataclass
@@ -105,8 +106,6 @@ def softmax_ce(logits, labels):
 
     Returns:
         LossReport with grad w.r.t. the logits, (softmax - onehot) / B.
-        The active fraction is fixed at 1: classification sits outside
-        the triplet weighting scheme.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -128,17 +127,17 @@ def softmax_ce(logits, labels):
     grad = exp / sums
     grad[rows, labels] -= 1.0
     grad /= b
-    return LossReport(value=value, active_fraction=1.0, grad=grad)
+    return LossReport(value=value, grad=grad)
 
 
-def triplet_hinge(embeddings, anchors, positives, negatives, margin):
+def triplet_hinge(embeddings, anchors, others, margin):
     """Mean hinge loss of each of k triplet kinds over shared anchors,
     with the pair weights of its embedding gradient.
 
-    `anchors` is an (N,) int index array and `positives`, `negatives`
-    are (k, N): kind j's triplets are (anchors[t], positives[j, t],
-    negatives[j, t]). Negative indices address rows from the end, as in
-    numpy indexing. Kind j's value = (1/N) * sum_t max(0, d_ap - d_an +
+    `anchors` is an (N,) int index array and `others` a (k, 2, N) one:
+    kind j's triplets are (anchors[t], others[j, 0, t], others[j, 1, t]),
+    its positives then its negatives. Negative indices address rows from
+    the end, as in numpy indexing. Kind j's value = (1/N) * sum_t max(0, d_ap - d_an +
     margin). Its active fraction counts triplets whose hinge argument is
     strictly positive; a triplet exactly on the boundary contributes
     zero loss and zero (sub)gradient.
@@ -150,17 +149,15 @@ def triplet_hinge(embeddings, anchors, positives, negatives, margin):
         inactive triplet and for a pair at distance exactly 0.
     """
     anchors = np.asarray(anchors)
-    positives = np.asarray(positives)
-    negatives = np.asarray(negatives)
-    if (positives.ndim != 2 or negatives.shape != positives.shape
-            or anchors.shape != positives.shape[1:]):
-        raise ValueError("anchors must be (N,), positives and negatives "
-                         "(k, N)")
-    n_trip = positives.shape[1]
+    others = np.asarray(others)
+    if (others.ndim != 3 or others.shape[1] != 2
+            or anchors.shape != others.shape[2:]):
+        raise ValueError("anchors must be (N,) and others (k, 2, N)")
+    n_trip = others.shape[2]
     if n_trip == 0:
         raise ValueError("triplet list is empty")
     e = np.asarray(embeddings, dtype=np.float64)
-    diff = e[anchors] - e[np.stack((positives, negatives), axis=1)]
+    diff = e[anchors] - e[others]
     # the reduction np.linalg.norm(axis=-1) runs, without its Python layer
     dist = np.sqrt((diff * diff).sum(axis=3))
     hinge = dist[:, 0] - dist[:, 1] + margin
@@ -229,11 +226,9 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
     `pair_gradient` call turns all of them into the gradient.
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    picks = batch_hard_mine(pairwise_distance(e, e), plan)
-    positives = picks[plan.positive_cells]
-    negatives = picks[plan.negative_cells]
+    others = batch_hard_mine(pairwise_distance(e, e), plan)[plan.cells]
     values, fractions, pair_weights = triplet_hinge(
-        e, plan.anchors, positives, negatives, cfg.margin)
+        e, plan.anchors, others, cfg.margin)
     weights = (gradient_weights(fractions, cfg.eps_g) if use_weighting
                else np.ones(len(values)))
     return WeightedLossBundle(
@@ -242,52 +237,45 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
         weights=weights,
         value=float(sum(weights * values)),
         grad=pair_gradient(
-            e, np.broadcast_to(plan.anchors, pair_weights.shape),
-            np.stack((positives, negatives), axis=1),
+            e, np.broadcast_to(plan.anchors, pair_weights.shape), others,
             weights[:, None, None] * pair_weights),
     )
 
 
-def _clamped(scores, name):
+def _bce(scores, ones):
+    """Clamped binary cross-entropy of the (B,) `scores` against the
+    (B,) bool label mask `ones`, as `adversarial_d_loss` describes."""
     s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError(f"{name} scores are empty")
-    if s.ndim != 1:
-        raise ValueError(f"{name} scores must be 1-D")
+    ones = np.asarray(ones, dtype=bool)
+    if s.ndim != 1 or ones.shape != s.shape:
+        raise ValueError("scores and label mask must be 1-D, one length")
+    n_ones = int(np.count_nonzero(ones))
+    if n_ones in (0, len(s)):
+        raise ValueError("the label mask must hold both labels")
     lo, hi = 1e-7, 1.0 - 1e-7
-    clamped = np.clip(s, lo, hi)
+    c = np.clip(s, lo, hi)
+    value = -(float(np.log(c[ones]).mean())
+              + float(np.log1p(-c[~ones]).mean()))
+    grad = np.where(ones, -1.0 / (n_ones * c),
+                    1.0 / ((len(s) - n_ones) * (1.0 - c)))
     interior = (s > lo) & (s < hi)
-    return clamped, interior
+    return LossReport(value=value, grad=np.where(interior, grad, 0.0))
 
 
-def _bce(ones, zeros, ones_name, zeros_name):
-    """Clamped binary cross-entropy of `ones` scored against label 1 and
-    `zeros` against label 0: (value, grad_ones, grad_zeros)."""
-    s1, in1 = _clamped(ones, ones_name)
-    s0, in0 = _clamped(zeros, zeros_name)
-    value = -(float(np.log(s1).mean()) + float(np.log1p(-s0).mean()))
-    grad1 = np.where(in1, -1.0 / (len(s1) * s1), 0.0)
-    grad0 = np.where(in0, 1.0 / (len(s0) * (1.0 - s0)), 0.0)
-    return value, grad1, grad0
-
-
-def adversarial_d_loss(disc_scores_photo, disc_scores_sketch):
+def adversarial_d_loss(scores, photo):
     """Discriminator objective: score photos near 1 and sketches near 0.
 
-    value = -(mean log D(photo) + mean log(1 - D(sketch))), scores
-    clamped to [1e-7, 1 - 1e-7] before the logs. `grad` is the pair
-    (d/d photo_scores, d/d sketch_scores); entries where the clamp binds
-    get zero gradient.
+    `scores` are the (B,) discriminator outputs of a batch and `photo`
+    its (B,) bool photo mask. value = -(mean log D(photo) + mean
+    log(1 - D(sketch))), scores clamped to [1e-7, 1 - 1e-7] before the
+    logs. `grad` is the (B,) gradient on the scores; entries where the
+    clamp binds get zero gradient.
     """
-    value, grad_p, grad_s = _bce(disc_scores_photo, disc_scores_sketch,
-                                 "photo", "sketch")
-    return LossReport(value=value, active_fraction=1.0, grad=(grad_p, grad_s))
+    return _bce(scores, photo)
 
 
-def adversarial_g_loss(disc_scores_photo, disc_scores_sketch):
+def adversarial_g_loss(scores, photo):
     """Generator objective: the discriminator's with the labels swapped,
     so sketches are scored near 1 and photos near 0 (the non-saturating
-    form). Same arguments and `grad` pair as `adversarial_d_loss`."""
-    value, grad_s, grad_p = _bce(disc_scores_sketch, disc_scores_photo,
-                                 "sketch", "photo")
-    return LossReport(value=value, active_fraction=1.0, grad=(grad_p, grad_s))
+    form). Same arguments and (B,) `grad` as `adversarial_d_loss`."""
+    return _bce(scores, np.logical_not(photo))

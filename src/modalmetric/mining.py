@@ -51,17 +51,16 @@ class MiningPlan:
     `masks` holds the m distinct masks the kinds use, the
     `n_positive` positive masks first, and `fills` their (m, 1, 1)
     values for excluded rows: -inf under a positive mask, so argmax
-    skips them, +inf under a negative one, so argmin does. The j-th
-    planned kind takes its positives from mask `positive_cells[j]` and
-    its negatives from mask `negative_cells[j]`; `anchors` is 0..B-1.
+    skips them, +inf under a negative one, so argmin does. The (k, 2)
+    `cells` name kind j's positive mask `cells[j, 0]` and negative mask
+    `cells[j, 1]`; `anchors` is 0..B-1.
     """
 
     anchors: np.ndarray
     masks: np.ndarray
     fills: np.ndarray
     n_positive: int
-    positive_cells: np.ndarray
-    negative_cells: np.ndarray
+    cells: np.ndarray
 
 
 def mining_plan(labels, modalities, kinds):
@@ -116,8 +115,8 @@ def mining_plan(labels, modalities, kinds):
                        + [negative[f] for f in neg_used]),
         fills=fills[:, None, None],
         n_positive=n_pos,
-        positive_cells=np.array([pos_used.index(p) for p, _ in own]),
-        negative_cells=np.array([n_pos + neg_used.index(n) for _, n in own]),
+        cells=np.array([(pos_used.index(p), n_pos + neg_used.index(n))
+                        for p, n in own]),
     )
 
 
@@ -133,9 +132,9 @@ def batch_hard_mine(dist, plan):
         plan: MiningPlan of the batch's layout.
 
     Returns:
-        (m, B) int64 picks, row i from mask i of the plan: kind j's
-        positives are row `plan.positive_cells[j]`, its negatives row
-        `plan.negative_cells[j]`.
+        (m, B) int64 picks, row i from mask i of the plan. Indexed by
+        `plan.cells`, they give the (k, 2, B) positives and negatives of
+        the plan's k kinds.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != plan.masks.shape[1:]:

@@ -131,16 +131,14 @@ def _sigmoid(x):
 
 def _adversarial(params, embeddings, photo, objective):
     """One pass through the discriminator head sigmoid(E @ w_d + b_d):
-    `objective` scores the photo and the sketch rows, and its gradient
-    is pulled back through the sigmoid. Returns (value, d_raw), d_raw
-    the (B,) gradient on the head's pre-activations: the rows' gradient
-    is d_raw[:, None] * w_d, and the head's is (E.T @ d_raw, d_raw.sum())."""
+    `objective` scores the (B,) scores against the `photo` mask, and its
+    (B,) gradient is pulled back through the sigmoid. Returns (value,
+    d_raw), d_raw the gradient on the head's pre-activations: the rows'
+    is d_raw[:, None] * w_d, and the head's (E.T @ d_raw, d_raw.sum())."""
     scores = _sigmoid(embeddings @ params.discriminator.w_d
                       + params.discriminator.b_d)
-    report = objective(scores[photo], scores[~photo])
-    d_scores = np.zeros_like(scores)
-    d_scores[photo], d_scores[~photo] = report.grad
-    return report.value, d_scores * scores * (1.0 - scores)
+    report = objective(scores, photo)
+    return report.value, report.grad * scores * (1.0 - scores)
 
 
 @np.errstate(over="ignore", invalid="ignore")

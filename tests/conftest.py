@@ -1,12 +1,17 @@
 """Shared batch builders, the training log's columns and the
 acceptance-report summary hook."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from modalmetric import Dataset
-from modalmetric.losses import (LossConfig, LossReport, pair_gradient,
-                                triplet_hinge, weighted_embedding_loss)
+from modalmetric.losses import (LossConfig, pair_gradient, triplet_hinge,
+                                weighted_embedding_loss)
 from modalmetric.mining import batch_hard_mine, mining_plan
+
+# one triplet kind's hinge: value, active fraction, (B, d) gradient
+HingeReport = namedtuple("HingeReport", "value active_fraction grad")
 
 # test_acceptance appends one "criterion N ...: PASS/FAIL" line per
 # criterion; printing them in the terminal summary keeps the whole gate
@@ -63,25 +68,25 @@ def mine_one(dist, labels, mods, kind, anchors=None):
     positive and negative rows, restricted to the columns of `anchors`
     when given."""
     plan = mining_plan(labels, mods, (kind,))
-    picks = batch_hard_mine(dist, plan)
-    triplets = np.stack((plan.anchors, picks[plan.positive_cells[0]],
-                         picks[plan.negative_cells[0]]))
+    [others] = batch_hard_mine(dist, plan)[plan.cells]
+    triplets = np.concatenate((plan.anchors[None], others))
     return triplets if anchors is None else triplets[:, anchors]
 
 
 def mined_loss(e, labels, mods, kind, margin=0.2):
     """The one-kind hinge the training path computes, mined by
-    batch_hard_mine and scored by triplet_hinge, as a LossReport."""
+    batch_hard_mine and scored by triplet_hinge, as a HingeReport."""
     bundle = weighted_embedding_loss(e, mining_plan(labels, mods, (kind,)),
                                      LossConfig(margin), use_weighting=False)
-    return LossReport(bundle.values[0], bundle.fractions[0], bundle.grad)
+    return HingeReport(bundle.values[0], bundle.fractions[0], bundle.grad)
 
 
 def hinge_one(e, anchors, positives, negatives, margin):
-    """triplet_hinge of one kind of fixed triplets as a LossReport, its
+    """triplet_hinge of one kind of fixed triplets as a HingeReport, its
     gradient the pair_gradient of the hinge's pair weights."""
-    [value], [fraction], [weights] = triplet_hinge(
-        e, anchors, [positives], [negatives], margin)
+    others = np.array([[positives, negatives]])
+    [value], [fraction], [weights] = triplet_hinge(e, anchors, others,
+                                                   margin)
     grad = pair_gradient(e, np.broadcast_to(anchors, weights.shape),
-                         np.stack((positives, negatives)), weights)
-    return LossReport(float(value), float(fraction), grad)
+                         others[0], weights)
+    return HingeReport(float(value), float(fraction), grad)

@@ -158,15 +158,13 @@ def test_criterion_3_gradient_checks():
             assert err <= 1e-4
 
         # adversarial heads, interior scores only
+        photo = np.repeat([True, False], 5)
         for _ in range(20):
-            p = rng.uniform(0.2, 0.8, size=5)
-            s = rng.uniform(0.2, 0.8, size=5)
+            scores = rng.uniform(0.2, 0.8, size=10)
             for fn in (adversarial_d_loss, adversarial_g_loss):
-                report = fn(p, s)
+                report = fn(scores, photo)
                 assert finite_diff_check(
-                    lambda x: fn(x, s).value, p, report.grad[0]) <= 1e-4
-                assert finite_diff_check(
-                    lambda x: fn(p, x).value, s, report.grad[1]) <= 1e-4
+                    lambda x: fn(x, photo).value, scores, report.grad) <= 1e-4
 
         # end to end: full objective w.r.t. the embedder weight matrix
         # and the classifier, through normalization, mining and weighting

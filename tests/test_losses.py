@@ -76,7 +76,7 @@ class TestSoftmaxCE:
     def test_uniform_logits(self):
         report = softmax_ce(np.zeros((3, 4)), np.array([0, 1, 3]))
         assert_allclose(report.value, np.log(4.0), rtol=1e-12)
-        assert report.active_fraction == 1.0
+        assert report.grad.shape == (3, 4)
 
     def test_two_class_value(self):
         report = softmax_ce(np.array([[0.0, 2.0]]), np.array([1]))
@@ -166,12 +166,14 @@ class TestTripletHinge:
 
     def test_shape_errors(self):
         e = np.eye(3)
-        with pytest.raises(ValueError, match="positives"):
-            triplet_hinge(e, [0], [1], [2], 0.2)  # not stacked by kind
-        with pytest.raises(ValueError, match="positives"):
-            triplet_hinge(e, [0, 0], [[1]], [[2]], 0.2)
-        with pytest.raises(ValueError, match="positives"):
-            triplet_hinge(e, [0], [[1]], [[2], [1]], 0.2)
+        for anchors, others in [
+                ([0], [[1], [2]]),  # (k, N): the roles not stacked
+                ([0, 0], [[1, 1], [2, 2], [1, 1]]),  # (k, N), k = 3
+                ([0], [[[1], [2], [1]]]),  # three roles, not two
+                ([0, 0], [[[1], [2]]]),  # anchors of another length
+                ([[0]], [[[1], [2]]])]:  # 2-D anchors
+            with pytest.raises(ValueError, match=r"\(k, 2, N\)"):
+                triplet_hinge(e, anchors, others, 0.2)
 
     def test_finite_diff_fixed_triplets(self):
         rng = np.random.default_rng(5)
@@ -588,19 +590,19 @@ class TestFusedLossOracle:
             k = int(rng.integers(1, 4))
             n = int(rng.integers(1, 9))
             a = rng.integers(-b, b, size=n)
-            p, q = rng.integers(-b, b, size=(2, k, n))
+            others = rng.integers(-b, b, size=(k, 2, n))
             margin = float(rng.choice([0.01, 0.2, 1.0, 2.5]))
-            values, fractions, pair_weights = triplet_hinge(e, a, p, q,
+            values, fractions, pair_weights = triplet_hinge(e, a, others,
                                                             margin)
             assert pair_weights.shape == (k, 2, n)
             for j in range(k):
-                value, active, grad = reference_hinge(e, (a, p[j], q[j]),
+                value, active, grad = reference_hinge(e, (a, *others[j]),
                                                       margin)
                 assert values[j] == value
                 assert fractions[j] == active
                 assert_allclose(
-                    pair_gradient(e, np.broadcast_to(a, (2, n)),
-                                  np.stack((p[j], q[j])), pair_weights[j]),
+                    pair_gradient(e, np.broadcast_to(a, (2, n)), others[j],
+                                  pair_weights[j]),
                     grad, rtol=0, atol=1e-12)
                 regimes.add(regime(active))
         assert regimes == {"none", "partly", "fully"}
@@ -649,73 +651,75 @@ class TestPairGradient:
         # satisfied triplet, and a pair at distance 0 weighing 0
         e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         values, fractions, weights = triplet_hinge(
-            e, [0, 0], [[1, 0]], [[2, 1]], 0.2)
+            e, [0, 0], [[[1, 0], [2, 1]]], 0.2)
         assert fractions[0] == 0.5
         assert_allclose(weights, [[[1 / 4, 0.0],
                                    [-1 / (2 * np.sqrt(2.0)), 0.0]]],
                         rtol=1e-15)
-        _, _, weights = triplet_hinge(e, [0], [[0]], [[1]], 2.5)
+        _, _, weights = triplet_hinge(e, [0], [[[0], [1]]], 2.5)
         assert_array_equal(weights, [[[0.0], [-1 / 2]]])
 
 
 class TestAdversarialLosses:
     def test_chance_scores(self):
-        half = np.full(4, 0.5)
-        assert_allclose(adversarial_d_loss(half, half).value, 2 * np.log(2.0),
-                        rtol=1e-12)
-        assert_allclose(adversarial_g_loss(half, half).value, 2 * np.log(2.0),
-                        rtol=1e-12)
+        half = np.full(8, 0.5)
+        photo = np.tile([True, False], 4)
+        assert_allclose(adversarial_d_loss(half, photo).value,
+                        2 * np.log(2.0), rtol=1e-12)
+        assert_allclose(adversarial_g_loss(half, photo).value,
+                        2 * np.log(2.0), rtol=1e-12)
 
     def test_single_score_values(self):
-        p = np.array([0.8])
-        s = np.array([0.3])
-        d = adversarial_d_loss(p, s)
-        g = adversarial_g_loss(p, s)
+        scores = np.array([0.3, 0.8])
+        photo = np.array([False, True])
+        d = adversarial_d_loss(scores, photo)
+        g = adversarial_g_loss(scores, photo)
         assert_allclose(d.value, -(np.log(0.8) + np.log(0.7)), rtol=1e-12)
         assert_allclose(d.value, 0.57982, atol=5e-6)
         assert_allclose(g.value, -(np.log(0.2) + np.log(0.3)), rtol=1e-12)
         assert_allclose(g.value, 2.81341, atol=5e-6)
 
     def test_g_is_d_with_modalities_swapped(self):
+        # bit for bit, value and gradient, on unequal label counts
         rng = np.random.default_rng(2)
-        p = rng.uniform(0.1, 0.9, size=5)
-        s = rng.uniform(0.1, 0.9, size=3)
-        g = adversarial_g_loss(p, s)
-        d = adversarial_d_loss(s, p)
+        scores = rng.uniform(0.1, 0.9, size=8)
+        photo = rng.permutation(np.arange(8) < 5)
+        g = adversarial_g_loss(scores, photo)
+        d = adversarial_d_loss(scores, ~photo)
         assert g.value == d.value
-        assert_array_equal(g.grad[0], d.grad[1])
-        assert_array_equal(g.grad[1], d.grad[0])
+        assert_array_equal(g.grad, d.grad)
 
     def test_perfect_discriminator(self):
-        p = np.ones(3)
-        s = np.zeros(3)
-        report = adversarial_d_loss(p, s)
+        scores = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        report = adversarial_d_loss(scores, scores == 1.0)
         assert report.value < 1e-5
-        assert_array_equal(report.grad[0], np.zeros(3))
-        assert_array_equal(report.grad[1], np.zeros(3))
+        assert_array_equal(report.grad, np.zeros(6))
 
     def test_finite_diff_interior(self):
         rng = np.random.default_rng(3)
-        p = rng.uniform(0.2, 0.8, size=6)
-        s = rng.uniform(0.2, 0.8, size=6)
+        scores = rng.uniform(0.2, 0.8, size=12)
+        photo = rng.permutation(np.arange(12) < 6)
         for fn in (adversarial_d_loss, adversarial_g_loss):
-            report = fn(p, s)
-            err_p = finite_diff_check(lambda x: fn(x, s).value, p, report.grad[0])
-            err_s = finite_diff_check(lambda x: fn(p, x).value, s, report.grad[1])
-            assert err_p < 1e-6
-            assert err_s < 1e-6
+            report = fn(scores, photo)
+            assert report.grad.shape == (12,)
+            err = finite_diff_check(lambda x: fn(x, photo).value, scores,
+                                    report.grad)
+            assert err < 1e-6
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            adversarial_d_loss(np.array([]), np.array([0.5]))
-        with pytest.raises(ValueError, match="1-D"):
-            adversarial_g_loss(np.full((2, 2), 0.5), np.array([0.5]))
-        # each objective names the argument at fault, whichever way round
-        # it scores the two
-        good = np.array([0.5])
         for fn in (adversarial_d_loss, adversarial_g_loss):
-            for bad in (np.array([]), np.full((2, 2), 0.5)):
-                with pytest.raises(ValueError, match="photo"):
-                    fn(bad, good)
-                with pytest.raises(ValueError, match="sketch"):
-                    fn(good, bad)
+            with pytest.raises(ValueError, match="both labels"):
+                fn(np.array([]), np.array([], dtype=bool))  # empty
+            with pytest.raises(ValueError, match="1-D"):
+                fn(np.full((2, 2), 0.5), np.array([True, False]))
+
+    def test_label_mask_validation(self):
+        # a mask of another length, and a mask holding one label only
+        scores = np.full(4, 0.5)
+        for fn in (adversarial_d_loss, adversarial_g_loss):
+            for mask in (np.array([True, False]), np.ones((4, 1), bool)):
+                with pytest.raises(ValueError, match="one length"):
+                    fn(scores, mask)
+            for mask in (np.ones(4, bool), np.zeros(4, bool)):
+                with pytest.raises(ValueError, match="both labels"):
+                    fn(scores, mask)

@@ -135,8 +135,8 @@ class TestMiningPlan:
         n_masks = max(negative_cells) + 1
         assert plan.masks.shape == (n_masks, 12, 12)
         assert plan.n_positive == max(positive_cells) + 1
-        assert_array_equal(plan.positive_cells, positive_cells)
-        assert_array_equal(plan.negative_cells, negative_cells)
+        assert_array_equal(plan.cells,
+                           np.column_stack((positive_cells, negative_cells)))
         assert_array_equal(plan.fills.ravel(),
                            [-np.inf] * plan.n_positive
                            + [np.inf] * (n_masks - plan.n_positive))
