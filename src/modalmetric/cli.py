@@ -167,7 +167,7 @@ def cmd_train(cfg, args):
             meta = {
                 "d_in": train_set.d_in,
                 "n_train_classes": train_set.n_classes,
-                "train_class_ids": list(result.train_class_ids),
+                "train_class_ids": train_set.class_ids,
                 "train": tc.to_dict(),
             }
             save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
@@ -240,7 +240,7 @@ def _grid_table(cfg, command, label_column, variants, keys):
             for seed in cfg.seeds():
                 result = train(train_set, replace(variant, seed=seed))
                 snapshots.append(evaluate_params(
-                    result.params, test_set, cfg, result.train_class_ids
+                    result.params, test_set, cfg, train_set.class_ids
                 ).to_dict())
             rows.append({label_column: label, **_mean_std(snapshots, keys)})
         return _emit_table(cfg, command, label_column, rows, keys)

@@ -20,6 +20,7 @@ from .data import (
     zero_shot_split,
 )
 from .errors import ConfigError
+from .evaluation import DEFAULT_PREC_K
 from .losses import LossConfig
 from .training import TrainConfig
 
@@ -46,7 +47,7 @@ SCHEMA = {
         skip=("seed", "loss", "triplet_kinds", "use_weighting")),
     "loss": _field_schema(LossConfig),
     "eval": {
-        "k": (int, 100),
+        "k": (int, DEFAULT_PREC_K),
         "query_modality": (str, "sketch"),
     },
     "run": {

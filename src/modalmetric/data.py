@@ -3,10 +3,10 @@ and the P-classes-by-K-samples batch sampler.
 
 A dataset is four row-aligned columns: raw (un-normalized) features,
 class labels, modalities and sample ids; normalization is the embedder's
-job. Class labels are contiguous 0-based integers and every class is
-present in both modalities. `class_ids` tracks the original class
-identity of each contiguous label across zero-shot splits, which is what
-the evaluation-time disjointness guard compares.
+job. The constructor enforces contiguous 0-based class labels and both
+modalities in every class. `class_ids` tracks the original class
+identity of each contiguous label across zero-shot splits, which the
+evaluation-time disjointness guard compares.
 """
 
 import re
@@ -43,7 +43,8 @@ class Dataset:
         ValueError: if features is not 2-d, the columns differ in
             length, a modality is not 0 or 1, or class_ids does not have
             one entry per class.
-        DataError: if the labels are not contiguous from 0.
+        DataError: if the labels are not contiguous from 0 or a class
+            lacks a modality.
     """
 
     def __init__(self, features, labels, modalities, ids, class_ids=None):
@@ -63,33 +64,32 @@ class Dataset:
             )
         if ((self.modalities != 0) & (self.modalities != 1)).any():
             raise ValueError("modalities must be 0 (sketch) or 1 (photo)")
-        present = np.unique(self.labels)
-        if not np.array_equal(present, np.arange(present.size)):
-            raise DataError(
-                f"labels must be contiguous 0..{present[-1]}, "
-                f"got {present.tolist()}"
-            )
-        self.n_classes = present.size
+        # cell 2c + m holds class c's rows of modality m; the cells are
+        # 0..2n - 1 iff n contiguous labels each have both modalities
+        cells = np.unique(2 * self.labels + self.modalities)
+        complete = (cells.size % 2 == 0
+                    and np.array_equal(cells, np.arange(cells.size)))
+        self.n_classes = cells.size // 2
+        if not complete:
+            # labels past 2**62 wrap in the cells, so read the labels
+            present = np.unique(self.labels)
+            if not np.array_equal(present, np.arange(present.size)):
+                raise DataError(f"labels must be contiguous 0..{present[-1]}, "
+                                f"got {present.tolist()}")
+            self.n_classes = present.size
         self.d_in = self.features.shape[1]
         if class_ids is None:
             class_ids = range(self.n_classes)
         if len(class_ids) != self.n_classes:
             raise ValueError("class_ids must have one entry per class")
         self.class_ids = [int(c) for c in class_ids]
+        if not complete:
+            missing = np.setdiff1d(np.arange(2 * self.n_classes), cells)
+            c, m = divmod(int(missing[0]), 2)
+            raise DataError(f"class {c} has no {MODALITY_TAGS[m]} samples")
 
     def __len__(self):
         return len(self.labels)
-
-    def validate(self):
-        """Check that every class appears in both modalities. Raises
-        DataError on violation."""
-        counts = np.bincount(2 * self.labels + self.modalities,
-                             minlength=2 * self.n_classes)
-        missing = np.argwhere(counts.reshape(-1, 2) == 0)
-        if missing.size:
-            c, m = missing[0]
-            raise DataError(f"class {c} has no {MODALITY_TAGS[m]} samples")
-        return self
 
 
 @dataclass
@@ -352,6 +352,6 @@ def read_dataset(path):
     if not ids:
         raise DataError(f"{path}: no samples")
     try:
-        return Dataset(features, labels, modalities, ids).validate()
+        return Dataset(features, labels, modalities, ids)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -175,11 +175,11 @@ def pair_gradient(embeddings, firsts, seconds, weights):
     (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j) to row i and
     the negation to row j. That is L @ E, L = diag(A @ 1) - A the graph
     Laplacian of the symmetric matrix A of summed pair weights, and one
-    bincount builds L. The three arrays share one shape; negative
+    bincount builds L. The three arrays broadcast to one shape; negative
     indices address rows from the end, as in numpy indexing."""
     e = np.asarray(embeddings, dtype=np.float64)
     b = len(e)
-    i, j, w = np.ravel(firsts), np.ravel(seconds), np.ravel(weights)
+    i, j, w = map(np.ravel, np.broadcast_arrays(firsts, seconds, weights))
     cells = np.ravel_multi_index((np.concatenate((i, j, i, j)),
                                   np.concatenate((i, j, j, i))),
                                  (b, b), mode="wrap")
@@ -188,7 +188,7 @@ def pair_gradient(embeddings, firsts, seconds, weights):
     return laplacian @ e
 
 
-def gradient_weights(g, eps_g=1e-6):
+def gradient_weights(g, eps_g=LossConfig.eps_g):
     """Solve the equal-gradient weighting system over the active set.
 
     Args:
@@ -236,9 +236,8 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
         fractions=tuple(fractions.tolist()),
         weights=weights,
         value=float(sum(weights * values)),
-        grad=pair_gradient(
-            e, np.broadcast_to(plan.anchors, pair_weights.shape), others,
-            weights[:, None, None] * pair_weights),
+        grad=pair_gradient(e, plan.anchors, others,
+                           weights[:, None, None] * pair_weights),
     )
 
 

@@ -12,14 +12,14 @@ farthest same-class candidate and the negative the nearest other-class
 candidate, restricted to the kind's modality pattern; distance ties are
 broken toward the lowest batch index so the result is deterministic.
 
-Triplets are (anchor, positive, negative) int64 index arrays. Which rows
-are candidates depends only on which rows share a class and a modality,
-so the work splits in two. `mining_plan` builds, once per batch layout,
-the distinct candidate masks the requested kinds use (at most four: the
-hybrid kind shares the cross kind's positives and the within kind's
-negatives) and checks that every anchor has candidates.
-`batch_hard_mine` then picks, once per batch, the hardest row of every
-distinct mask from one distance matrix.
+Triplets are (N,) anchors and one (k, 2, N) int64 array of k kinds'
+positives and negatives. Which rows are candidates depends only on which
+rows share a class and a modality, so the work splits in two.
+`mining_plan` builds, once per batch layout, the distinct candidate
+masks the requested kinds use (at most four: the hybrid kind shares the
+cross kind's positives and the within kind's negatives) and checks that
+every anchor has candidates. `batch_hard_mine` then picks, once per
+batch, the hardest row of every distinct mask from one distance matrix.
 """
 
 from dataclasses import dataclass

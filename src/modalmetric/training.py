@@ -117,7 +117,6 @@ class TrainConfig:
 class TrainResult:
     params: object
     log: list
-    train_class_ids: tuple
 
 
 def _sigmoid(x):
@@ -157,7 +156,6 @@ def train(dataset: Dataset, config: TrainConfig):
             checks report overflow, so numpy's overflow and invalid-value
             warnings are off inside train.
     """
-    dataset.validate()
     kinds, weighting, adversarial = config.recipe()
     rng = np.random.default_rng(config.seed)
     try:
@@ -255,7 +253,7 @@ def train(dataset: Dataset, config: TrainConfig):
         row["l_total"] = float(value)
         log.append(row)
 
-    return TrainResult(params, log, tuple(dataset.class_ids))
+    return TrainResult(params, log)
 
 
 def ablation_variants(config: TrainConfig):

@@ -57,8 +57,7 @@ def pk_batch(rng, p, k, d):
 
 
 def make_dataset(features, labels, mods):
-    """Hand-rolled Dataset from parallel lists with ids 0..N-1 (no
-    validation)."""
+    """Hand-rolled Dataset from parallel lists with ids 0..N-1."""
     return Dataset(features, labels, mods, np.arange(len(labels)))
 
 
@@ -87,6 +86,5 @@ def hinge_one(e, anchors, positives, negatives, margin):
     others = np.array([[positives, negatives]])
     [value], [fraction], [weights] = triplet_hinge(e, anchors, others,
                                                    margin)
-    grad = pair_gradient(e, np.broadcast_to(anchors, weights.shape),
-                         others[0], weights)
+    grad = pair_gradient(e, anchors, others[0], weights)
     return HingeReport(float(value), float(fraction), grad)

@@ -297,7 +297,7 @@ def experiment():
             t0 = time.perf_counter()
             result = train(train_set, tc)
             m = evaluate_params(result.params, test_set, cfg,
-                                result.train_class_ids)
+                                train_set.class_ids)
             times[name] += time.perf_counter() - t0
             metrics[name].append(m.to_dict())
     return {"metrics": metrics, "times": times, "n_seeds": len(seeds)}

@@ -25,7 +25,7 @@ from modalmetric import (
     zero_shot_split,
 )
 from modalmetric.cli import METRIC_KEYS, main
-from modalmetric.config import SCHEMA
+from modalmetric.config import SCHEMA, load_config
 from modalmetric.model import TENSOR_NAMES
 
 TINY_INI = """\
@@ -107,6 +107,13 @@ class TestTrainCommand:
         }
         assert meta["n_train_classes"] == 4
         assert len(meta["train_class_ids"]) == 4
+
+    def test_checkpoint_records_training_class_ids(self, ini, tmp_path):
+        train_once(ini, tmp_path)
+        path = tmp_path / "mathm" / "seed-0" / "checkpoint.json"
+        meta = json.loads(path.read_text())["meta"]
+        train_set, _ = load_config(ini).load_data()
+        assert meta["train_class_ids"] == train_set.class_ids
 
 
 class TestEvalCommand:

@@ -23,7 +23,7 @@ class TestGenerateSynthetic:
     def test_shapes_and_layout(self):
         cfg = SyntheticConfig(n_classes=5, samples_per_class_per_modality=7,
                               d_in=12, seed=0)
-        ds = generate_synthetic(cfg).validate()
+        ds = generate_synthetic(cfg)
         assert len(ds) == 2 * 5 * 7
         assert ds.features.shape == (70, 12)
         # class-major order, sketches before photos in each class block
@@ -102,8 +102,6 @@ class TestZeroShotSplit:
                                                   samples_per_class_per_modality=2,
                                                   d_in=4, seed=2))
         train, test = zero_shot_split(full, 2, seed=0)
-        train.validate()
-        test.validate()
         assert sorted(set(train.labels.tolist())) == list(range(4))
         assert sorted(set(test.labels.tolist())) == list(range(2))
 
@@ -352,10 +350,37 @@ class TestCsvRoundTrip:
 
 class TestDatasetValidate:
     def test_missing_modality(self):
-        ds = make_dataset([[1.0], [1.0], [1.0], [1.0]],
-                          [0, 0, 1, 1], [0, 1, 0, 0])
         with pytest.raises(DataError, match="class 1 has no photo"):
-            ds.validate()
+            make_dataset([[1.0]] * 4, [0, 0, 1, 1], [0, 1, 0, 0])
+        with pytest.raises(DataError, match="class 0 has no sketch"):
+            make_dataset([[1.0]] * 4, [0, 1, 1, 0], [1, 0, 1, 1])
+        with pytest.raises(DataError, match="class 1 has no sketch"):
+            make_dataset([[1.0]] * 5, [2, 0, 1, 2, 0], [0, 1, 1, 1, 0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_checks_match_a_cell_count_reference(self, seed):
+        # small random columns, valid or not, against np.unique of the
+        # labels and a bincount of the (class, modality) cells
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 11))
+            labels = rng.integers(0, 3, size=n)
+            mods = rng.integers(0, 2, size=n)
+            present = np.unique(labels)
+            counts = np.bincount(2 * labels + mods,
+                                 minlength=2 * present.size)
+            empty = np.flatnonzero(counts == 0)
+            if not np.array_equal(present, np.arange(present.size)):
+                want = "contiguous"
+            elif empty.size:
+                c, m = divmod(int(empty[0]), 2)
+                want = f"class {c} has no {('sketch', 'photo')[m]} samples"
+            else:
+                ds = make_dataset(np.ones((n, 1)), labels, mods)
+                assert ds.n_classes == present.size
+                continue
+            with pytest.raises(DataError, match=want):
+                make_dataset(np.ones((n, 1)), labels, mods)
 
     def test_constructor_checks(self):
         feats = np.ones((3, 2))
@@ -371,8 +396,19 @@ class TestDatasetValidate:
             Dataset(feats, [0, 0, 0], [0, 1, 2], [0, 1, 2])
         with pytest.raises(DataError, match="contiguous"):
             Dataset(feats, [0, 2, 2], [0, 1, 1], [0, 1, 2])
-        ds = Dataset(feats, [1, 0, 1], [0, 1, 1], [5, 6, 7])
-        assert (ds.d_in, ds.n_classes, len(ds)) == (2, 2, 3)
+        # past 2**62 a label's cell 2c + m wraps, and the error still
+        # names the label
+        with pytest.raises(DataError, match=f"got \\[0, {2**62}\\]"):
+            Dataset(feats, [0, 2**62, 0], [0, 1, 1], [0, 1, 2])
+        # contiguity is checked before the class_ids length
+        with pytest.raises(DataError, match="contiguous"):
+            Dataset(feats, [0, 2, 2], [0, 1, 1], [0, 1, 2], class_ids=[0])
+        # and the class_ids length before a missing modality
+        with pytest.raises(ValueError, match="class_ids"):
+            Dataset(feats, [0, 1, 1], [0, 1, 1], [0, 1, 2], class_ids=[0])
+        ds = Dataset(np.ones((4, 2)), [1, 0, 1, 0], [0, 1, 1, 0],
+                     [5, 6, 7, 8])
+        assert (ds.d_in, ds.n_classes, len(ds)) == (2, 2, 4)
         assert ds.class_ids == [0, 1]
 
     def test_class_ids_length(self):
@@ -432,7 +468,7 @@ class TestColumnOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_split_and_sampler(self, seed):
         rng = np.random.default_rng(seed)
-        ds = _random_dataset(rng).validate()
+        ds = _random_dataset(rng)
         n_unseen = int(rng.integers(1, ds.n_classes))
         split_seed = int(rng.integers(0, 1000))
         halves = zero_shot_split(ds, n_unseen, seed=split_seed)
@@ -543,5 +579,4 @@ class TestCorruptedCsv:
         except DataError as exc:
             assert str(bad) in str(exc)
             return
-        ds.validate()
         assert len(ds) > 0 and np.isfinite(ds.features).all()

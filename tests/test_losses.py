@@ -601,8 +601,7 @@ class TestFusedLossOracle:
                 assert values[j] == value
                 assert fractions[j] == active
                 assert_allclose(
-                    pair_gradient(e, np.broadcast_to(a, (2, n)), others[j],
-                                  pair_weights[j]),
+                    pair_gradient(e, a, others[j], pair_weights[j]),
                     grad, rtol=0, atol=1e-12)
                 regimes.add(regime(active))
         assert regimes == {"none", "partly", "fully"}

@@ -540,11 +540,6 @@ class TestTrain:
         pred = np.argmax(e @ result.params.classifier.W_c.T, axis=1)
         assert (pred == ds.labels).mean() > 0.95
 
-    def test_train_class_ids_recorded(self):
-        ds = small_dataset()
-        result = train(ds, small_config("baseline", iters=2))
-        assert result.train_class_ids == tuple(range(4))
-
     def test_non_finite_loss_raises(self, monkeypatch):
         ds = small_dataset()
 
