@@ -137,11 +137,13 @@ def _cell_totals(embeddings, labels, modalities):
         raise ValueError("modalities must be 0 (sketch) or 1 (photo)")
     classes, cls = np.unique(labels, return_inverse=True)
     cell = 2 * cls + mods.astype(np.int64)
-    S = np.zeros((2 * classes.size, e.shape[1]))
-    np.add.at(S, cell, e)
-    n = np.bincount(cell, minlength=S.shape[0]).reshape(-1, 2)
-    q = np.bincount(cell, weights=(e * e).sum(axis=1), minlength=S.shape[0])
-    return classes, S.reshape(-1, 2, e.shape[1]), n, q.reshape(n.shape)
+    n_cells, d = 2 * classes.size, e.shape[1]
+    # one bincount over (cell, column) adds each cell's rows in row order
+    S = np.bincount((cell[:, None] * d + np.arange(d)).ravel(),
+                    weights=e.ravel(), minlength=n_cells * d)
+    n = np.bincount(cell, minlength=n_cells).reshape(-1, 2)
+    q = np.bincount(cell, weights=(e * e).sum(axis=1), minlength=n_cells)
+    return classes, S.reshape(-1, 2, d), n, q.reshape(n.shape)
 
 
 def _class_modality_similarities(embeddings, labels, modalities):

@@ -24,9 +24,9 @@ inflated weight.
 Triplets are (N,) anchors and one (k, 2, N) index array of k kinds'
 positives and negatives, the shape of their pair weights.
 `weighted_embedding_loss` takes a `mining.MiningPlan`, built once per
-batch layout (once per training run), mines every distinct candidate
-set of its kinds with one `batch_hard_mine` call and scores all the
-kinds with one `triplet_hinge` call.
+batch layout (once per training run), mines the triplets of all its
+kinds with one `batch_hard_mine` call and scores them with one
+`triplet_hinge` call.
 
 The hinge's gradient lives on pairs of rows: an active triplet weighs
 its (anchor, positive) pair 1/(N d_ap) and its (anchor, negative) pair
@@ -176,13 +176,14 @@ def pair_gradient(embeddings, firsts, seconds, weights):
     the negation to row j. That is L @ E, L = diag(A @ 1) - A the graph
     Laplacian of the symmetric matrix A of summed pair weights, and one
     bincount builds L. The three arrays broadcast to one shape; negative
-    indices address rows from the end, as in numpy indexing."""
+    indices address rows from the end, as in numpy indexing, and an
+    index outside [-B, B) raises IndexError."""
     e = np.asarray(embeddings, dtype=np.float64)
     b = len(e)
     i, j, w = map(np.ravel, np.broadcast_arrays(firsts, seconds, weights))
-    cells = np.ravel_multi_index((np.concatenate((i, j, i, j)),
-                                  np.concatenate((i, j, j, i))),
-                                 (b, b), mode="wrap")
+    rows = np.arange(b)
+    i, j = rows[i], rows[j]
+    cells = np.concatenate((i, j, i, j)) * b + np.concatenate((i, j, j, i))
     laplacian = np.bincount(cells, np.concatenate((w, w, -w, -w)),
                             minlength=b * b).reshape(b, b)
     return laplacian @ e
@@ -216,17 +217,17 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
     """Mine and combine the triplet losses of `plan`'s kinds over one
     batch laid out as the plan's.
 
-    One distance matrix is shared by all kinds: `batch_hard_mine` picks
-    every distinct candidate set of the plan once and `triplet_hinge`
-    scores all the kinds in one call. With `use_weighting` the
-    combination weights come from `gradient_weights` on the active
-    fractions; otherwise every included loss gets weight 1 (plain sum).
+    One distance matrix is shared by all kinds: `batch_hard_mine` mines
+    the triplets of every kind of the plan and `triplet_hinge` scores
+    them in one call. With `use_weighting` the combination weights come
+    from `gradient_weights` on the active fractions; otherwise every
+    included loss gets weight 1 (plain sum).
     The weights are constants of the current step: they are not
     differentiated through. They scale each kind's pair weights, and one
     `pair_gradient` call turns all of them into the gradient.
     """
     e = np.asarray(embeddings, dtype=np.float64)
-    others = batch_hard_mine(pairwise_distance(e, e), plan)[plan.cells]
+    others = batch_hard_mine(pairwise_distance(e, e), plan)
     values, fractions, pair_weights = triplet_hinge(
         e, plan.anchors, others, cfg.margin)
     weights = (gradient_weights(fractions, cfg.eps_g) if use_weighting

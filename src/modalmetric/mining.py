@@ -14,12 +14,12 @@ broken toward the lowest batch index so the result is deterministic.
 
 Triplets are (N,) anchors and one (k, 2, N) int64 array of k kinds'
 positives and negatives. Which rows are candidates depends only on which
-rows share a class and a modality, so the work splits in two.
-`mining_plan` builds, once per batch layout, the distinct candidate
-masks the requested kinds use (at most four: the hybrid kind shares the
-cross kind's positives and the within kind's negatives) and checks that
-every anchor has candidates. `batch_hard_mine` then picks, once per
-batch, the hardest row of every distinct mask from one distance matrix.
+rows share a class and a modality, so a batch layout has four candidate
+sets, and each kind takes its positives from one and its negatives from
+another (`CELLS`). `mining_plan` builds the four sets once per batch
+layout and checks that every anchor of every requested kind has
+candidates. `batch_hard_mine` then picks, once per batch, the hardest
+row of every set with one argmin and gathers the kinds' triplets.
 """
 
 from dataclasses import dataclass
@@ -36,30 +36,33 @@ class TripletKind(Enum):
     HYBRID = "hybrid"
 
 
-# kind -> (positive from the anchor's own modality, negative from it)
-OWN_MODALITY = {
-    TripletKind.CROSS: (False, False),
-    TripletKind.WITHIN: (True, True),
-    TripletKind.HYBRID: (False, True),
+# kind -> (positive set, negative set) among a layout's four candidate
+# sets: 0 same class, other modality; 1 same class, the anchor's
+# modality, the anchor itself excluded; 2 other class, other modality;
+# 3 other class, the anchor's modality
+CELLS = {
+    TripletKind.CROSS: (0, 2),
+    TripletKind.WITHIN: (1, 3),
+    TripletKind.HYBRID: (0, 3),
 }
+
+# negates the positive sets' distances, so that one argmin picks the
+# farthest positive and the nearest negative
+SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
 class MiningPlan:
-    """The candidate masks of one batch layout, stacked.
+    """The four candidate sets of one batch layout.
 
-    `masks` holds the m distinct masks the kinds use, the
-    `n_positive` positive masks first, and `fills` their (m, 1, 1)
-    values for excluded rows: -inf under a positive mask, so argmax
-    skips them, +inf under a negative one, so argmin does. The (k, 2)
-    `cells` name kind j's positive mask `cells[j, 0]` and negative mask
-    `cells[j, 1]`; `anchors` is 0..B-1.
+    `barriers` is (4, B, B): `barriers[s, a, j]` is 0 where row j is in
+    set s for anchor a and +inf elsewhere. The (k, 2) `cells` name kind
+    j's positive set `cells[j, 0]` and negative set `cells[j, 1]`, as
+    `CELLS` maps them; `anchors` is 0..B-1.
     """
 
     anchors: np.ndarray
-    masks: np.ndarray
-    fills: np.ndarray
-    n_positive: int
+    barriers: np.ndarray
     cells: np.ndarray
 
 
@@ -83,64 +86,49 @@ def mining_plan(labels, modalities, kinds):
 
     a_mod = modalities[:, None]
     same_label = labels[:, None] == labels
-    other_label = ~same_label
     own_mod = modalities == a_mod
-    own_pos = same_label & own_mod
-    np.fill_diagonal(own_pos, False)  # the anchor itself
     other_mod = modalities == 1 - a_mod
-    # indexed by the own-modality flag
-    positive = (same_label & other_mod, own_pos)
-    negative = (other_label & other_mod, other_label & own_mod)
+    candidates = np.stack((same_label & other_mod, same_label & own_mod,
+                           ~same_label & other_mod, ~same_label & own_mod))
+    np.fill_diagonal(candidates[1], False)  # the anchor itself
+    missing = ~candidates.any(axis=2)
 
-    for kind in kinds:
-        own_p, own_n = OWN_MODALITY[kind]
-        no_pos = ~positive[own_p].any(axis=1)
-        no_neg = ~negative[own_n].any(axis=1)
-        bad = no_pos | no_neg
+    cells = np.array([CELLS[kind] for kind in kinds])
+    for kind, (pos, neg) in zip(kinds, cells):
+        bad = missing[pos] | missing[neg]
         if bad.any():
             row = int(np.argmax(bad))
-            role = "positive" if no_pos[row] else "negative"
+            role = "positive" if missing[pos, row] else "negative"
             raise MiningError(
                 f"anchor {row}: no valid {role} for kind {kind.value}"
             )
 
-    own = [OWN_MODALITY[kind] for kind in kinds]
-    pos_used = list(dict.fromkeys(own_p for own_p, _ in own))
-    neg_used = list(dict.fromkeys(own_n for _, own_n in own))
-    n_pos = len(pos_used)
-    fills = np.array([-np.inf] * n_pos + [np.inf] * len(neg_used))
-    return MiningPlan(
-        anchors=np.arange(labels.shape[0]),
-        masks=np.stack([positive[f] for f in pos_used]
-                       + [negative[f] for f in neg_used]),
-        fills=fills[:, None, None],
-        n_positive=n_pos,
-        cells=np.array([(pos_used.index(p), n_pos + neg_used.index(n))
-                        for p, n in own]),
-    )
+    return MiningPlan(anchors=np.arange(labels.shape[0]),
+                      barriers=np.where(candidates, 0.0, np.inf),
+                      cells=cells)
 
 
 def batch_hard_mine(dist, plan):
-    """Pick the hardest candidate of every mask of `plan`, per anchor.
+    """Mine the triplets of every kind of `plan`, per anchor.
 
-    One `np.where` fills the excluded rows of all the masks at once; one
-    argmax over the positive masks and one argmin over the negative ones
-    pick, so ties go to the lowest batch index.
+    The distances of each candidate set, negated for the two positive
+    sets and raised to +inf off the set, meet one argmin: it picks each
+    set's farthest positive and nearest negative, the lowest batch index
+    among ties. Distances are finite, as those of normalized rows are; a
+    non-finite entry may be picked off its set.
 
     Args:
         dist: (B, B) distance matrix over the batch embeddings.
         plan: MiningPlan of the batch's layout.
 
     Returns:
-        (m, B) int64 picks, row i from mask i of the plan. Indexed by
-        `plan.cells`, they give the (k, 2, B) positives and negatives of
-        the plan's k kinds.
+        (k, 2, B) int64 positives and negatives of the plan's k kinds:
+        kind j's triplets are (anchors[t], out[j, 0, t], out[j, 1, t]).
     """
     dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != plan.masks.shape[1:]:
+    if dist.shape != plan.barriers.shape[1:]:
         raise ValueError(
-            f"dist must be {plan.masks.shape[1:]}, got {dist.shape}")
-    scored = np.where(plan.masks, dist, plan.fills)
-    n_pos = plan.n_positive
-    return np.concatenate((scored[:n_pos].argmax(axis=2),
-                           scored[n_pos:].argmin(axis=2)))
+            f"dist must be {plan.barriers.shape[1:]}, got {dist.shape}")
+    scored = dist * SIGNS
+    scored += plan.barriers
+    return scored.argmin(axis=2)[plan.cells]

@@ -193,7 +193,7 @@ def embed_backward(cache, grad_output):
     d_w = cache.features.T @ dz
     d_b = dz.sum(axis=0)
     # one in-order bincount: per cell the same sum, in the same order, as
-    # np.add.at over the rows; % 2 wraps negative flags as indexing does
+    # a scatter-add over the rows; % 2 wraps negative flags as indexing does
     d = dz.shape[1]
     cells = ((cache.modalities % 2)[:, None] * d + np.arange(d)).ravel()
     d_off = np.bincount(cells, weights=dz.ravel(), minlength=2 * d)

@@ -120,12 +120,8 @@ class TrainResult:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _adversarial(params, embeddings, photo, objective):
@@ -171,7 +167,7 @@ def train(dataset: Dataset, config: TrainConfig):
         dataset, config.classes_per_batch, config.samples_per_class, rng
     )
     # which batch rows share a class and a modality is the same for every
-    # batch, so the candidate masks are too
+    # batch, so the candidate sets are too
     plan = mining_plan(*sampler.layout(), kinds) if kinds else None
     features = dataset.features
     labels = dataset.labels

@@ -67,7 +67,7 @@ def mine_one(dist, labels, mods, kind, anchors=None):
     positive and negative rows, restricted to the columns of `anchors`
     when given."""
     plan = mining_plan(labels, mods, (kind,))
-    [others] = batch_hard_mine(dist, plan)[plan.cells]
+    [others] = batch_hard_mine(dist, plan)
     triplets = np.concatenate((plan.anchors[None], others))
     return triplets if anchors is None else triplets[:, anchors]
 

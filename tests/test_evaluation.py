@@ -479,6 +479,26 @@ class TestArrayMetricsOracle:
         perm = rng.permutation(labels.size)
         return e[perm], labels[perm], mods[perm]
 
+    def test_cell_totals_add_rows_in_order(self):
+        # each cell's totals are its rows added one by one in row order,
+        # bit for bit, signed zeros included
+        rng = np.random.default_rng(78)
+        for case in range(60):
+            e, labels, mods = self._diagnostic_case(rng, self.KINDS[case % 2])
+            e[rng.random(e.shape) < 0.2] = -0.0
+            classes, S, n, q = evaluation._cell_totals(e, labels, mods)
+            ref_S = np.zeros_like(S)
+            ref_n = np.zeros_like(n)
+            ref_q = np.zeros_like(q)
+            for row, label, mod in zip(e, labels, mods):
+                c = np.searchsorted(classes, label)
+                ref_S[c, mod] += row
+                ref_n[c, mod] += 1
+                ref_q[c, mod] += (row * row).sum()
+            assert_array_equal(S.view(np.int64), ref_S.view(np.int64))
+            assert_array_equal(n, ref_n)
+            assert_array_equal(q.view(np.int64), ref_q.view(np.int64))
+
     def test_diagnostics(self):
         # The diagnostics sum cell totals in another order than the
         # N x N masks, so they agree to 1e-12, not bit for bit.

@@ -645,6 +645,17 @@ class TestPairGradient:
                                      weights.ravel()),
                         rtol=0, atol=1e-12)
 
+    def test_out_of_range_indices_raise(self):
+        # an index outside [-B, B) raises as triplet_hinge's gather does,
+        # instead of wrapping to another row
+        e = np.eye(4)
+        for firsts, seconds in [([0], [5]), ([0], [-5]), ([4], [1]),
+                                ([-5], [1]), ([0, 1], [[1, 2], [3, 4]])]:
+            with pytest.raises(IndexError):
+                pair_gradient(e, firsts, seconds, 1.0)
+        with pytest.raises(IndexError):
+            triplet_hinge(e, [0], [[[5], [1]]], 0.2)
+
     def test_hinge_weights(self):
         # an active triplet at distances 2 and sqrt(2), of N = 2 with one
         # satisfied triplet, and a pair at distance 0 weighing 0

@@ -1,5 +1,7 @@
 """Tests for modality-aware batch-hard mining."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -117,33 +119,62 @@ class TestBatchHardMine:
 class TestMiningPlan:
     C, W, H = KINDS
 
-    @pytest.mark.parametrize("kinds, positive_cells, negative_cells", [
-        ((C,), [0], [1]),
-        ((W,), [0], [1]),
-        ((H,), [0], [1]),
-        ((C, W), [0, 1], [2, 3]),
-        ((C, H), [0, 0], [1, 2]),
-        ((W, H), [0, 1], [2, 2]),
-        ((C, W, H), [0, 1, 0], [2, 3, 3]),
+    @staticmethod
+    def uneven_batch(rng):
+        # 2-4 classes of 2-4 rows in each modality, in shuffled order
+        counts = rng.integers(2, 5, size=(int(rng.integers(2, 5)), 2))
+        cells = np.repeat(np.arange(counts.size), counts.ravel())
+        cells = rng.permutation(cells)
+        return cells // 2, cells % 2
+
+    def test_candidate_sets(self):
+        # set 0: same class, other modality; set 1: same class, own
+        # modality, not the anchor; set 2: other class, other modality;
+        # set 3: other class, own modality
+        rng = np.random.default_rng(5)
+        rules = (lambda a, j, same, own: same and not own,
+                 lambda a, j, same, own: same and own and a != j,
+                 lambda a, j, same, own: not same and not own,
+                 lambda a, j, same, own: not same and own)
+        for trial in range(40):
+            if trial % 2:
+                labels, mods = self.uneven_batch(rng)
+            else:
+                _, labels, mods = pk_batch(rng, int(rng.integers(2, 5)),
+                                           int(rng.integers(2, 4)), 2)
+            b = len(labels)
+            plan = mining_plan(labels, mods, KINDS)
+            assert plan.barriers.shape == (4, b, b)
+            assert set(np.unique(plan.barriers)) == {0.0, np.inf}
+            want = np.array([[[rule(a, j, labels[a] == labels[j],
+                                    mods[a] == mods[j])
+                               for j in range(b)] for a in range(b)]
+                             for rule in rules])
+            assert_array_equal(plan.barriers == 0.0, want)
+
+    @pytest.mark.parametrize("kinds, cells", [
+        ((C,), [(0, 2)]),
+        ((W,), [(1, 3)]),
+        ((H,), [(0, 3)]),
+        ((C, W), [(0, 2), (1, 3)]),
+        ((C, H), [(0, 2), (0, 3)]),
+        ((W, H), [(1, 3), (0, 3)]),
+        ((C, W, H), [(0, 2), (1, 3), (0, 3)]),
     ])
-    def test_distinct_masks(self, kinds, positive_cells, negative_cells):
-        # the hybrid kind shares the cross kind's positive mask and the
-        # within kind's negative mask: a kind set never needs more than
-        # four masks, one positive and one negative per modality pattern
+    def test_cells(self, kinds, cells):
+        # each kind is a fixed (positive, negative) pair of the four
+        # sets, in the order the kinds are asked for; the sets do not
+        # depend on the kinds
         _, labels, mods = pk_batch(np.random.default_rng(5), 3, 2, 4)
         plan = mining_plan(labels, mods, kinds)
-        n_masks = max(negative_cells) + 1
-        assert plan.masks.shape == (n_masks, 12, 12)
-        assert plan.n_positive == max(positive_cells) + 1
-        assert_array_equal(plan.cells,
-                           np.column_stack((positive_cells, negative_cells)))
-        assert_array_equal(plan.fills.ravel(),
-                           [-np.inf] * plan.n_positive
-                           + [np.inf] * (n_masks - plan.n_positive))
+        assert_array_equal(plan.cells, cells)
+        assert_array_equal(plan.barriers,
+                           mining_plan(labels, mods, KINDS).barriers)
 
-    def test_picks_follow_the_masks(self):
-        # every pick of batch_hard_mine is its mask's hardest row, the
-        # lowest index among ties
+    def test_picks_follow_the_sets(self):
+        # every pick of batch_hard_mine is its set's hardest row, the
+        # farthest positive or the nearest negative, the lowest index
+        # among ties
         rng = np.random.default_rng(6)
         codebook = unit_rows(np.random.default_rng(7), 3, 4)
         for _ in range(20):
@@ -152,14 +183,34 @@ class TestMiningPlan:
             dist = pairwise_distance(e, e)
             plan = mining_plan(labels, mods, KINDS)
             picks = batch_hard_mine(dist, plan)
-            assert picks.shape == (4, 18)
-            for mask, fill, row in zip(plan.masks, plan.fills.ravel(),
-                                       picks):
-                for a in range(18):
-                    cand = np.flatnonzero(mask[a])
-                    best = (dist[a, cand].max() if fill < 0
-                            else dist[a, cand].min())
-                    assert row[a] == cand[dist[a, cand] == best][0]
+            assert picks.shape == (3, 2, 18)
+            for kind_cells, kind_picks in zip(plan.cells, picks):
+                for role, (s, row) in enumerate(zip(kind_cells,
+                                                    kind_picks)):
+                    for a in range(18):
+                        cand = np.flatnonzero(plan.barriers[s, a] == 0.0)
+                        best = (dist[a, cand].max() if role == 0
+                                else dist[a, cand].min())
+                        assert row[a] == cand[dist[a, cand] == best][0]
+
+    def test_kinds_mined_alone_or_together(self):
+        # on tie-heavy codebook batches, a kind's triplets do not depend
+        # on which kinds are mined with it or in which order
+        rng = np.random.default_rng(8)
+        codebook = unit_rows(np.random.default_rng(9), 3, 4)
+        subsets = [kinds for n in (1, 2, 3)
+                   for kinds in itertools.permutations(KINDS, n)]
+        for _ in range(20):
+            _, labels, mods = pk_batch(rng, 3, 3, 4)
+            e = codebook[rng.integers(0, 3, size=len(labels))]
+            dist = pairwise_distance(e, e)
+            alone = {kind: mine_one(dist, labels, mods, kind)[1:]
+                     for kind in KINDS}
+            for kinds in subsets:
+                picks = batch_hard_mine(dist, mining_plan(labels, mods, kinds))
+                assert picks.shape == (len(kinds), 2, 18)
+                for kind, kind_picks in zip(kinds, picks):
+                    assert_array_equal(kind_picks, alone[kind])
 
 
 class TestMinerAgreement:
