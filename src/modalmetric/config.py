@@ -42,9 +42,7 @@ SCHEMA = {
         "n_unseen": (int, 4),
         "seed": (int, 7),
     },
-    "train": _field_schema(
-        TrainConfig,
-        skip=("seed", "loss", "triplet_kinds", "use_weighting")),
+    "train": _field_schema(TrainConfig, skip=("seed", "loss")),
     "loss": _field_schema(LossConfig),
     "eval": {
         "k": (int, DEFAULT_PREC_K),

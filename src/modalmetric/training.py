@@ -28,12 +28,19 @@ from .model import (
     init_params,
 )
 
-# method tag -> (triplet kinds, gradient weighting, adversarial heads)
+# method tag -> (triplet kinds, gradient weighting, adversarial heads);
+# the only place a training recipe is defined. The last five are the loss
+# ablation's rows that no method above trains.
 METHOD_RECIPES = {
     "cls-only": ((), False, False),
     "baseline": ((TripletKind.CROSS,), False, False),
     "mathm": (ALL_KINDS, True, False),
     "gan": ((TripletKind.CROSS,), False, True),
+    "within": ((TripletKind.WITHIN,), False, False),
+    "hybrid": ((TripletKind.HYBRID,), False, False),
+    "cross+within": ((TripletKind.CROSS, TripletKind.WITHIN), False, False),
+    "cross+hybrid": ((TripletKind.CROSS, TripletKind.HYBRID), False, False),
+    "mathm-nogw": (ALL_KINDS, False, False),
 }
 
 KIND_TAGS = {
@@ -45,12 +52,8 @@ KIND_TAGS = {
 
 @dataclass
 class TrainConfig:
-    """Knobs for one training run.
-
-    triplet_kinds / use_weighting default to the method recipe; setting
-    them explicitly carves out ablation variants (e.g. all three losses
-    without gradient weighting).
-    """
+    """Knobs for one training run; `method` names its recipe in
+    METHOD_RECIPES."""
 
     method: str = "mathm"
     d_emb: int = 16
@@ -60,8 +63,6 @@ class TrainConfig:
     total_iters: int = 2000
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
-    triplet_kinds: tuple = None
-    use_weighting: bool = None
     # The discriminator must track the embedder for the adversarial
     # game to reach alignment rather than oscillate; a shallow one-layer
     # head at the shared base_lr lags badly at desk scale, so it gets a
@@ -94,22 +95,11 @@ class TrainConfig:
         if self.disc_lr_scale <= 0:
             raise ConfigError("disc_lr_scale must be positive")
 
-    def recipe(self):
-        """Resolve (kinds, use_weighting, adversarial) for this run."""
-        kinds, weighting, adversarial = METHOD_RECIPES[self.method]
-        if self.triplet_kinds is not None:
-            kinds = tuple(self.triplet_kinds)
-        if self.use_weighting is not None:
-            weighting = self.use_weighting
-        return kinds, weighting, adversarial
-
     def to_dict(self):
         """JSON-serializable snapshot, stored in checkpoints: the fields,
-        the loss knobs flattened in, the triplet kinds by name."""
+        with the loss knobs flattened in."""
         out = asdict(self)
         out.update(out.pop("loss"))
-        if self.triplet_kinds is not None:
-            out["triplet_kinds"] = [k.name for k in self.triplet_kinds]
         return out
 
 
@@ -152,7 +142,7 @@ def train(dataset: Dataset, config: TrainConfig):
             checks report overflow, so numpy's overflow and invalid-value
             warnings are off inside train.
     """
-    kinds, weighting, adversarial = config.recipe()
+    kinds, weighting, adversarial = METHOD_RECIPES[config.method]
     rng = np.random.default_rng(config.seed)
     try:
         params = init_params(dataset.d_in, config.d_emb, dataset.n_classes,
@@ -258,24 +248,17 @@ def ablation_variants(config: TrainConfig):
     loss, and all three losses with and without gradient weighting.
 
     Returns:
-        list of (row_name, TrainConfig).
+        list of (row_name, TrainConfig), each row's config `config` with
+        the method tag that trains it.
     """
-    cross, within, hybrid = ALL_KINDS
     rows = [
-        ("cls-only", (), False),
-        ("cross", (cross,), False),
-        ("within", (within,), False),
-        ("hybrid", (hybrid,), False),
-        ("cross+within", (cross, within), False),
-        ("cross+hybrid", (cross, hybrid), False),
-        ("all", ALL_KINDS, False),
-        ("all+gw", ALL_KINDS, True),
+        ("cls-only", "cls-only"),
+        ("cross", "baseline"),
+        ("within", "within"),
+        ("hybrid", "hybrid"),
+        ("cross+within", "cross+within"),
+        ("cross+hybrid", "cross+hybrid"),
+        ("all", "mathm-nogw"),
+        ("all+gw", "mathm"),
     ]
-    variants = []
-    for name, kinds, weighting in rows:
-        method = "cls-only" if not kinds else "mathm"
-        variants.append(
-            (name, replace(config, method=method, triplet_kinds=kinds,
-                           use_weighting=weighting))
-        )
-    return variants
+    return [(name, replace(config, method=tag)) for name, tag in rows]

@@ -28,6 +28,14 @@ LOG_COLUMNS = {
               "l_total"],
     "gan": ["iter", "lr", "l_cls", "l_cross", "g_cross",
             "l_adv_g", "l_adv_d", "l_total"],
+    "within": ["iter", "lr", "l_cls", "l_in", "g_in", "l_total"],
+    "hybrid": ["iter", "lr", "l_cls", "l_hyb", "g_hyb", "l_total"],
+    "cross+within": ["iter", "lr", "l_cls", "l_cross", "l_in",
+                     "g_cross", "g_in", "l_total"],
+    "cross+hybrid": ["iter", "lr", "l_cls", "l_cross", "l_hyb",
+                     "g_cross", "g_hyb", "l_total"],
+    "mathm-nogw": ["iter", "lr", "l_cls", "l_cross", "l_in", "l_hyb",
+                   "g_cross", "g_in", "g_hyb", "l_total"],
 }
 
 

@@ -280,7 +280,7 @@ def experiment():
     variants = {
         "cls-only": {"method": "cls-only"},
         "baseline": {"method": "baseline"},
-        "mathm-nogw": {"method": "mathm", "use_weighting": False},
+        "mathm-nogw": {"method": "mathm-nogw"},
         "mathm": {"method": "mathm"},
         "gan": {"method": "gan"},
         "mathm-lam0": {"method": "mathm", "lam": 0.0},

@@ -26,7 +26,8 @@ from modalmetric import (
 )
 from modalmetric.cli import METRIC_KEYS, main
 from modalmetric.config import SCHEMA, load_config
-from modalmetric.model import TENSOR_NAMES
+from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
+from modalmetric.training import METHOD_RECIPES
 
 TINY_INI = """\
 [data]
@@ -75,7 +76,7 @@ class TestTrainCommand:
         assert (run_dir / "checkpoint.json").exists()
         assert "trained mathm seed 0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("method", ["cls-only", "baseline", "gan"])
+    @pytest.mark.parametrize("method", METHOD_RECIPES)
     def test_log_columns_per_method(self, ini, tmp_path, method):
         train_once(ini, tmp_path, "--method", method)
         rows = read_rows(tmp_path / method / "seed-0" / "training_log.csv")
@@ -102,7 +103,6 @@ class TestTrainCommand:
             "method": "mathm", "d_emb": 4, "classes_per_batch": 3,
             "samples_per_class": 2, "base_lr": 0.001, "total_iters": 20,
             "seed": 5, "margin": 0.3, "lam": 1.0, "eps_g": 1e-06,
-            "triplet_kinds": None, "use_weighting": None,
             "disc_lr_scale": 100.0,
         }
         assert meta["n_train_classes"] == 4
@@ -140,6 +140,21 @@ class TestEvalCommand:
             assert rc == 0
         assert ((tmp_path / "a" / "metrics.json").read_bytes()
                 == (tmp_path / "b" / "metrics.json").read_bytes())
+
+    def test_reads_checkpoints_with_recipe_overrides(self, ini, tmp_path,
+                                                     checkpoint):
+        # checkpoints written before the recipe table was the only source
+        # of a recipe carry two null override keys in meta.train
+        params, meta = load_checkpoint(checkpoint)
+        assert "triplet_kinds" not in meta["train"]
+        meta["train"].update(triplet_kinds=None, use_weighting=None)
+        older = str(tmp_path / "older.json")
+        save_checkpoint(older, params, meta)
+        for sub, path in (("new", checkpoint), ("older", older)):
+            assert main(["eval", "--config", ini, "--out",
+                         str(tmp_path / sub), "--checkpoint", path]) == 0
+        assert ((tmp_path / "new" / "metrics.json").read_bytes()
+                == (tmp_path / "older" / "metrics.json").read_bytes())
 
     def test_mean_over_checkpoints(self, ini, tmp_path):
         train_once(ini, tmp_path / "train", "--n_seeds", "2")

@@ -19,7 +19,7 @@ from modalmetric.losses import (
     weighted_embedding_loss,
 )
 from modalmetric.mining import TripletKind, mining_plan
-from modalmetric.training import TrainConfig, ablation_variants
+from modalmetric.training import METHOD_RECIPES, TrainConfig, ablation_variants
 from oracles import brute_force_mine, finite_diff_check
 
 
@@ -461,7 +461,7 @@ def ablation_kind_sets():
     order; the cls-only row's empty set has no plan (test_empty_kinds)."""
     kind_sets = []
     for _, variant in ablation_variants(TrainConfig()):
-        kinds = variant.recipe()[0]
+        kinds = METHOD_RECIPES[variant.method][0]
         if kinds and kinds not in kind_sets:
             kind_sets.append(kinds)
     return kind_sets

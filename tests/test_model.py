@@ -40,7 +40,8 @@ from modalmetric.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from modalmetric.training import _adversarial, ablation_variants
+from modalmetric.training import (METHOD_RECIPES, _adversarial,
+                                  ablation_variants)
 from oracles import finite_diff_check
 
 
@@ -426,20 +427,20 @@ class TestTrainConfig:
                 TrainConfig(**{key: value})
 
     def test_recipes(self):
-        assert TrainConfig(method="cls-only").recipe() == ((), False, False)
-        assert TrainConfig(method="baseline").recipe() == (
-            (TripletKind.CROSS,), False, False)
-        kinds, weighting, adversarial = TrainConfig(method="mathm").recipe()
-        assert kinds == (TripletKind.CROSS, TripletKind.WITHIN,
-                         TripletKind.HYBRID)
-        assert weighting and not adversarial
-        assert TrainConfig(method="gan").recipe() == (
-            (TripletKind.CROSS,), False, True)
-
-    def test_recipe_overrides(self):
-        cfg = TrainConfig(method="mathm", triplet_kinds=(TripletKind.CROSS,),
-                          use_weighting=False)
-        assert cfg.recipe() == ((TripletKind.CROSS,), False, False)
+        # (triplet kinds, gradient weighting, adversarial heads)
+        cross, within, hybrid = (TripletKind.CROSS, TripletKind.WITHIN,
+                                 TripletKind.HYBRID)
+        assert METHOD_RECIPES == {
+            "cls-only": ((), False, False),
+            "baseline": ((cross,), False, False),
+            "mathm": ((cross, within, hybrid), True, False),
+            "gan": ((cross,), False, True),
+            "within": ((within,), False, False),
+            "hybrid": ((hybrid,), False, False),
+            "cross+within": ((cross, within), False, False),
+            "cross+hybrid": ((cross, hybrid), False, False),
+            "mathm-nogw": ((cross, within, hybrid), False, False),
+        }
 
     def test_log_columns(self):
         # the training log's columns are the keys of train's first row
@@ -475,7 +476,7 @@ class TestTrain:
             # the sampler's layout: 3 class blocks of 2 sketches, 2 photos
             assert_array_equal(labels, np.repeat(np.arange(3), 4))
             assert_array_equal(mods, np.tile([0, 0, 1, 1], 3))
-            assert kinds == cfg.recipe()[0]
+            assert kinds == METHOD_RECIPES[method][0]
 
     def test_deterministic(self):
         ds = small_dataset()
@@ -610,15 +611,15 @@ class TestAblationVariants:
             "all": ((cross, within, hybrid), False),
             "all+gw": ((cross, within, hybrid), True),
         }
-        for name, cfg in ablation_variants(TrainConfig(method="mathm")):
-            kinds, weighting, adversarial = cfg.recipe()
+        tags = {"cls-only": "cls-only", "cross": "baseline",
+                "all": "mathm-nogw", "all+gw": "mathm"}
+        for name, cfg in ablation_variants(TrainConfig(method="gan")):
+            assert cfg.method == tags.get(name, name)
+            kinds, weighting, adversarial = METHOD_RECIPES[cfg.method]
             assert (kinds, weighting) == want[name]
             assert not adversarial
-            assert cfg.method == ("cls-only" if not kinds else "mathm")
-            # the checkpoint snapshot names the kinds
-            snapshot = cfg.to_dict()
-            assert snapshot["triplet_kinds"] == [k.name for k in kinds]
-            assert snapshot["use_weighting"] is weighting
+            # the checkpoint snapshot names the recipe by its tag alone
+            assert cfg.to_dict()["method"] == cfg.method
 
     def test_preserves_other_knobs(self):
         base = TrainConfig(method="mathm", d_emb=6, total_iters=123, seed=11)

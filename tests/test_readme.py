@@ -1,12 +1,14 @@
 """README's "Library use" section is the package's documented surface:
 its examples run as written, and it names exactly what `modalmetric`
-exports. Its table of config keys is exactly `config.SCHEMA`."""
+exports. Its table of config keys is exactly `config.SCHEMA`, and it
+names every method tag."""
 
 import os
 import re
 
 import modalmetric
 from modalmetric.config import SCHEMA
+from modalmetric.training import METHOD_RECIPES
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -57,3 +59,8 @@ def test_settings_table_is_the_schema():
     for name, (kind, default) in schema.items():
         assert table[name][0] == kind.__name__, name
         assert kind(table[name][1]) == default, name
+
+
+def test_names_every_method_tag():
+    named = set(re.findall(r"`([\w+-]+)`", readme_text()))
+    assert METHOD_RECIPES.keys() <= named, METHOD_RECIPES.keys() - named
