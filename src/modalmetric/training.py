@@ -118,12 +118,76 @@ def _adversarial(params, embeddings, photo, objective):
     """One pass through the discriminator head sigmoid(E @ w_d + b_d):
     `objective` scores the (B,) scores against the `photo` mask, and its
     (B,) gradient is pulled back through the sigmoid. Returns (value,
-    d_raw), d_raw the gradient on the head's pre-activations: the rows'
-    is d_raw[:, None] * w_d, and the head's (E.T @ d_raw, d_raw.sum())."""
+    d_raw), d_raw the gradient on the head's pre-activations."""
     scores = _sigmoid(embeddings @ params.discriminator.w_d
                       + params.discriminator.b_d)
     report = objective(scores, photo)
     return report.value, report.grad * scores * (1.0 - scores)
+
+
+def main_step(params, grads, x, y, mods, plan, config):
+    """One batch's gradient on the main group (embedder and classifier),
+    written into `grads`, a ModelParams over the flat gradient buffer:
+    classification, plus config.loss.lam times the recipe's triplet
+    terms on the layout's MiningPlan `plan` (None without triplets),
+    plus the generator's adversarial term for a recipe with heads.
+
+    Returns:
+        (value, entries): the objective's value and the batch's log
+        entries, l_cls through l_adv_g in column order.
+
+    Raises:
+        NumericError: on a non-finite embedding norm or value.
+    """
+    kinds, weighting, adversarial = METHOD_RECIPES[config.method]
+    embeddings, cache = embed_forward(params.embedder, x, mods)
+    # a row whose norm overflows would normalize to zeros
+    if not cache.norms.max() < np.inf:  # NaN fails too
+        raise NumericError("non-finite embedding norm")
+    cls = softmax_ce(embeddings @ params.classifier.W_c.T, y)
+    d_wc = cls.grad.T @ embeddings
+    # the classification gradient on the embedding rows
+    d_embed = cls.grad @ params.classifier.W_c
+    value = cls.value
+    entries = {"l_cls": cls.value}
+    if kinds:
+        bundle = weighted_embedding_loss(embeddings, plan, config.loss,
+                                         weighting)
+        lam = config.loss.lam
+        d_embed = d_embed + lam * bundle.grad
+        value = float(value + lam * bundle.value)
+        for k, v in zip(kinds, bundle.values):
+            entries[f"l_{KIND_TAGS[k]}"] = v
+        for k, g in zip(kinds, bundle.fractions):
+            entries[f"g_{KIND_TAGS[k]}"] = g
+        if weighting:
+            for k, w in zip(kinds, bundle.weights):
+                entries[f"w_{KIND_TAGS[k]}"] = float(w)
+
+    if adversarial:
+        entries["l_adv_g"], d_raw = _adversarial(
+            params, embeddings, mods == 1, adversarial_g_loss)
+        d_embed = d_embed + d_raw[:, None] * params.discriminator.w_d
+        value = value + entries["l_adv_g"]
+
+    if not np.isfinite(value):
+        raise NumericError("non-finite loss")
+    grads_e = embed_backward(cache, d_embed)
+    grads.embedder.W[...] = grads_e["W"]
+    grads.embedder.b[...] = grads_e["b"]
+    grads.embedder.modality_offset[...] = grads_e["modality_offset"]
+    grads.classifier.W_c[...] = d_wc
+    return value, entries
+
+
+def disc_step(params, grads, x, mods):
+    """One batch's gradient on the discriminator group (w_d, b_d), the
+    embedder frozen, written into `grads`; returns l_adv_d."""
+    fresh, _ = embed_forward(params.embedder, x, mods)
+    value, d_raw = _adversarial(params, fresh, mods == 1, adversarial_d_loss)
+    grads.discriminator.w_d[...] = fresh.T @ d_raw
+    grads.discriminator.b_d[...] = d_raw.sum()
+    return value
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -142,7 +206,7 @@ def train(dataset: Dataset, config: TrainConfig):
             checks report overflow, so numpy's overflow and invalid-value
             warnings are off inside train.
     """
-    kinds, weighting, adversarial = METHOD_RECIPES[config.method]
+    kinds, _, adversarial = METHOD_RECIPES[config.method]
     rng = np.random.default_rng(config.seed)
     try:
         params = init_params(dataset.d_in, config.d_emb, dataset.n_classes,
@@ -165,7 +229,6 @@ def train(dataset: Dataset, config: TrainConfig):
 
     # one flat gradient buffer, laid out like params.vector
     grads = ModelParams(np.zeros_like(params.vector), params.shapes)
-    g_w, g_b, g_offset, g_wc, g_wd, g_bd = grads.tensors().values()
     (main, main_layout), (disc, disc_layout) = params.groups()
     main_params, main_grads = params.vector[main], grads.vector[main]
     disc_params, disc_grads = params.vector[disc], grads.vector[disc]
@@ -177,65 +240,19 @@ def train(dataset: Dataset, config: TrainConfig):
         lr = cosine_lr(config.base_lr, it, config.total_iters)
         idx = sampler.sample()
         x = features[idx]
-        y = labels[idx]
         mods = modalities[idx]
-        photo = mods == 1
-
-        embeddings, cache = embed_forward(params.embedder, x, mods)
-        # a row whose norm overflows would normalize to zeros
-        if not cache.norms.max() < np.inf:  # NaN fails too
-            raise NumericError(
-                f"non-finite embedding norm at iteration {it}")
-        logits = embeddings @ params.classifier.W_c.T
-        cls = softmax_ce(logits, y)
-        d_wc = cls.grad.T @ embeddings
-        # the classification gradient on the embedding rows
-        cls_grad = cls.grad @ params.classifier.W_c
-
-        row = {"iter": it, "lr": lr, "l_cls": cls.value}
-        if kinds:
-            bundle = weighted_embedding_loss(
-                embeddings, plan, config.loss, weighting
-            )
-            lam = config.loss.lam
-            d_embed = cls_grad + lam * bundle.grad
-            value = float(cls.value + lam * bundle.value)
-            for k, v in zip(kinds, bundle.values):
-                row[f"l_{KIND_TAGS[k]}"] = v
-            for k, g in zip(kinds, bundle.fractions):
-                row[f"g_{KIND_TAGS[k]}"] = g
-            if weighting:
-                for k, w in zip(kinds, bundle.weights):
-                    row[f"w_{KIND_TAGS[k]}"] = float(w)
-        else:
-            d_embed = cls_grad
-            value = cls.value
-
-        if adversarial:
-            row["l_adv_g"], d_raw = _adversarial(
-                params, embeddings, photo, adversarial_g_loss)
-            d_embed = d_embed + d_raw[:, None] * params.discriminator.w_d
-            value = value + row["l_adv_g"]
-
-        if not np.isfinite(value):
-            raise NumericError(f"non-finite loss at iteration {it}")
-        grads_e = embed_backward(cache, d_embed)
-        g_w[...] = grads_e["W"]
-        g_b[...] = grads_e["b"]
-        g_offset[...] = grads_e["modality_offset"]
-        g_wc[...] = d_wc
+        try:
+            value, entries = main_step(params, grads, x, labels[idx], mods,
+                                       plan, config)
+        except NumericError as err:
+            raise NumericError(f"{err} at iteration {it}") from None
         adam_step(main_params, main_grads, main_state, lr)
-
+        row = {"iter": it, "lr": lr, **entries}
         if adversarial:
-            # Discriminator step on the freshly updated (frozen) embedder.
-            fresh, _ = embed_forward(params.embedder, x, mods)
-            row["l_adv_d"], d_raw = _adversarial(
-                params, fresh, photo, adversarial_d_loss)
-            g_wd[...] = fresh.T @ d_raw
-            g_bd[...] = d_raw.sum()
+            # the discriminator steps on the freshly updated embedder
+            row["l_adv_d"] = disc_step(params, grads, x, mods)
             adam_step(disc_params, disc_grads, disc_state,
                       lr * config.disc_lr_scale)
-
         row["l_total"] = float(value)
         log.append(row)
 

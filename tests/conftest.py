@@ -1,5 +1,5 @@
-"""Shared batch builders, the training log's columns and the
-acceptance-report summary hook."""
+"""Shared batch builders, the training step's gradient check, the
+training log's columns and the acceptance-report summary hook."""
 
 from collections import namedtuple
 
@@ -9,6 +9,8 @@ from modalmetric import Dataset
 from modalmetric.losses import (LossConfig, pair_gradient, triplet_hinge,
                                 weighted_embedding_loss)
 from modalmetric.mining import batch_hard_mine, mining_plan
+from modalmetric.model import ModelParams
+from oracles import finite_diff_check
 
 # one triplet kind's hinge: value, active fraction, (B, d) gradient
 HingeReport = namedtuple("HingeReport", "value active_fraction grad")
@@ -96,3 +98,28 @@ def hinge_one(e, anchors, positives, negatives, margin):
                                                    margin)
     grad = pair_gradient(e, anchors, others[0], weights)
     return HingeReport(float(value), float(fraction), grad)
+
+
+def step_gradient_error(step, params, group):
+    """Worst finite_diff_check error of the gradient a training step
+    writes into the `group` slice of the flat gradient buffer, against
+    central differences of the value it returns.
+
+    `step(params, grads)` returns the value and fills `grads`, a
+    ModelParams over the buffer; every probe runs the whole step again,
+    mining included. The step must leave the buffer outside `group`
+    untouched.
+    """
+    grads = ModelParams(np.zeros_like(params.vector), params.shapes)
+    step(params, grads)
+    analytic = grads.vector[group].copy()
+    grads.vector[group] = 0.0
+    assert not grads.vector.any(), "the step wrote outside its group"
+
+    def value_at(values):
+        vector = params.vector.copy()
+        vector[group] = values
+        return step(ModelParams(vector, params.shapes),
+                    ModelParams(np.zeros_like(vector), params.shapes))
+
+    return finite_diff_check(value_at, params.vector[group], analytic)

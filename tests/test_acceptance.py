@@ -16,7 +16,7 @@ import pytest
 
 import modalmetric.training
 from conftest import (ACCEPTANCE_LINES, hinge_one, mine_one, mined_loss,
-                      pk_batch, unit_rows)
+                      pk_batch, step_gradient_error, unit_rows)
 from modalmetric import (
     SyntheticConfig,
     TrainConfig,
@@ -34,10 +34,10 @@ from modalmetric.losses import (
     adversarial_g_loss,
     gradient_weights,
     softmax_ce,
-    weighted_embedding_loss,
 )
 from modalmetric.mining import TripletKind, mining_plan
-from modalmetric.model import embed_backward, embed_forward, init_params
+from modalmetric.model import embed_forward, init_params
+from modalmetric.training import main_step
 from oracles import average_precision, brute_force_mine, finite_diff_check
 
 
@@ -166,39 +166,23 @@ def test_criterion_3_gradient_checks():
                 assert finite_diff_check(
                     lambda x: fn(x, photo).value, scores, report.grad) <= 1e-4
 
-        # end to end: full objective w.r.t. the embedder weight matrix
-        # and the classifier, through normalization, mining and weighting
-        cfg = LossConfig(margin=0.5)
+        # end to end: the objective's value and the whole main group of
+        # its gradient as train's main step forms them, through
+        # normalization, mining, weighting and the classifier
+        config = TrainConfig(method="mathm", d_emb=3,
+                             loss=LossConfig(margin=0.5))
+        labels = np.repeat(np.arange(3), 4)
+        mods = np.tile([0, 0, 1, 1], 3)
+        plan = mining_plan(labels, mods, KINDS)
         for _ in range(20):
             params = init_params(5, 3, 3, rng)
             x = rng.standard_normal((12, 5))
-            labels = np.repeat(np.arange(3), 4)
-            mods = np.tile([0, 0, 1, 1], 3)
-            plan = mining_plan(labels, mods, KINDS)
-
-            def objective(w_embed, w_cls):
-                p = replace(params.embedder, W=w_embed)
-                e, _ = embed_forward(p, x, mods)
-                cls = softmax_ce(e @ w_cls.T, labels)
-                bundle = weighted_embedding_loss(e, plan, cfg)
-                return cls.value + cfg.lam * bundle.value
-
-            e, cache = embed_forward(params.embedder, x, mods)
-            cls = softmax_ce(e @ params.classifier.W_c.T, labels)
-            d_wc = cls.grad.T @ e
-            bundle = weighted_embedding_loss(e, plan, cfg)
-            d_embed = cls.grad @ params.classifier.W_c + cfg.lam * bundle.grad
-            grads = embed_backward(cache, d_embed)
-            err_w = finite_diff_check(
-                lambda W: objective(W, params.classifier.W_c),
-                params.embedder.W, grads["W"],
-            )
-            err_c = finite_diff_check(
-                lambda C: objective(params.embedder.W, C),
-                params.classifier.W_c, d_wc,
-            )
-            assert err_w <= 1e-4
-            assert err_c <= 1e-4
+            (main, _), _ = params.groups()
+            err = step_gradient_error(
+                lambda p, g: main_step(p, g, x, labels, mods, plan,
+                                       config)[0],
+                params, main)
+            assert err <= 1e-4
 
         assert time.perf_counter() - start < 30.0
 

@@ -716,6 +716,28 @@ class TestAdversarialLosses:
                                     report.grad)
             assert err < 1e-6
 
+    def test_clamp_bounds(self):
+        # scores are clamped to [1e-7, 1 - 1e-7]: at either bound the
+        # gradient is zero, and one ULP inside it is not
+        lo, hi = 1e-7, 1.0 - 1e-7
+        photo = np.array([True, False, True, False])
+        at = adversarial_d_loss(np.array([lo, lo, hi, hi]), photo)
+        assert_array_equal(at.grad, np.zeros(4))
+        inside = np.array([np.nextafter(lo, 1.0), np.nextafter(lo, 1.0),
+                           np.nextafter(hi, 0.0), np.nextafter(hi, 0.0)])
+        assert (adversarial_d_loss(inside, photo).grad != 0.0).all()
+
+    def test_clamp_bound_value(self):
+        # 5e-7 lies inside the clamp: a wider bound would move both the
+        # value and the gradient
+        for scores, photo in (([5e-7, 0.5], [True, False]),
+                              ([1.0 - 5e-7, 0.5], [False, True])):
+            report = adversarial_d_loss(np.array(scores), np.array(photo))
+            assert_allclose(report.value, -(np.log(5e-7) + np.log(0.5)),
+                            rtol=1e-9)
+            assert_allclose(np.abs(report.grad), [1 / 5e-7, 2.0],
+                            rtol=1e-9)
+
     def test_input_validation(self):
         for fn in (adversarial_d_loss, adversarial_g_loss):
             with pytest.raises(ValueError, match="both labels"):

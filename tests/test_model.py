@@ -1,12 +1,14 @@
 """Tests for the embedder forward/backward, optimizer, schedule,
 checkpointing, and the training loop."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import modalmetric.training as training
-from conftest import LOG_COLUMNS
+from conftest import LOG_COLUMNS, step_gradient_error
 from modalmetric import (
     AdamState,
     ConfigError,
@@ -18,14 +20,7 @@ from modalmetric import (
     train,
 )
 from modalmetric.geometry import EPS_NORM
-from modalmetric.losses import (
-    ALL_KINDS,
-    LossConfig,
-    adversarial_d_loss,
-    adversarial_g_loss,
-    softmax_ce,
-    weighted_embedding_loss,
-)
+from modalmetric.losses import LossConfig, softmax_ce
 from modalmetric.mining import TripletKind, mining_plan
 from modalmetric.model import (
     ADAM_BETA1,
@@ -40,8 +35,8 @@ from modalmetric.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from modalmetric.training import (METHOD_RECIPES, _adversarial,
-                                  ablation_variants)
+from modalmetric.training import (KIND_TAGS, METHOD_RECIPES,
+                                  ablation_variants, disc_step, main_step)
 from oracles import finite_diff_check
 
 
@@ -140,23 +135,22 @@ class TestEmbedBackward:
             )
             assert err < 1e-6, attr
 
-    def test_finite_diff_through_triplet_pipeline(self):
-        params, x, _ = self._setup(seed=4)
-        labels = np.repeat(np.arange(3), 4)
-        mods = np.tile([0, 0, 1, 1], 3)
-        plan = mining_plan(labels, mods, ALL_KINDS)
-        cfg = LossConfig(margin=0.5)
-
-        def loss_of_w(w):
-            p = EmbedderParams(w, params.b.copy(), params.modality_offset.copy())
-            e, _ = embed_forward(p, x, mods)
-            return weighted_embedding_loss(e, plan, cfg).value
-
-        e, cache = embed_forward(params, x, mods)
-        bundle = weighted_embedding_loss(e, plan, cfg)
-        grads = embed_backward(cache, bundle.grad)
-        err = finite_diff_check(loss_of_w, params.W, grads["W"])
-        assert err < 1e-4
+    def test_degenerate_row(self):
+        # a row under the norm floor was scaled by 1 / EPS_NORM in the
+        # forward, so its whole upstream gradient passes through scaled
+        # the same; a norm of half the floor keeps the projection term
+        # the plain Jacobian would subtract far from underflow
+        d = 3
+        params = EmbedderParams(np.zeros((2, d)),
+                                np.array([0.3, 0.4, 0.0]) * EPS_NORM,
+                                np.zeros((2, d)))
+        _, cache = embed_forward(params, np.ones((1, 2)), np.array([1]))
+        assert cache.norms[0] < EPS_NORM
+        de = np.array([[1.0, -2.0, 0.5]])
+        assert (de * cache.embeddings).sum() != 0.0
+        grads = embed_backward(cache, de)
+        assert_array_equal(grads["b"], de[0] / EPS_NORM)
+        assert_array_equal(grads["modality_offset"][1], de[0] / EPS_NORM)
 
     def test_shape_error(self):
         params, x, mods = self._setup()
@@ -313,6 +307,22 @@ class TestFlatTrainingStepOracle:
             adam_step(p, g, state, 0.1)
         assert_array_equal(p, np.ones(10))
         assert state.t == 0
+
+    def test_non_finite_names_the_tensor_at_each_edge(self):
+        # a non-finite entry at a tensor's first or last index names that
+        # tensor, the one-entry discriminator bias included
+        params = init_params(3, 2, 4, np.random.default_rng(64))
+        for _, layout in params.groups():
+            size = sum(n for _, n in layout)
+            start = 0
+            for name, n in layout:
+                for i in (start, start + n - 1):
+                    g = np.zeros(size)
+                    g[i] = np.nan
+                    with pytest.raises(NumericError,
+                                       match=f"for {re.escape(name)}$"):
+                        adam_step(np.zeros(size), g, AdamState(layout), 0.1)
+                start += n
 
     @pytest.mark.parametrize("batch", ["mixed", "sketch_only",
                                        "photo_only", "negative_flags",
@@ -554,40 +564,39 @@ class TestTrain:
             train(ds, small_config("cls-only", iters=2))
 
 
-class TestAdversarialHead:
-    """`_adversarial` pulls each objective's gradient back through
-    sigmoid(E @ w_d + b_d); from it follow the gradients on the
-    embeddings and on the head."""
+class TestStepOracle:
+    """Central differences of the value each training step returns, over
+    the group of the flat gradient buffer it fills: the gradient train()
+    applies, for every recipe. A small model (d_in 8, d_emb 4, 4 classes:
+    60 main parameters) keeps each check to about 120 steps."""
 
-    @pytest.mark.parametrize("objective",
-                             [adversarial_g_loss, adversarial_d_loss])
-    def test_finite_diff(self, objective):
-        rng = np.random.default_rng(4)
-        params = init_params(5, 3, 4, rng)
-        e = 0.5 * rng.standard_normal((8, 3))
-        photo = np.tile([True, False], 4)
-        w_d, b_d = params.discriminator.w_d, params.discriminator.b_d
-        scores = 1.0 / (1.0 + np.exp(-(e @ w_d + b_d)))
-        assert ((scores > 0.05) & (scores < 0.95)).all()  # clear of the clamp
-        _, d_raw = _adversarial(params, e, photo, objective)
-        # the products each caller forms from the pre-activation gradient
-        d_e, d_w, d_b = d_raw[:, None] * w_d, e.T @ d_raw, d_raw.sum()
-        assert np.abs(d_e).max() > 0 and np.abs(d_w).max() > 0
+    @pytest.mark.parametrize("method", list(METHOD_RECIPES))
+    def test_gradient(self, method):
+        kinds, _, adversarial = METHOD_RECIPES[method]
+        config = small_config(method)
+        labels = np.repeat(np.arange(4), 4)
+        mods = np.tile([0, 0, 1, 1], 4)
+        plan = mining_plan(labels, mods, kinds) if kinds else None
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            params = init_params(8, 4, 4, rng)
+            x = rng.standard_normal((16, 8))
+            (main, _), (disc, _) = params.groups()
+            assert main.stop == 60
 
-        err_e = finite_diff_check(
-            lambda x: _adversarial(params, x, photo, objective)[0], e, d_e)
-        head = params.groups()[1][0]  # w_d, then b_d
+            def main_value(p, g):
+                value, entries = main_step(p, g, x, labels, mods, plan,
+                                           config)
+                if kinds:  # a triplet term that is not vacuous
+                    assert any(entries[f"g_{KIND_TAGS[k]}"] > 0
+                               for k in kinds)
+                return value
 
-        def value_at(head_values):
-            vector = params.vector.copy()
-            vector[head] = head_values
-            moved = ModelParams(vector, params.shapes)
-            return _adversarial(moved, e, photo, objective)[0]
-
-        err_head = finite_diff_check(value_at, params.vector[head],
-                                     np.append(d_w, d_b))
-        assert err_e < 1e-6
-        assert err_head < 1e-6
+            assert step_gradient_error(main_value, params, main) <= 1e-6
+            if adversarial:
+                assert step_gradient_error(
+                    lambda p, g: disc_step(p, g, x, mods), params,
+                    disc) <= 1e-6
 
 
 class TestAblationVariants:

@@ -82,15 +82,16 @@ def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
         assert calls["retrieve"] == blocks
 
 
-@pytest.mark.parametrize("method, adam_per_iter", [("cls-only", 1),
-                                                   ("mathm", 1), ("gan", 2)])
-def test_train_looks_up_the_traced_names(monkeypatch, method, adam_per_iter):
-    # model.adam_step, model.embed_backward, losses.adversarial and
-    # data.sample read real calls only while train reaches them through
-    # these names
+@pytest.mark.parametrize("method, steps_per_iter", [("cls-only", 1),
+                                                    ("mathm", 1), ("gan", 2)])
+def test_train_looks_up_the_traced_names(monkeypatch, method,
+                                         steps_per_iter):
+    # the model, loss and data.sample spans read real calls only while
+    # train's steps reach these names through training's globals
     calls = count_calls(monkeypatch, training,
-                        ("adam_step", "embed_backward", "adversarial_g_loss",
-                         "adversarial_d_loss"))
+                        ("adam_step", "embed_forward", "embed_backward",
+                         "softmax_ce", "weighted_embedding_loss",
+                         "adversarial_g_loss", "adversarial_d_loss"))
     samples = count_calls(monkeypatch, data.PKSampler, ("sample",))
     ds = generate_synthetic(SyntheticConfig(
         n_classes=3, samples_per_class_per_modality=4, d_in=5, seed=2))
@@ -98,7 +99,11 @@ def test_train_looks_up_the_traced_names(monkeypatch, method, adam_per_iter):
                                    classes_per_batch=2, samples_per_class=2,
                                    total_iters=4))
     adversarial = 4 if method == "gan" else 0
-    assert calls == {"adam_step": 4 * adam_per_iter, "embed_backward": 4,
+    assert calls == {"adam_step": 4 * steps_per_iter,
+                     "embed_forward": 4 * steps_per_iter,
+                     "embed_backward": 4, "softmax_ce": 4,
+                     "weighted_embedding_loss":
+                         0 if method == "cls-only" else 4,
                      "adversarial_g_loss": adversarial,
                      "adversarial_d_loss": adversarial}
     assert samples == {"sample": 4}
