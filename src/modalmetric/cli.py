@@ -8,10 +8,12 @@ Commands:
     ablate        the eight-row loss-combination ablation table
     sweep-lambda  mAP as a function of the embedding-loss weight
 
-Any config key can be overridden on the command line as `--key value`
-(qualified as `--section.key` when the bare name is ambiguous). Exit
-codes: 0 success, 2 config error, 3 data error, 4 zero-shot protocol
-violation, 5 numeric failure.
+Any config key, `--method` and `--out` too, is set as `--key value` or
+`--key=value` (`--section.key` when the bare name is ambiguous), and a
+later flag wins; `--seed N` stands for `--base_seed N --n_seeds 1` and
+wins over both. Flags are never abbreviated. Exit codes: 0 success,
+2 config error, 3 data error, 4 zero-shot protocol violation, 5 numeric
+failure.
 """
 
 import argparse
@@ -306,17 +308,18 @@ def build_parser():
         prog="modalmetric",
         description="cross-modality metric learning: train, evaluate, "
                     "and diagnose sketch-photo embedding models",
+        allow_abbrev=False,
     )
+    epilog = ("set any config key as --key value or --key=value\n"
+              f"--method: {' | '.join(METHOD_RECIPES)}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="config file (INI)")
-        p.add_argument("--method", default=None,
-                       help="training method tag "
-                            f"({' | '.join(METHOD_RECIPES)})")
-        p.add_argument("--seed", type=int, default=None,
-                       help="pin a single seed (sets n_seeds=1)")
-        p.add_argument("--out", default=None, help="output directory")
+        p = sub.add_parser(
+            name, allow_abbrev=False, epilog=epilog,
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("--config", help="config file (INI)")
+        p.add_argument("--seed",
+                       help="pin a single seed (--base_seed N --n_seeds 1)")
         if name == "eval":
             p.add_argument("--checkpoint", action="append", default=[],
                            help="checkpoint file; repeat for a mean "
@@ -335,13 +338,11 @@ def main(argv=None):
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
-        cfg = load_config(
-            args.config,
-            parse_overrides(extras),
-            method=args.method,
-            seed=args.seed,
-            out=args.out,
-        )
+        overrides = parse_overrides(extras)
+        if args.seed is not None:
+            overrides[("run", "base_seed")] = args.seed
+            overrides[("run", "n_seeds")] = "1"
+        cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg, args)
     except ModalMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

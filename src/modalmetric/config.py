@@ -92,15 +92,19 @@ def _resolve_key(dotted):
 
 
 def parse_overrides(tokens):
-    """Turn leftover CLI tokens ['--key', 'value', ...] into a
-    {(section, key): raw value} dict."""
-    if len(tokens) % 2 != 0:
-        raise ConfigError(f"override flags come in --key value pairs: {tokens}")
+    """Turn leftover CLI tokens into a {(section, key): raw value} dict.
+    Each override is `--key value` or `--key=value`; a repeated key's
+    last value wins."""
     overrides = {}
-    for flag, value in zip(tokens[::2], tokens[1::2]):
+    rest = iter(tokens)
+    for flag in rest:
         if not flag.startswith("--"):
             raise ConfigError(f"expected an override flag, got {flag!r}")
-        overrides[_resolve_key(flag[2:])] = value
+        key, eq, value = flag[2:].partition("=")
+        if not eq and (value := next(rest, None)) is None:
+            raise ConfigError(
+                f"override flags come in --key value pairs: {tokens}")
+        overrides[_resolve_key(key)] = value
     return overrides
 
 
@@ -156,12 +160,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
-def load_config(path=None, overrides=None, method=None, seed=None, out=None):
-    """Assemble a RunConfig from defaults <- file <- overrides <- the
-    dedicated --method/--seed/--out flags (highest precedence).
-
-    A --seed flag pins a single run: n_seeds = 1, base_seed = seed.
-    """
+def load_config(path=None, overrides=None):
+    """Assemble a RunConfig from defaults <- the INI file at `path` <-
+    `overrides`, a {(section, key): raw value} dict as `parse_overrides`
+    returns; later sources win."""
     values = {s: {k: v for k, (_, v) in keys.items()}
               for s, keys in SCHEMA.items()}
     if path is not None:
@@ -192,13 +194,6 @@ def load_config(path=None, overrides=None, method=None, seed=None, out=None):
                 values[section][key] = _convert(section, key, raw)
     for (section, key), raw in (overrides or {}).items():
         values[section][key] = _convert(section, key, raw)
-    if method is not None:
-        values["train"]["method"] = method
-    if seed is not None:
-        values["run"]["base_seed"] = seed
-        values["run"]["n_seeds"] = 1
-    if out is not None:
-        values["run"]["out"] = out
 
     if values["run"]["n_seeds"] < 1:
         raise ConfigError("run.n_seeds must be >= 1")

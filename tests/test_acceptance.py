@@ -42,13 +42,16 @@ from oracles import average_precision, brute_force_mine, finite_diff_check
 
 
 @contextmanager
-def criterion(number, label):
+def criterion(number, label, note=None):
+    """Record the criterion's PASS/FAIL line, then `note` if given."""
+    status = "FAIL"
     try:
         yield
-    except BaseException:
-        ACCEPTANCE_LINES.append(f"criterion {number} ({label}): FAIL")
-        raise
-    ACCEPTANCE_LINES.append(f"criterion {number} ({label}): PASS")
+        status = "PASS"
+    finally:
+        ACCEPTANCE_LINES.append(f"criterion {number} ({label}): {status}")
+        if note:
+            ACCEPTANCE_LINES.append(f"criterion {number} note: {note}")
 
 
 KINDS = (TripletKind.CROSS, TripletKind.WITHIN, TripletKind.HYBRID)
@@ -317,13 +320,28 @@ def test_criterion_6_method_comparison(experiment):
     )
 
 
+def _margins(experiment, links, wins):
+    """Each (hi, lo) link's mean map_at_all difference and the number of
+    seeds where `wins(hi, lo)` holds: what a reordering re-draws."""
+    n = experiment["n_seeds"]
+    notes = []
+    for hi, lo in links:
+        a = _per_seed(experiment, hi, "map_at_all")
+        b = _per_seed(experiment, lo, "map_at_all")
+        diff = float(np.mean(a)) - float(np.mean(b))
+        notes.append(f"{hi} − {lo} = {diff:+.1e} "
+                     f"({int(np.sum(wins(a, b)))}/{n})")
+    return "map_at_all mean " + ", ".join(notes)
+
+
 def test_criterion_7_component_chain(experiment):
-    with criterion(7, "each added component helps retrieval"):
+    chain = [("mathm", "mathm-nogw"), ("mathm-nogw", "baseline"),
+             ("baseline", "cls-only")]
+    with criterion(7, "each added component helps retrieval",
+                   _margins(experiment, chain, np.greater_equal)):
         n = experiment["n_seeds"]
         maps = {m: _per_seed(experiment, m, "map_at_all")
                 for m in ("cls-only", "baseline", "mathm-nogw", "mathm")}
-        chain = [("mathm", "mathm-nogw"), ("mathm-nogw", "baseline"),
-                 ("baseline", "cls-only")]
         for hi, lo in chain:
             assert float(np.mean(maps[hi])) >= float(np.mean(maps[lo])), (
                 f"mean map_at_all: {hi} < {lo}")
@@ -335,7 +353,9 @@ def test_criterion_7_component_chain(experiment):
 
 
 def test_criterion_8_lambda_sweep(experiment):
-    with criterion(8, "embedding loss weight improves over none"):
+    with criterion(8, "embedding loss weight improves over none",
+                   _margins(experiment, [("mathm", "mathm-lam0")],
+                            np.greater)):
         n = experiment["n_seeds"]
         lam1 = _per_seed(experiment, "mathm", "map_at_all")
         lam0 = _per_seed(experiment, "mathm-lam0", "map_at_all")

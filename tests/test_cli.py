@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,7 @@ from modalmetric import (
     write_dataset,
     zero_shot_split,
 )
-from modalmetric.cli import METRIC_KEYS, main
+from modalmetric.cli import COMMANDS, METRIC_KEYS, main
 from modalmetric.config import SCHEMA, load_config
 from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
 from modalmetric.training import METHOD_RECIPES
@@ -81,6 +82,15 @@ class TestTrainCommand:
         train_once(ini, tmp_path, "--method", method)
         rows = read_rows(tmp_path / method / "seed-0" / "training_log.csv")
         assert rows[0] == LOG_COLUMNS[method]
+
+    def test_bench_command_shape(self, ini, tmp_path):
+        # the benchmark's train line: every flag a separate token
+        rc = main(["train", "--config", ini, "--method", "gan", "--n_seeds",
+                   "1", "--base_seed", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sorted(os.listdir(tmp_path)) == ["gan"]
+        assert os.listdir(tmp_path / "gan") == ["seed-2"]
+        assert (tmp_path / "gan" / "seed-2" / "checkpoint.json").exists()
 
     def test_multiple_seeds(self, ini, tmp_path):
         train_once(ini, tmp_path, "--n_seeds", "2")
@@ -568,6 +578,14 @@ class TestSweepLambdaCommand:
         assert ((tmp_path / "a" / "sweep-lambda" / "table.csv").read_bytes()
                 == (tmp_path / "b" / "sweep-lambda" / "table.csv").read_bytes())
 
+    def test_lam_is_not_lambdas(self, ini, tmp_path):
+        # --lam is the loss.lam override, not an abbreviation of --lambdas
+        rc = main(["sweep-lambda", "--config", ini, "--out", str(tmp_path),
+                   "--lam", "0.5", "--total_iters", "8"])
+        assert rc == 0
+        rows = read_rows(tmp_path / "sweep-lambda" / "table.csv")
+        assert [r[0] for r in rows[1:]] == ["0.0", "0.5", "1.0", "2.0"]
+
     @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops",
                                      "inf", "0,nan", "1,-inf"])
     def test_bad_lambdas(self, ini, tmp_path, bad, capsys):
@@ -641,6 +659,22 @@ class TestConfigHandling:
                    "--optimizer", "sgd"])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--meth", "--conf", "--lambda"])
+    def test_flags_are_not_abbreviated(self, ini, tmp_path, flag, capsys):
+        rc = main(["sweep-lambda", "--config", ini, "--out", str(tmp_path),
+                   flag, "gan"])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_names_every_method_tag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        named = set(re.findall(r"[\w+-]+", capsys.readouterr().out))
+        assert METHOD_RECIPES.keys() <= named, METHOD_RECIPES.keys() - named
 
     def test_dangling_override_flag(self, ini, tmp_path, capsys):
         rc = main(["train", "--config", ini, "--out", str(tmp_path),

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from modalmetric import ConfigError, SyntheticConfig, TrainConfig
+from modalmetric import ConfigError, SyntheticConfig, TrainConfig, cli
 from modalmetric.config import load_config, parse_overrides
 
 
@@ -61,21 +61,42 @@ class TestDefaults:
         assert len(seeds) == 10**6
 
 
+def resolved_config(monkeypatch, argv):
+    """The RunConfig `main(argv)` hands its command, without running it."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, argv[0],
+                        lambda cfg, args: seen.append(cfg) or 0)
+    assert cli.main(argv) == 0
+    return seen[0]
+
+
 class TestPrecedence:
-    def test_file_then_override_then_flag(self, tmp_path):
+    def test_file_then_override_then_flag(self, tmp_path, monkeypatch):
         path = tmp_path / "c.ini"
         path.write_text("[train]\nmethod = baseline\ntotal_iters = 50\n")
-        cfg = load_config(str(path),
-                          parse_overrides(["--total_iters", "60"]),
-                          method="gan")
+        cfg = resolved_config(monkeypatch, [
+            "train", "--config", str(path), "--total_iters", "60",
+            "--method", "mathm", "--method", "gan"])
         assert cfg.train.total_iters == 60
         assert cfg.train.method == "gan"
 
-    def test_seed_flag_pins_single_run(self):
-        cfg = load_config(overrides=parse_overrides(["--n_seeds", "4"]),
-                          seed=9)
-        assert list(cfg.seeds()) == [9]
-        assert cfg.train.seed == 9
+    def test_seed_flag_pins_single_run(self, monkeypatch):
+        # --seed wins over --base_seed and --n_seeds in either order
+        for argv in (["--n_seeds", "4", "--seed", "9"],
+                     ["--seed", "9", "--n_seeds", "4", "--base_seed", "2"],
+                     ["--seed=9", "--n_seeds=4"]):
+            cfg = resolved_config(monkeypatch, ["train", *argv])
+            assert list(cfg.seeds()) == [9]
+            assert cfg.train.seed == 9
+
+    def test_equals_form(self, tmp_path, monkeypatch):
+        cfg = resolved_config(monkeypatch, [
+            "eval", "--method=gan", f"--out={tmp_path}", "--sigma=0.2",
+            "--loss.margin=0.3"])
+        assert cfg.train.method == "gan"
+        assert cfg.out == str(tmp_path)
+        assert cfg.data["sigma"] == 0.2
+        assert cfg.train.loss.margin == 0.3
 
     def test_query_modality_mapping(self):
         cfg = load_config(overrides=parse_overrides(
@@ -90,6 +111,12 @@ class TestOverrideParsing:
     def test_dotted_and_bare(self):
         got = parse_overrides(["--loss.margin", "0.3", "--d_emb", "8"])
         assert got == {("loss", "margin"): "0.3", ("train", "d_emb"): "8"}
+
+    def test_equals_form(self):
+        got = parse_overrides(["--loss.margin=0.3", "--d_emb", "8",
+                               "--out=a=b", "--d_emb=9"])
+        assert got == {("loss", "margin"): "0.3", ("train", "d_emb"): "9",
+                       ("run", "out"): "a=b"}
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -1,13 +1,16 @@
 """README's "Library use" section is the package's documented surface:
 its examples run as written, and it names exactly what `modalmetric`
 exports. Its table of config keys is exactly `config.SCHEMA`, and it
-names every method tag."""
+names every method tag, and every command line in its `sh` blocks
+parses."""
 
 import os
 import re
+import shlex
 
 import modalmetric
-from modalmetric.config import SCHEMA
+from modalmetric.cli import build_parser
+from modalmetric.config import SCHEMA, parse_overrides
 from modalmetric.training import METHOD_RECIPES
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -64,3 +67,16 @@ def test_settings_table_is_the_schema():
 def test_names_every_method_tag():
     named = set(re.findall(r"`([\w+-]+)`", readme_text()))
     assert METHOD_RECIPES.keys() <= named, METHOD_RECIPES.keys() - named
+
+
+def test_command_lines_parse():
+    # parsed, not run: a flag the CLI no longer takes fails here
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme_text(),
+                                           re.S)
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("modalmetric ")]
+    assert len(lines) >= 5
+    for line in lines:
+        _, extras = build_parser().parse_known_args(
+            shlex.split(line, comments=True)[1:])
+        parse_overrides(extras)
