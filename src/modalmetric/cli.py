@@ -4,7 +4,7 @@ Commands:
     train         train one method over the configured seeds
     eval          embed the held-out split with a checkpoint and report
                   retrieval metrics
-    diagnose      baseline / mathm / gan side-by-side comparison table
+    diagnose      one mean row per method, trained or read from checkpoints
     ablate        the eight-row loss-combination ablation table
     sweep-lambda  mAP as a function of the embedding-loss weight
 
@@ -120,7 +120,8 @@ def _read_checkpoint(path, d_in):
 
     Returns:
         (params, meta), with meta["train_class_ids"] a non-empty list of
-        distinct ints, meta["n_train_classes"] of them.
+        distinct ints, meta["n_train_classes"] of them, and
+        meta["train"]["method"] a METHOD_RECIPES tag (else malformed).
     """
     try:
         params, meta = load_checkpoint(path)
@@ -133,6 +134,8 @@ def _read_checkpoint(path, d_in):
         if meta["n_train_classes"] != len(ids):
             raise ValueError(f"n_train_classes {meta['n_train_classes']!r} "
                              "is not the number of train_class_ids")
+        if (method := meta["train"]["method"]) not in METHOD_RECIPES:
+            raise ValueError(f"train.method {method!r} is not a method tag")
     except OSError as exc:
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{exc.strerror or exc}") from None
@@ -246,31 +249,26 @@ def _grid_table(cfg, command, label_column, variants, keys):
 
 
 def cmd_diagnose(cfg, args):
-    given = [args.baseline, args.mathm, args.gan]
-    if not any(given):
+    if not args.checkpoint:
         return _grid_table(cfg, "diagnose", "method", [
             (method, replace(cfg.train, method=method))
             for method in DIAGNOSE_METHODS
         ], METRIC_KEYS)
-    if not all(given):
-        raise ConfigError(
-            "diagnose from checkpoints needs all of --baseline, "
-            "--mathm and --gan"
-        )
     _, test_set = cfg.load_data()
-    loaded = [_read_checkpoint(path, test_set.d_in) for path in given]
+    loaded = [_read_checkpoint(path, test_set.d_in)
+              for path in args.checkpoint]
     # the split is in each meta, so compare it before evaluating any
     if len({tuple(meta["train_class_ids"]) for _, meta in loaded}) > 1:
         raise ProtocolError(
             "diagnose checkpoints were trained on different splits"
         )
-    rows = []
-    for method, path, (params, meta) in zip(DIAGNOSE_METHODS, given, loaded):
-        metrics = evaluate_params(
+    runs = {}  # recorded method -> its snapshots, in order of first use
+    for path, (params, meta) in zip(args.checkpoint, loaded):
+        runs.setdefault(meta["train"]["method"], []).append(evaluate_params(
             params, test_set, cfg, meta["train_class_ids"], source=path
-        )
-        rows.append({"method": method, **_mean_std([metrics.to_dict()],
-                                                    METRIC_KEYS)})
+        ).to_dict())
+    rows = [{"method": method, **_mean_std(snapshots, METRIC_KEYS)}
+            for method, snapshots in runs.items()]
     return _emit_table(cfg, "diagnose", "method", rows, METRIC_KEYS)
 
 
@@ -320,14 +318,12 @@ def build_parser():
         p.add_argument("--config", help="config file (INI)")
         p.add_argument("--seed",
                        help="pin a single seed (--base_seed N --n_seeds 1)")
-        if name == "eval":
-            p.add_argument("--checkpoint", action="append", default=[],
-                           help="checkpoint file; repeat for a mean "
-                                "over runs")
-        if name == "diagnose":
-            p.add_argument("--baseline", default=None)
-            p.add_argument("--mathm", default=None)
-            p.add_argument("--gan", default=None)
+        if name in ("eval", "diagnose"):
+            p.add_argument(
+                "--checkpoint", action="append", default=[],
+                help="checkpoint file; repeat for a mean over runs" + (
+                    ", one row per recorded method (none: train baseline, "
+                    "mathm and gan in place)" if name == "diagnose" else ""))
         if name == "sweep-lambda":
             p.add_argument("--lambdas", default=DEFAULT_LAMBDAS,
                            help="comma-separated weight values")

@@ -93,17 +93,17 @@ def _resolve_key(dotted):
 
 def parse_overrides(tokens):
     """Turn leftover CLI tokens into a {(section, key): raw value} dict.
-    Each override is `--key value` or `--key=value`; a repeated key's
-    last value wins."""
+    Each override is `--key value`, the value not starting with `--`,
+    or `--key=value`; a repeated key's last value wins."""
     overrides = {}
     rest = iter(tokens)
     for flag in rest:
         if not flag.startswith("--"):
             raise ConfigError(f"expected an override flag, got {flag!r}")
         key, eq, value = flag[2:].partition("=")
-        if not eq and (value := next(rest, None)) is None:
-            raise ConfigError(
-                f"override flags come in --key value pairs: {tokens}")
+        if not eq and (value := next(rest, "--")).startswith("--"):
+            raise ConfigError(f"{flag} has no value: override flags come "
+                              "in --key value pairs or as --key=value")
         overrides[_resolve_key(key)] = value
     return overrides
 

@@ -360,6 +360,15 @@ CORRUPTIONS = {
     # reshape would fill in the -1 and load an (8, 4) W
     "negative_dim": (_edit_payload(lambda p: p["tensors"]["embedder.W"]
                                    .update(shape=[-1, 4])), "malformed"),
+    # diagnose names a row by the recorded method, so it must be a tag
+    "method_missing": (_edit_payload(
+        lambda p: p["meta"]["train"].pop("method")), "malformed"),
+    "method_unknown": (_edit_payload(
+        lambda p: p["meta"]["train"].update(method="sgd")), "malformed"),
+    "method_not_a_string": (_edit_payload(
+        lambda p: p["meta"]["train"].update(method=["mathm"])), "malformed"),
+    "train_not_an_object": (_edit_payload(
+        lambda p: p["meta"].update(train="mathm")), "malformed"),
 }
 
 
@@ -375,12 +384,10 @@ class TestBrokenCheckpoints:
         corrupt, message = CORRUPTIONS[corruption]
         bad = tmp_path / "bad.json"
         corrupt(good_checkpoint, bad)
-        argv = [command, "--config", ini, "--out", str(tmp_path / "o")]
-        if command == "eval":
-            argv += ["--checkpoint", str(bad)]
-        else:
-            argv += ["--baseline", str(bad), "--mathm", str(good_checkpoint),
-                     "--gan", str(good_checkpoint)]
+        argv = [command, "--config", ini, "--out", str(tmp_path / "o"),
+                "--checkpoint", str(bad)]
+        if command == "diagnose":
+            argv += ["--checkpoint", str(good_checkpoint)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(argv)
@@ -417,6 +424,7 @@ _CHECKPOINT_EDIT = st.one_of(
     st.tuples(st.just("value"), _NAME, st.integers(0, 99), _ENTRY),
     st.tuples(st.just("format"), _JSON),
     st.tuples(st.just("class_ids"), _JSON),
+    st.tuples(st.just("method"), _JSON),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
 )
 
@@ -438,6 +446,8 @@ def _edit_checkpoint(payload, edit):
         payload["format"] = args[0]
     elif op == "class_ids":
         payload["meta"]["train_class_ids"] = args[0]
+    elif op == "method":
+        payload["meta"]["train"]["method"] = args[0]
 
 
 class TestCorruptedCheckpoints:
@@ -462,12 +472,10 @@ class TestCorruptedCheckpoints:
                 text = text[:int(args[0] * len(text))]
         bad = workdir / "bad.json"
         bad.write_text(text)
-        argv = [command, "--config", ini, "--out", str(workdir / "o")]
-        if command == "eval":
-            argv += ["--checkpoint", str(bad)]
-        else:
-            argv += ["--baseline", str(bad), "--mathm", str(good_checkpoint),
-                     "--gan", str(good_checkpoint)]
+        argv = [command, "--config", ini, "--out", str(workdir / "o"),
+                "--checkpoint", str(bad)]
+        if command == "diagnose":
+            argv += ["--checkpoint", str(good_checkpoint)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -490,35 +498,76 @@ class TestDiagnoseCommand:
         assert {r["method"] for r in table} == {"baseline", "mathm", "gan"}
         assert "modality_gap" in capsys.readouterr().out
 
-    @pytest.fixture()
-    def three_checkpoints(self, ini, tmp_path):
-        paths = {}
-        for method in ("baseline", "mathm", "gan"):
-            train_once(ini, tmp_path / "train", "--method", method,
-                       "--total_iters", "8")
-            paths[method] = str(tmp_path / "train" / method / "seed-0"
-                                / "checkpoint.json")
-        return paths
+    # train --n_seeds 2 for each method, then the argv of `diagnose`
+    TRAIN = ("--n_seeds", "2", "--total_iters", "8")
 
-    def test_from_checkpoints(self, ini, tmp_path, three_checkpoints):
+    @pytest.fixture(scope="class")
+    def runs(self, ini, tmp_path_factory):
+        """method -> the checkpoint paths of its two seeds."""
+        out = tmp_path_factory.mktemp("diagnose-train")
+        for method in ("baseline", "mathm", "gan"):
+            train_once(ini, out, "--method", method, *self.TRAIN)
+        return {method: [str(out / method / f"seed-{seed}" / "checkpoint.json")
+                         for seed in (0, 1)]
+                for method in ("baseline", "mathm", "gan")}
+
+    def _diagnose(self, ini, out, *paths):
+        argv = ["diagnose", "--config", ini, "--out", str(out)]
+        for path in paths:
+            argv += ["--checkpoint", str(path)]
+        return main(argv)
+
+    def test_from_checkpoints(self, ini, tmp_path, runs):
         out = tmp_path / "diag"
-        rc = main(["diagnose", "--config", ini, "--out", str(out),
-                   "--baseline", three_checkpoints["baseline"],
-                   "--mathm", three_checkpoints["mathm"],
-                   "--gan", three_checkpoints["gan"]])
+        rc = self._diagnose(ini, out, runs["baseline"][0], runs["mathm"][0],
+                            runs["gan"][0])
         assert rc == 0
         rows = read_rows(out / "diagnose" / "table.csv")
-        assert len(rows) == 4
+        assert [r[0] for r in rows[1:]] == ["baseline", "mathm", "gan"]
 
-    def test_incomplete_checkpoints(self, ini, tmp_path, three_checkpoints,
-                                    capsys):
-        rc = main(["diagnose", "--config", ini, "--out", str(tmp_path / "d"),
-                   "--baseline", three_checkpoints["baseline"]])
+    def test_rows_named_by_recorded_method(self, ini, tmp_path, runs):
+        # a gan checkpoint given first is the first row, named gan
+        out = tmp_path / "diag"
+        assert self._diagnose(ini, out, runs["gan"][0],
+                              runs["baseline"][0]) == 0
+        table = json.loads((out / "diagnose" / "table.json").read_text())
+        assert [r["method"] for r in table] == ["gan", "baseline"]
+
+    def test_one_row_per_method(self, ini, tmp_path, runs):
+        out = tmp_path / "diag"
+        assert self._diagnose(ini, out, *runs["mathm"]) == 0
+        [row] = json.loads((out / "diagnose" / "table.json").read_text())
+        assert row["method"] == "mathm"
+        assert row["map_at_all_std"] > 0.0
+
+    def test_incomplete_checkpoints(self, ini, tmp_path, runs):
+        # no method is required: one baseline checkpoint is a one-row table
+        out = tmp_path / "diag"
+        assert self._diagnose(ini, out, runs["baseline"][0]) == 0
+        rows = read_rows(out / "diagnose" / "table.csv")
+        assert [r[0] for r in rows[1:]] == ["baseline"]
+
+    def test_checkpoints_match_in_place(self, ini, tmp_path, runs):
+        # the checkpoints of the runs in-place diagnose trains, in method
+        # then seed order, give the same table bytes
+        assert main(["diagnose", "--config", ini, "--out",
+                     str(tmp_path / "in-place"), *self.TRAIN]) == 0
+        assert self._diagnose(ini, tmp_path / "read", *runs["baseline"],
+                              *runs["mathm"], *runs["gan"]) == 0
+        for name in ("table.csv", "table.json"):
+            assert ((tmp_path / "in-place" / "diagnose" / name).read_bytes()
+                    == (tmp_path / "read" / "diagnose" / name).read_bytes())
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--mathm", "--gan"])
+    def test_method_flags_are_unknown_keys(self, ini, tmp_path, runs, flag,
+                                           capsys):
+        rc = main(["diagnose", "--config", ini, "--out", str(tmp_path),
+                   flag, runs["mathm"][0]])
         assert rc == 2
-        assert "needs all" in capsys.readouterr().err
+        assert "unknown config key" in capsys.readouterr().err
 
-    def test_mismatched_splits(self, ini, tmp_path, three_checkpoints,
-                               monkeypatch, capsys):
+    def test_mismatched_splits(self, ini, tmp_path, runs, monkeypatch,
+                               capsys):
         from modalmetric import cli
 
         scored = []
@@ -532,14 +581,12 @@ class TestDiagnoseCommand:
         # forge a checkpoint whose recorded training classes differ
         doctored = tmp_path / "doctored.json"
         payload = json.loads(
-            Path(three_checkpoints["baseline"]).read_text(encoding="utf-8"))
+            Path(runs["baseline"][0]).read_text(encoding="utf-8"))
         payload["meta"]["train_class_ids"] = list(
             reversed(payload["meta"]["train_class_ids"]))
         doctored.write_text(json.dumps(payload))
-        rc = main(["diagnose", "--config", ini, "--out", str(tmp_path / "d"),
-                   "--baseline", str(doctored),
-                   "--mathm", three_checkpoints["mathm"],
-                   "--gan", three_checkpoints["gan"]])
+        rc = self._diagnose(ini, tmp_path / "d", doctored, runs["mathm"][0],
+                            runs["gan"][0])
         assert rc == 4
         assert "different splits" in capsys.readouterr().err
         # the splits are in the metas: no checkpoint is scored first
@@ -680,6 +727,15 @@ class TestConfigHandling:
         rc = main(["train", "--config", ini, "--out", str(tmp_path),
                    "--margin"])
         assert rc == 2
+
+    @pytest.mark.parametrize("tail", [["--margin", "--lam", "0.3"],
+                                      ["--lam", "0.3", "--margin"]],
+                             ids=["before_a_flag", "last"])
+    def test_override_without_value_named(self, ini, tmp_path, tail, capsys):
+        rc = main(["train", "--config", ini, "--out", str(tmp_path), *tail])
+        assert rc == 2
+        assert "--margin has no value" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_non_flag_override(self, ini, tmp_path, capsys):
         rc = main(["train", "--config", ini, "--out", str(tmp_path),

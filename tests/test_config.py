@@ -114,9 +114,9 @@ class TestOverrideParsing:
 
     def test_equals_form(self):
         got = parse_overrides(["--loss.margin=0.3", "--d_emb", "8",
-                               "--out=a=b", "--d_emb=9"])
+                               "--out=a=b", "--d_emb=9", "--source=--x"])
         assert got == {("loss", "margin"): "0.3", ("train", "d_emb"): "9",
-                       ("run", "out"): "a=b"}
+                       ("run", "out"): "a=b", ("data", "source"): "--x"}
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
