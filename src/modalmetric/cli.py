@@ -5,8 +5,11 @@ Commands:
     eval          embed the held-out split with a checkpoint and report
                   retrieval metrics
     diagnose      one mean row per method, trained or read from checkpoints
-    ablate        the eight-row loss-combination ablation table
+    ablate        in-place diagnose over the loss ablation's eight methods
     sweep-lambda  mAP as a function of the embedding-loss weight
+
+The last three write `<out>/<command>/table.csv` and `table.json`, one
+row per method tag or λ: the mean and sample std over its runs.
 
 Any config key, `--method` and `--out` too, is set as `--key value` or
 `--key=value` (`--section.key` when the bare name is ambiguous), and a
@@ -30,9 +33,12 @@ from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, output_dir, write_json
 from .model import (embed_forward, load_checkpoint, model_shapes,
                     save_checkpoint)
-from .training import METHOD_RECIPES, ablation_variants, train
+from .training import METHOD_RECIPES, train
 
 DIAGNOSE_METHODS = ("baseline", "mathm", "gan")
+# the loss ablation's rows, one method tag each (README lists them)
+ABLATION_METHODS = ("cls-only", "baseline", "within", "hybrid",
+                    "cross+within", "cross+hybrid", "mathm-nogw", "mathm")
 DEFAULT_LAMBDAS = "0,0.5,1,2"
 
 
@@ -208,13 +214,23 @@ def cmd_eval(cfg, args):
     return 0
 
 
-def _emit_table(cfg, command, label_column, rows, keys):
-    columns = [label_column]
-    for key in keys:
-        columns += [key, f"{key}_std"]
+def _write_table(cfg, command, label_column, runs, keys):
+    """Write `<out>/<command>/table.csv` and `table.json`: per label of
+    the (label, metrics dict) `runs`, in order of first appearance, the
+    mean and sample std of `keys`. The runs are consumed inside the
+    output directory, so an unusable --out fails before the first."""
     out_dir = os.path.join(cfg.out, command)
-    write_csv(os.path.join(out_dir, "table.csv"), columns, rows)
-    write_json(os.path.join(out_dir, "table.json"), rows)
+    with output_dir(out_dir):
+        grouped = {}
+        for label, metrics in runs:
+            grouped.setdefault(label, []).append(metrics)
+        rows = [{label_column: label, **_mean_std(snapshots, keys)}
+                for label, snapshots in grouped.items()]
+        columns = [label_column]
+        for key in keys:
+            columns += [key, f"{key}_std"]
+        write_csv(os.path.join(out_dir, "table.csv"), columns, rows)
+        write_json(os.path.join(out_dir, "table.json"), rows)
     width = max(len(str(r[label_column])) for r in rows)
     for row in rows:
         cells = "  ".join(
@@ -226,56 +242,47 @@ def _emit_table(cfg, command, label_column, rows, keys):
     return 0
 
 
-def _grid_table(cfg, command, label_column, variants, keys):
-    """Train and evaluate every variant over the configured seeds and
-    write one table row per variant: the mean and sample std of `keys`.
-
-    Args:
-        variants: (label, TrainConfig) pairs; each seed's run uses the
-            variant's config with that seed.
-    """
+def _trained_runs(cfg, variants):
+    """Load the data now and return the lazy (label, metrics dict) runs
+    of each (label, TrainConfig) variant over the configured seeds."""
     train_set, test_set = cfg.load_data()
-    rows = []
-    with output_dir(os.path.join(cfg.out, command)):
-        for label, variant in variants:
-            snapshots = []
-            for seed in cfg.seeds():
-                result = train(train_set, replace(variant, seed=seed))
-                snapshots.append(evaluate_params(
-                    result.params, test_set, cfg, train_set.class_ids
-                ).to_dict())
-            rows.append({label_column: label, **_mean_std(snapshots, keys)})
-        return _emit_table(cfg, command, label_column, rows, keys)
+    return ((label, evaluate_params(
+                train(train_set, replace(variant, seed=seed)).params,
+                test_set, cfg, train_set.class_ids).to_dict())
+            for label, variant in variants for seed in cfg.seeds())
 
 
-def cmd_diagnose(cfg, args):
-    if not args.checkpoint:
-        return _grid_table(cfg, "diagnose", "method", [
-            (method, replace(cfg.train, method=method))
-            for method in DIAGNOSE_METHODS
-        ], METRIC_KEYS)
+def _checkpoint_runs(cfg, paths):
+    """Load the data and read and split-check every checkpoint now, and
+    return the lazy (recorded method, metrics dict) runs in path order."""
     _, test_set = cfg.load_data()
-    loaded = [_read_checkpoint(path, test_set.d_in)
-              for path in args.checkpoint]
+    loaded = [_read_checkpoint(path, test_set.d_in) for path in paths]
     # the split is in each meta, so compare it before evaluating any
     if len({tuple(meta["train_class_ids"]) for _, meta in loaded}) > 1:
         raise ProtocolError(
             "diagnose checkpoints were trained on different splits"
         )
-    runs = {}  # recorded method -> its snapshots, in order of first use
-    for path, (params, meta) in zip(args.checkpoint, loaded):
-        runs.setdefault(meta["train"]["method"], []).append(evaluate_params(
-            params, test_set, cfg, meta["train_class_ids"], source=path
-        ).to_dict())
-    rows = [{"method": method, **_mean_std(snapshots, METRIC_KEYS)}
-            for method, snapshots in runs.items()]
-    return _emit_table(cfg, "diagnose", "method", rows, METRIC_KEYS)
+    return ((meta["train"]["method"], evaluate_params(
+                params, test_set, cfg, meta["train_class_ids"],
+                source=path).to_dict())
+            for path, (params, meta) in zip(paths, loaded))
+
+
+def _method_runs(cfg, methods):
+    return _trained_runs(cfg, [(method, replace(cfg.train, method=method))
+                               for method in methods])
+
+
+def cmd_diagnose(cfg, args):
+    runs = (_checkpoint_runs(cfg, args.checkpoint) if args.checkpoint
+            else _method_runs(cfg, DIAGNOSE_METHODS))
+    return _write_table(cfg, "diagnose", "method", runs, METRIC_KEYS)
 
 
 def cmd_ablate(cfg, args):
-    return _grid_table(cfg, "ablate", "variant",
-                       ablation_variants(cfg.train),
-                       ("map_at_all", "prec_at_k"))
+    return _write_table(cfg, "ablate", "method",
+                        _method_runs(cfg, ABLATION_METHODS),
+                        ("map_at_all", "prec_at_k"))
 
 
 def cmd_sweep_lambda(cfg, args):
@@ -286,10 +293,14 @@ def cmd_sweep_lambda(cfg, args):
     if not lambdas or any(not (math.isfinite(lam) and lam >= 0)
                           for lam in lambdas):
         raise ConfigError("--lambdas needs comma-separated finite reals >= 0")
-    return _grid_table(cfg, "sweep-lambda", "lam", [
+    # the table groups runs by label, so equal values would share a row
+    for i, lam in enumerate(lambdas):
+        if lam in lambdas[:i]:
+            raise ConfigError(f"--lambdas repeats the value {lam!r}")
+    return _write_table(cfg, "sweep-lambda", "lam", _trained_runs(cfg, [
         (lam, replace(cfg.train, loss=replace(cfg.train.loss, lam=lam)))
         for lam in lambdas
-    ], ("map_at_all", "prec_at_k"))
+    ]), ("map_at_all", "prec_at_k"))
 
 
 COMMANDS = {

@@ -3,7 +3,7 @@ cosine decay, per-iteration diagnostics rows, and the alternating
 generator/discriminator schedule for the adversarial variant.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .model import (
 )
 
 # method tag -> (triplet kinds, gradient weighting, adversarial heads);
-# the only place a training recipe is defined. The last five are the loss
-# ablation's rows that no method above trains.
+# the only place a training recipe is defined. The last five train the
+# loss ablation's rows (cli.ABLATION_METHODS) that no method above does.
 METHOD_RECIPES = {
     "cls-only": ((), False, False),
     "baseline": ((TripletKind.CROSS,), False, False),
@@ -258,24 +258,3 @@ def train(dataset: Dataset, config: TrainConfig):
 
     return TrainResult(params, log)
 
-
-def ablation_variants(config: TrainConfig):
-    """The eight rows of the loss ablation: classification only, each
-    triplet loss alone, the two pairs anchored on the cross-modality
-    loss, and all three losses with and without gradient weighting.
-
-    Returns:
-        list of (row_name, TrainConfig), each row's config `config` with
-        the method tag that trains it.
-    """
-    rows = [
-        ("cls-only", "cls-only"),
-        ("cross", "baseline"),
-        ("within", "within"),
-        ("hybrid", "hybrid"),
-        ("cross+within", "cross+within"),
-        ("cross+hybrid", "cross+hybrid"),
-        ("all", "mathm-nogw"),
-        ("all+gw", "mathm"),
-    ]
-    return [(name, replace(config, method=tag)) for name, tag in rows]

@@ -5,8 +5,9 @@ Each derives its result the slow, direct way, by its definition:
 - `brute_force_mine`, the exhaustive miner, against `batch_hard_mine`;
 - `finite_diff_check`, central finite differences, against the
   analytic gradients;
-- `average_precision`, positional AP of one query, against the
-  row-blocked retrieval scores.
+- `average_precision`, AP of one query from its precision curve, and
+  `positional_ap`, the same by walking the list position by position,
+  against the row-blocked retrieval scores and each other.
 """
 
 import numpy as np
@@ -154,3 +155,18 @@ def average_precision(relevance, truncate_at=None):
     ranks = np.arange(1, head.size + 1)
     precisions = np.cumsum(head) / ranks
     return float((precisions * head).sum() / denominator)
+
+
+def positional_ap(relevance, truncate_at=None):
+    """AP of one relevance list, the slow way: the k-th relevant item at
+    position p adds k / p, and the sum is divided by the relevant count
+    (min(relevant count, n) with truncate_at=n)."""
+    total = int(sum(relevance))
+    head = relevance if truncate_at is None else relevance[:truncate_at]
+    denom = total if truncate_at is None else min(total, truncate_at)
+    hits, score = 0, 0.0
+    for i, r in enumerate(head):
+        if r:
+            hits += 1
+            score += hits / (i + 1)
+    return score / denom

@@ -18,9 +18,12 @@ import modalmetric.training
 from conftest import (ACCEPTANCE_LINES, hinge_one, mine_one, mined_loss,
                       pk_batch, step_gradient_error, unit_rows)
 from modalmetric import (
+    Ranking,
     SyntheticConfig,
     TrainConfig,
     generate_synthetic,
+    map_at_all,
+    map_at_n,
     prec_at_k,
     retrieve,
     train,
@@ -38,7 +41,7 @@ from modalmetric.losses import (
 from modalmetric.mining import TripletKind, mining_plan
 from modalmetric.model import embed_forward, init_params
 from modalmetric.training import main_step
-from oracles import average_precision, brute_force_mine, finite_diff_check
+from oracles import brute_force_mine, finite_diff_check, positional_ap
 
 
 class Slack:
@@ -233,16 +236,9 @@ def test_criterion_4_retrieval_metrics():
     with criterion(4, "AP and precision match exhaustive computation") \
             as slack:
         what = "AP or precision error"
-        def reference_ap(rel, truncate_at=None):
-            total = int(sum(rel))
-            head = rel if truncate_at is None else rel[:truncate_at]
-            denom = total if truncate_at is None else min(total, truncate_at)
-            hits, score = 0, 0.0
-            for i, r in enumerate(head):
-                if r:
-                    hits += 1
-                    score += hits / (i + 1)
-            return score / denom
+
+        def ranked(rel):  # a one-query ranking, scored by the program
+            return Ranking(None, None, np.asarray(rel)[None])
 
         rng = np.random.default_rng(555)
         lists = 0
@@ -252,22 +248,23 @@ def test_criterion_4_retrieval_metrics():
             if rel.sum() == 0:
                 continue
             assert slack.within(
-                what, abs(average_precision(rel) - reference_ap(rel)), 1e-12)
+                what, abs(map_at_all(ranked(rel)) - positional_ap(rel)),
+                1e-12)
             cut = int(rng.integers(1, n + 1))
             assert slack.within(
-                what, abs(average_precision(rel, truncate_at=cut)
-                          - reference_ap(rel, truncate_at=cut)), 1e-12)
+                what, abs(map_at_n(ranked(rel), cut)
+                          - positional_ap(rel, truncate_at=cut)), 1e-12)
             k = int(rng.integers(1, n + 5))
-            ranked = type("R", (), {"relevance": rel[None]})()
             m = min(k, n)
             assert slack.within(
-                what, abs(prec_at_k(ranked, k) - rel[:m].sum() / m), 1e-12)
+                what, abs(prec_at_k(ranked(rel), k) - rel[:m].sum() / m),
+                1e-12)
             lists += 1
 
-        assert abs(average_precision([1, 0, 1, 0]) - 5 / 6) <= 1e-9
-        assert abs(average_precision([0, 0, 1, 1]) - 5 / 12) <= 1e-9
-        assert abs(average_precision([1, 0, 1, 0]) - 0.83333) <= 5e-6
-        assert abs(average_precision([0, 0, 1, 1]) - 0.41667) <= 5e-6
+        assert abs(map_at_all(ranked([1, 0, 1, 0])) - 5 / 6) <= 1e-9
+        assert abs(map_at_all(ranked([0, 0, 1, 1])) - 5 / 12) <= 1e-9
+        assert abs(map_at_all(ranked([1, 0, 1, 0])) - 0.83333) <= 5e-6
+        assert abs(map_at_all(ranked([0, 0, 1, 1])) - 0.41667) <= 5e-6
 
 
 def test_criterion_5_embedding_geometry(monkeypatch):

@@ -21,11 +21,11 @@ from modalmetric import (
     NumericError,
     SyntheticConfig,
     generate_synthetic,
-    train,
     write_dataset,
     zero_shot_split,
 )
-from modalmetric.cli import COMMANDS, METRIC_KEYS, main
+from modalmetric.cli import (ABLATION_METHODS, COMMANDS, METRIC_KEYS,
+                             main)
 from modalmetric.config import SCHEMA, load_config
 from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
 from modalmetric.training import METHOD_RECIPES
@@ -600,11 +600,31 @@ class TestAblateCommand:
                    "--total_iters", "8"])
         assert rc == 0
         rows = read_rows(out / "ablate" / "table.csv")
-        assert rows[0] == ["variant", "map_at_all", "map_at_all_std",
+        assert rows[0] == ["method", "map_at_all", "map_at_all_std",
                            "prec_at_k", "prec_at_k_std"]
-        assert [r[0] for r in rows[1:]] == [
-            "cls-only", "cross", "within", "hybrid",
-            "cross+within", "cross+hybrid", "all", "all+gw"]
+        assert [r[0] for r in rows[1:]] == list(ABLATION_METHODS)
+
+    def test_matches_checkpoint_tables(self, ini, tmp_path):
+        # each row is the method's in-place diagnose: the same numbers as
+        # diagnose over the checkpoints of `train --method T`
+        runs = ("--n_seeds", "2", "--total_iters", "8")
+        assert main(["ablate", "--config", ini, "--out", str(tmp_path),
+                     *runs]) == 0
+        argv = ["diagnose", "--config", ini, "--out", str(tmp_path)]
+        for method in ABLATION_METHODS:
+            train_once(ini, tmp_path / "train", "--method", method, *runs)
+            for seed in (0, 1):
+                argv += ["--checkpoint", str(tmp_path / "train" / method
+                                             / f"seed-{seed}"
+                                             / "checkpoint.json")]
+        assert main(argv) == 0
+        ablate, diagnose = (
+            json.loads((tmp_path / command / "table.json").read_text())
+            for command in ("ablate", "diagnose"))
+        keys = ("method", "map_at_all", "map_at_all_std", "prec_at_k",
+                "prec_at_k_std")
+        assert [{k: row[k] for k in keys} for row in diagnose] == ablate
+        assert [row["method"] for row in ablate] == list(ABLATION_METHODS)
 
 
 class TestSweepLambdaCommand:
@@ -632,6 +652,16 @@ class TestSweepLambdaCommand:
         assert rc == 0
         rows = read_rows(tmp_path / "sweep-lambda" / "table.csv")
         assert [r[0] for r in rows[1:]] == ["0.0", "0.5", "1.0", "2.0"]
+
+    @pytest.mark.parametrize("lambdas, repeated", [
+        ("0,-0,1", "-0.0"), ("1,0.5,1.0", "1.0"), ("2,2e0", "2.0")])
+    def test_repeated_lambda(self, ini, tmp_path, lambdas, repeated, capsys):
+        # rows are grouped by λ, so a repeat would merge two sweep points
+        rc = main(["sweep-lambda", "--config", ini, "--out", str(tmp_path),
+                   "--lambdas", lambdas])
+        assert rc == 2
+        assert f"repeats the value {repeated}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops",
                                      "inf", "0,nan", "1,-inf"])
@@ -935,7 +965,7 @@ class TestGeneratedConfigs:
 
 class TestUnusableOut:
     """An output path that cannot be created or written exits 2 naming
-    it; train finds out before its first run."""
+    it; every command finds out before it trains or scores anything."""
 
     def _block(self, tmp_path, case):
         """Lay the obstacle for `case` and return (--out, named path)."""
@@ -952,21 +982,29 @@ class TestUnusableOut:
 
     @pytest.mark.parametrize("command, case", [
         ("train", "below_file"), ("train", "run_dir_is_file"),
-        ("eval", "below_file"), ("eval", "artifact_is_dir")])
+        ("eval", "below_file"), ("eval", "artifact_is_dir"),
+        ("ablate", "below_file"), ("diagnose", "below_file"),
+        ("diagnose --checkpoint", "below_file"),
+        ("sweep-lambda", "below_file")])
     def test_exit_2_naming_the_path(self, ini, tmp_path, good_checkpoint,
                                     command, case, monkeypatch, capsys):
         from modalmetric import cli
 
-        trained = []
+        done = []  # each run trained or checkpoint scored
 
-        def counted_train(*args):
-            trained.append(args)
-            return train(*args)
+        def counted(real):
+            def run(*args, **kwargs):
+                done.append(real.__name__)
+                return real(*args, **kwargs)
+            return run
 
-        monkeypatch.setattr(cli, "train", counted_train)
+        monkeypatch.setattr(cli, "train", counted(cli.train))
+        monkeypatch.setattr(cli, "compute_metrics",
+                            counted(cli.compute_metrics))
         out, named = self._block(tmp_path, case)
+        command, *flags = command.split()
         argv = [command, "--config", ini, "--out", str(out)]
-        if command == "eval":
+        if command == "eval" or flags:
             argv += ["--checkpoint", str(good_checkpoint)]
         rc = main(argv)
         err = capsys.readouterr().err
@@ -974,7 +1012,7 @@ class TestUnusableOut:
         assert str(named) in err
         assert "Traceback" not in err
         if case == "below_file":
-            assert not trained
+            assert done == []
         assert not list(tmp_path.rglob(".tmp-*"))
 
 
@@ -987,6 +1025,8 @@ class TestFailedCommandOutput:
         "train": (["--offset_norm", "1e308"], 5),
         "eval": (["--offset_norm", "1.7e308"], 3),
         "ablate": (["--offset_norm", "1e308"], 5),
+        "diagnose": (["--offset_norm", "1e308"], 5),
+        "sweep-lambda": (["--offset_norm", "1e308"], 5),
     }
 
     def _fail(self, ini, out, command, good_checkpoint, capsys):

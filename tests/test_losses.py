@@ -19,7 +19,8 @@ from modalmetric.losses import (
     weighted_embedding_loss,
 )
 from modalmetric.mining import TripletKind, mining_plan
-from modalmetric.training import METHOD_RECIPES, TrainConfig, ablation_variants
+from modalmetric.cli import ABLATION_METHODS
+from modalmetric.training import METHOD_RECIPES
 from oracles import brute_force_mine, finite_diff_check
 
 
@@ -460,8 +461,8 @@ def ablation_kind_sets():
     """The distinct triplet-kind sets of the loss ablation's rows, in row
     order; the cls-only row's empty set has no plan (test_empty_kinds)."""
     kind_sets = []
-    for _, variant in ablation_variants(TrainConfig()):
-        kinds = METHOD_RECIPES[variant.method][0]
+    for method in ABLATION_METHODS:
+        kinds = METHOD_RECIPES[method][0]
         if kinds and kinds not in kind_sets:
             kind_sets.append(kinds)
     return kind_sets

@@ -35,8 +35,9 @@ from modalmetric.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from modalmetric.training import (KIND_TAGS, METHOD_RECIPES,
-                                  ablation_variants, disc_step, main_step)
+from modalmetric.cli import ABLATION_METHODS, main
+from modalmetric.training import (KIND_TAGS, METHOD_RECIPES, disc_step,
+                                  main_step)
 from oracles import finite_diff_check
 
 
@@ -600,39 +601,55 @@ class TestStepOracle:
 
 
 class TestAblationVariants:
+    """The loss ablation's rows are method tags (cli.ABLATION_METHODS),
+    each trained under the config the command was given."""
+
     def test_eight_rows(self):
-        base = TrainConfig(method="mathm")
-        variants = ablation_variants(base)
-        names = [name for name, _ in variants]
-        assert names == ["cls-only", "cross", "within", "hybrid",
-                         "cross+within", "cross+hybrid", "all", "all+gw"]
+        assert ABLATION_METHODS == (
+            "cls-only", "baseline", "within", "hybrid",
+            "cross+within", "cross+hybrid", "mathm-nogw", "mathm")
 
     def test_recipes_per_row(self):
         cross, within, hybrid = (TripletKind.CROSS, TripletKind.WITHIN,
                                  TripletKind.HYBRID)
         want = {
             "cls-only": ((), False),
-            "cross": ((cross,), False),
+            "baseline": ((cross,), False),
             "within": ((within,), False),
             "hybrid": ((hybrid,), False),
             "cross+within": ((cross, within), False),
             "cross+hybrid": ((cross, hybrid), False),
-            "all": ((cross, within, hybrid), False),
-            "all+gw": ((cross, within, hybrid), True),
+            "mathm-nogw": ((cross, within, hybrid), False),
+            "mathm": ((cross, within, hybrid), True),
         }
-        tags = {"cls-only": "cls-only", "cross": "baseline",
-                "all": "mathm-nogw", "all+gw": "mathm"}
-        for name, cfg in ablation_variants(TrainConfig(method="gan")):
-            assert cfg.method == tags.get(name, name)
-            kinds, weighting, adversarial = METHOD_RECIPES[cfg.method]
-            assert (kinds, weighting) == want[name]
+        assert set(ABLATION_METHODS) == set(want)
+        for method in ABLATION_METHODS:
+            kinds, weighting, adversarial = METHOD_RECIPES[method]
+            assert (kinds, weighting) == want[method]
             assert not adversarial
+
+    def test_preserves_other_knobs(self, tmp_path, monkeypatch):
+        from modalmetric import cli
+
+        trained = []
+
+        def recording(dataset, config):
+            trained.append(config)
+            return train(dataset, config)
+
+        monkeypatch.setattr(cli, "train", recording)
+        assert main([
+            "ablate", "--out", str(tmp_path), "--method", "gan",
+            "--n_classes", "6", "--samples_per_class_per_modality", "4",
+            "--d_in", "8", "--n_unseen", "2", "--classes_per_batch", "3",
+            "--samples_per_class", "2", "--d_emb", "6", "--total_iters", "3",
+            "--margin", "0.3", "--disc_lr_scale", "7", "--base_seed", "11",
+            "--n_seeds", "2"]) == 0
+        assert [c.method for c in trained] == [
+            m for m in ABLATION_METHODS for _ in range(2)]
+        assert [c.seed for c in trained] == [11, 12] * 8
+        for cfg in trained:
+            assert (cfg.d_emb, cfg.total_iters, cfg.classes_per_batch,
+                    cfg.disc_lr_scale, cfg.loss.margin) == (6, 3, 3, 7.0, 0.3)
             # the checkpoint snapshot names the recipe by its tag alone
             assert cfg.to_dict()["method"] == cfg.method
-
-    def test_preserves_other_knobs(self):
-        base = TrainConfig(method="mathm", d_emb=6, total_iters=123, seed=11)
-        for _, cfg in ablation_variants(base):
-            assert cfg.d_emb == 6
-            assert cfg.total_iters == 123
-            assert cfg.seed == 11
