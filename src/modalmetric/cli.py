@@ -2,14 +2,16 @@
 
 Commands:
     train         train one method over the configured seeds
-    eval          embed the held-out split with a checkpoint and report
+    eval          embed the held-out split with each checkpoint and report
                   retrieval metrics
     diagnose      one mean row per method, trained or read from checkpoints
     ablate        in-place diagnose over the loss ablation's eight methods
     sweep-lambda  mAP as a function of the embedding-loss weight
 
 The last three write `<out>/<command>/table.csv` and `table.json`, one
-row per method tag or λ: the mean and sample std over its runs.
+row per method tag or λ: the mean and sample std over its runs. `eval`
+and `diagnose --checkpoint` read and check every checkpoint before they
+create `--out`, and the checkpoints must share one training split.
 
 Any config key, `--method` and `--out` too, is set as `--key value` or
 `--key=value` (`--section.key` when the bare name is ambiguous), and a
@@ -188,16 +190,11 @@ def cmd_train(cfg, args):
 def cmd_eval(cfg, args):
     if not args.checkpoint:
         raise ConfigError("eval requires at least one --checkpoint")
-    _, test_set = cfg.load_data()
-    snapshots = []
+    runs = _checkpoint_runs(cfg, args.checkpoint)
     with output_dir(cfg.out):
-        for i, path in enumerate(args.checkpoint):
-            params, meta = _read_checkpoint(path, test_set.d_in)
-            metrics = evaluate_params(
-                params, test_set, cfg, meta["train_class_ids"], source=path
-            )
-            snapshot = metrics.to_dict()
-            snapshots.append(snapshot)
+        # score every checkpoint before writing a file for any
+        snapshots = [snapshot for _, snapshot in runs]
+        for i, (path, snapshot) in enumerate(zip(args.checkpoint, snapshots)):
             name = ("metrics.json" if len(args.checkpoint) == 1
                     else f"metrics-{i}.json")
             write_json(os.path.join(cfg.out, name), snapshot)
@@ -259,9 +256,7 @@ def _checkpoint_runs(cfg, paths):
     loaded = [_read_checkpoint(path, test_set.d_in) for path in paths]
     # the split is in each meta, so compare it before evaluating any
     if len({tuple(meta["train_class_ids"]) for _, meta in loaded}) > 1:
-        raise ProtocolError(
-            "diagnose checkpoints were trained on different splits"
-        )
+        raise ProtocolError("checkpoints were trained on different splits")
     return ((meta["train"]["method"], evaluate_params(
                 params, test_set, cfg, meta["train_class_ids"],
                 source=path).to_dict())
@@ -332,7 +327,8 @@ def build_parser():
         if name in ("eval", "diagnose"):
             p.add_argument(
                 "--checkpoint", action="append", default=[],
-                help="checkpoint file; repeat for a mean over runs" + (
+                help="checkpoint file; repeat for a mean over runs on one "
+                     "split, every file read and checked first" + (
                     ", one row per recorded method (none: train baseline, "
                     "mathm and gan in place)" if name == "diagnose" else ""))
         if name == "sweep-lambda":

@@ -47,7 +47,8 @@ def output_dir(path):
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so readers never see a
-    partially written artifact.
+    partially written artifact. The file gets the mode `open()` would
+    give it, 0o666 less the umask, not mkstemp's 0o600.
 
     Raises:
         ConfigError: naming the path, if it cannot be written.
@@ -60,6 +61,9 @@ def atomic_write_text(path, text):
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

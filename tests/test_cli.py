@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,19 @@ class TestEvalCommand:
         assert rc == 4
         assert "zero-shot violation" in capsys.readouterr().err
 
+    def test_mismatched_splits(self, ini, tmp_path, good_checkpoint, capsys):
+        # forge a checkpoint whose recorded training classes differ
+        doctored = tmp_path / "doctored.json"
+        _edit_payload(lambda p: p["meta"]["train_class_ids"].reverse())(
+            good_checkpoint, doctored)
+        out = tmp_path / "eval"
+        rc = main(["eval", "--config", ini, "--out", str(out),
+                   "--checkpoint", str(good_checkpoint),
+                   "--checkpoint", str(doctored)])
+        assert rc == 4
+        assert "different splits" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def good_checkpoint(ini, tmp_path_factory):
@@ -398,6 +412,27 @@ class TestBrokenCheckpoints:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "metrics.json").exists()
         assert not (tmp_path / "o" / "diagnose").exists()
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_later_bad_checkpoint_writes_nothing(self, ini, tmp_path,
+                                                 good_checkpoint,
+                                                 corruption, capsys):
+        # every checkpoint is read before --out is created, so the good
+        # first one leaves no metrics-0.json behind
+        corrupt, message = CORRUPTIONS[corruption]
+        bad = tmp_path / "bad.json"
+        corrupt(good_checkpoint, bad)
+        existing = tmp_path / "existing"
+        existing.mkdir()
+        for out in (tmp_path / "new" / "out", existing):
+            rc = main(["eval", "--config", ini, "--out", str(out),
+                       "--checkpoint", str(good_checkpoint),
+                       "--checkpoint", str(bad)])
+            err = capsys.readouterr().err
+            assert rc == 3, err
+            assert str(bad) in err and message in err
+        assert not (tmp_path / "new").exists()
+        assert list(existing.iterdir()) == []
 
 
 # small JSON values of every type, with the float and int edges that
@@ -1057,6 +1092,29 @@ class TestFailedCommandOutput:
         assert list(out.iterdir()) == []
 
 
+class TestArtifactModes:
+    """Artifacts get the mode `open()` would give them, 0o666 less the
+    umask, not the temp file's 0o600."""
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_follows_umask(self, ini, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            train_once(ini, tmp_path)
+            assert main(["eval", "--config", ini, "--out",
+                         str(tmp_path / "eval"), "--checkpoint",
+                         str(tmp_path / "mathm" / "seed-0"
+                             / "checkpoint.json")]) == 0
+        finally:
+            os.umask(previous)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert {p.name for p in files} == {
+            "training_log.csv", "checkpoint.json", "metrics.json"}
+        for path in files:
+            assert path.stat().st_mode & 0o777 == mode, path
+
+
 class TestDatasetSources:
     def test_csv_source_end_to_end(self, tmp_path):
         ds = generate_synthetic(SyntheticConfig(
@@ -1133,34 +1191,93 @@ class TestDatasetSources:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "mathm").exists()
 
-class TestBlasThreads:
-    """Artifacts do not depend on how many threads OpenBLAS may use."""
+# the environment variables that pick OpenBLAS's thread count and
+# kernel and numpy's SIMD targets; a child process gets only those set
+_DISPATCH_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE",
+                  "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
 
-    def _run(self, out, openblas_threads):
-        env = dict(os.environ)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if openblas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = openblas_threads
-        src = os.path.dirname(os.path.dirname(modalmetric.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
-        ckpt = out / "mathm" / "seed-0" / "checkpoint.json"
-        for argv in (["train", "--out", str(out), "--method", "mathm",
+
+def _run_children(out, env_vars, methods=("mathm",)):
+    """For each method, `train --total_iters 200` into `out` and `eval`
+    of its checkpoint into `out/<method>/eval`, each in a child process
+    whose environment sets only `env_vars` of _DISPATCH_VARS."""
+    env = {k: v for k, v in os.environ.items() if k not in _DISPATCH_VARS}
+    env.update(env_vars)
+    src = os.path.dirname(os.path.dirname(modalmetric.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    for method in methods:
+        ckpt = out / method / "seed-0" / "checkpoint.json"
+        for argv in (["train", "--out", str(out), "--method", method,
                       "--total_iters", "200"],
-                     ["eval", "--out", str(out / "eval"),
+                     ["eval", "--out", str(out / method / "eval"),
                       "--checkpoint", str(ckpt)]):
             proc = subprocess.run(
                 [sys.executable, "-m", "modalmetric.cli", *argv],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
-        return [(out / name).read_bytes() for name in (
-            "mathm/seed-0/training_log.csv", "mathm/seed-0/checkpoint.json",
+
+
+class TestBlasThreads:
+    """Artifacts do not depend on how many threads OpenBLAS may use."""
+
+    def _run(self, out, openblas_threads):
+        _run_children(out, {} if openblas_threads is None
+                      else {"OPENBLAS_NUM_THREADS": openblas_threads})
+        return [(out / "mathm" / name).read_bytes() for name in (
+            "seed-0/training_log.csv", "seed-0/checkpoint.json",
             "eval/metrics.json")]
 
     def test_artifacts_byte_identical(self, tmp_path):
         single = self._run(tmp_path / "one", "1")
         default = self._run(tmp_path / "default", None)
         assert single == default
+
+
+class TestBlasKernels:
+    """Across OpenBLAS kernels and numpy SIMD targets the artifacts' bits
+    may differ, but every log cell, weight and metric agrees with the
+    default setting's to 1e-12 absolute."""
+
+    METHODS = ("mathm", "gan")
+    VARIANTS = {
+        "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+        "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+        "no-avx512": {
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    }
+
+    def _values(self, out, env_vars):
+        """(artifact, column, tensor or key) -> values, over every log
+        cell, checkpoint tensor entry and metrics.json value."""
+        _run_children(out, {"OPENBLAS_NUM_THREADS": "1", **env_vars},
+                      self.METHODS)
+        values = {}
+        for method in self.METHODS:
+            run = out / method / "seed-0"
+            header, *rows = read_rows(run / "training_log.csv")
+            for column, cells in zip(header, zip(*rows)):
+                values[method, "log", column] = [float(c) for c in cells]
+            params, _ = load_checkpoint(run / "checkpoint.json")
+            for name, tensor in params.tensors().items():
+                values[method, "checkpoint", name] = tensor
+            metrics = json.loads(
+                (out / method / "eval" / "metrics.json").read_text())
+            for key, value in metrics.items():
+                values[method, "metrics", key] = value
+        return values
+
+    @pytest.fixture(scope="class")
+    def default(self, tmp_path_factory):
+        return self._values(tmp_path_factory.mktemp("default"), {})
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_values_agree_with_default(self, tmp_path, default, variant):
+        values = self._values(tmp_path, self.VARIANTS[variant])
+        assert values.keys() == default.keys()
+        for name, want in default.items():
+            np.testing.assert_allclose(values[name], want, rtol=0,
+                                       atol=1e-12, err_msg=str(name))
 
 
 class TestExitCodeMapping:
