@@ -10,8 +10,9 @@ Commands:
 
 The last three write `<out>/<command>/table.csv` and `table.json`, one
 row per method tag or λ: the mean and sample std over its runs. `eval`
-and `diagnose --checkpoint` read and check every checkpoint before they
-create `--out`, and the checkpoints must share one training split.
+and `diagnose --checkpoint` rebuild the split from the `[data]` section
+each checkpoint records, so a config file or flag may only repeat it,
+and they read and check every checkpoint before they create `--out`.
 
 Any config key, `--method` and `--out` too, is set as `--key value` or
 `--key=value` (`--section.key` when the bare name is ambiguous), and a
@@ -29,7 +30,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import load_config, parse_overrides
+from .config import SCHEMA, load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, output_dir, write_json
@@ -120,28 +121,43 @@ def evaluate_params(params, test_set, cfg, train_class_ids,
     )
 
 
-def _read_checkpoint(path, d_in):
+def _read_checkpoint(path, cfg, splits):
     """`load_checkpoint` for a command: a checkpoint that is missing,
-    unreadable or malformed, whose tensors do not fit one model for the
-    data's d_in and its recorded training classes, or that holds a
-    non-finite weight, raises DataError naming the path.
+    unreadable or malformed, whose data record the [data] rules reject,
+    whose tensors do not fit one model for its data's d_in and its
+    recorded training classes, or that holds a non-finite weight, raises
+    DataError naming the path.
+
+    `splits` maps each data record read so far, as sorted items, to its
+    (train_set, test_set); a new record's split is built from `cfg` with
+    the record as its [data] section.
 
     Returns:
-        (params, meta), with meta["train_class_ids"] a non-empty list of
-        distinct ints, meta["n_train_classes"] of them, and
+        (params, meta), with meta["data"] an object holding exactly the
+        [data] keys, each a value of its key's type (floats finite);
+        meta["train_class_ids"] a non-empty list of distinct ints; and
         meta["train"]["method"] a METHOD_RECIPES tag (else malformed).
     """
     try:
         params, meta = load_checkpoint(path)
+        data = meta["data"]  # the split is rebuilt from it
+        if not (isinstance(data, dict)
+                and data.keys() == SCHEMA["data"].keys()):
+            raise ValueError("data must be an object holding exactly the "
+                             "[data] keys")
+        for key, (kind, _) in SCHEMA["data"].items():
+            value = data[key]
+            if not (type(value) is kind  # no bools, no 16.0 for 16
+                    and (kind is not float or math.isfinite(value))):
+                raise ValueError(f"data.{key} = {value!r}: expected "
+                                 + ("a finite float" if kind is float
+                                    else kind.__name__))
         ids = meta["train_class_ids"]  # the zero-shot guard reads them
         if not (isinstance(ids, list) and ids
                 and all(type(i) is int for i in ids)  # no bools
                 and len(set(ids)) == len(ids)):
             raise ValueError("train_class_ids must be a non-empty list "
                              "of distinct ints")
-        if meta["n_train_classes"] != len(ids):
-            raise ValueError(f"n_train_classes {meta['n_train_classes']!r} "
-                             "is not the number of train_class_ids")
         if (method := meta["train"]["method"]) not in METHOD_RECIPES:
             raise ValueError(f"train.method {method!r} is not a method tag")
     except OSError as exc:
@@ -151,6 +167,14 @@ def _read_checkpoint(path, d_in):
             RecursionError) as exc:
         # RecursionError: json nests past the interpreter's stack limit
         raise DataError(f"{path}: malformed checkpoint: {exc!r}") from None
+    record = tuple(sorted(data.items()))
+    if record not in splits:
+        try:
+            splits[record] = replace(cfg, data=data).load_data()
+        except ConfigError as exc:
+            raise DataError(f"{path}: malformed checkpoint: its data "
+                            f"record is rejected: {exc}") from None
+    d_in = splits[record][1].d_in
     # W is (d_in, d_emb); a W of another rank fits no model
     d_emb = params.shapes[0][1] if len(params.shapes[0]) == 2 else 0
     if d_emb < 2 or params.shapes != model_shapes(d_in, d_emb, len(ids)):
@@ -175,8 +199,7 @@ def cmd_train(cfg, args):
             write_csv(os.path.join(out_dir, "training_log.csv"),
                       list(result.log[0]), result.log)
             meta = {
-                "d_in": train_set.d_in,
-                "n_train_classes": train_set.n_classes,
+                "data": cfg.data,
                 "train_class_ids": train_set.class_ids,
                 "train": tc.to_dict(),
             }
@@ -250,13 +273,35 @@ def _trained_runs(cfg, variants):
 
 
 def _checkpoint_runs(cfg, paths):
-    """Load the data and read and split-check every checkpoint now, and
-    return the lazy (recorded method, metrics dict) runs in path order."""
-    _, test_set = cfg.load_data()
-    loaded = [_read_checkpoint(path, test_set.d_in) for path in paths]
-    # the split is in each meta, so compare it before evaluating any
-    if len({tuple(meta["train_class_ids"]) for _, meta in loaded}) > 1:
-        raise ProtocolError("checkpoints were trained on different splits")
+    """Read every checkpoint, rebuild the split its data record names
+    and check them now, and return the lazy (recorded method, metrics
+    dict) runs in path order.
+
+    Each file's own faults (exit 3) come before the protocol errors
+    (exit 4): records that differ, a [data] value set by the config
+    file or a flag that is not the record's, and recorded training
+    classes that are not the split's.
+    """
+    splits = {}  # data record -> (train_set, test_set)
+    loaded = [_read_checkpoint(path, cfg, splits) for path in paths]
+    if len(splits) > 1:
+        raise ProtocolError("checkpoints were trained on different data")
+    [(record, (train_set, test_set))] = splits.items()
+    data = dict(record)
+    for key in SCHEMA["data"]:
+        if ("data", key) in cfg.explicit and cfg.data[key] != data[key]:
+            raise ProtocolError(
+                f"data.{key} = {cfg.data[key]!r} differs from the "
+                f"checkpoint's record, data.{key} = {data[key]!r}: [data] "
+                "comes from the checkpoint, so a config file or flag may "
+                "only repeat it")
+    for path, (_, meta) in zip(paths, loaded):
+        if meta["train_class_ids"] != train_set.class_ids:
+            raise ProtocolError(
+                f"{path}: trained on different splits: train_class_ids "
+                f"{meta['train_class_ids']} are not the training classes "
+                f"{train_set.class_ids} of its data record")
+    cfg = replace(cfg, data=data)
     return ((meta["train"]["method"], evaluate_params(
                 params, test_set, cfg, meta["train_class_ids"],
                 source=path).to_dict())
@@ -327,8 +372,9 @@ def build_parser():
         if name in ("eval", "diagnose"):
             p.add_argument(
                 "--checkpoint", action="append", default=[],
-                help="checkpoint file; repeat for a mean over runs on one "
-                     "split, every file read and checked first" + (
+                help="checkpoint file, whose recorded [data] gives the "
+                     "split; repeat for a mean over runs on the same data, "
+                     "every file read and checked first" + (
                     ", one row per recorded method (none: train baseline, "
                     "mathm and gan in place)" if name == "diagnose" else ""))
         if name == "sweep-lambda":

@@ -119,6 +119,8 @@ class RunConfig:
     n_seeds: int
     base_seed: int
     out: str
+    # the (section, key) pairs the config file or an override set
+    explicit: frozenset
 
     def seeds(self):
         return range(self.base_seed, self.base_seed + self.n_seeds)
@@ -132,8 +134,14 @@ class RunConfig:
         Returns:
             (train_set, test_set): Datasets with disjoint original
             class ids.
+
+        Raises ConfigError if `data` breaks a rule of its keys, and
+        DataError if a CSV source cannot be read or parsed.
         """
         d = self.data
+        # numpy's generators take only non-negative seeds
+        if d["seed"] < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {d['seed']}")
         if d["source"] == "synthetic":
             try:
                 synth = SyntheticConfig(
@@ -166,6 +174,7 @@ def load_config(path=None, overrides=None):
     returns; later sources win."""
     values = {s: {k: v for k, (_, v) in keys.items()}
               for s, keys in SCHEMA.items()}
+    explicit = set(overrides or ())
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -192,19 +201,21 @@ def load_config(path=None, overrides=None):
                         f"{path}: unknown key {key!r} in [{section}]"
                     )
                 values[section][key] = _convert(section, key, raw)
+                explicit.add((section, key))
     for (section, key), raw in (overrides or {}).items():
         values[section][key] = _convert(section, key, raw)
 
     if values["run"]["n_seeds"] < 1:
         raise ConfigError("run.n_seeds must be >= 1")
-    # numpy's generators take only non-negative seeds
-    for section, key in (("run", "base_seed"), ("data", "seed")):
-        if values[section][key] < 0:
-            raise ConfigError(f"{section}.{key} must be >= 0, "
-                              f"got {values[section][key]}")
+    if values["run"]["base_seed"] < 0:
+        raise ConfigError("run.base_seed must be >= 0, "
+                          f"got {values['run']['base_seed']}")
     source = values["data"]["source"]
-    if source != "synthetic" and not os.path.exists(source):
-        raise ConfigError(f"dataset file not found: {source}")
+    if source != "synthetic":
+        if not os.path.exists(source):
+            raise ConfigError(f"dataset file not found: {source}")
+        # a checkpoint records it, so it must not depend on the directory
+        values["data"]["source"] = os.path.abspath(source)
     tag = values["eval"]["query_modality"].strip().lower()
     if tag not in CSV_MODALITY_TAGS:
         raise ConfigError(
@@ -228,4 +239,5 @@ def load_config(path=None, overrides=None):
         n_seeds=values["run"]["n_seeds"],
         base_seed=values["run"]["base_seed"],
         out=values["run"]["out"],
+        explicit=frozenset(explicit),
     )

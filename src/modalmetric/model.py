@@ -272,7 +272,7 @@ def cosine_lr(base_lr, t, total_iters):
     return float(base_lr * 0.5 * (1.0 + np.cos(np.pi * t / total_iters)))
 
 
-CHECKPOINT_FORMAT = "modalmetric-checkpoint-v1"
+CHECKPOINT_FORMAT = "modalmetric-checkpoint-v2"
 
 
 def save_checkpoint(path, params, meta):

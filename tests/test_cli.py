@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 import modalmetric
 from conftest import LOG_COLUMNS
 from modalmetric import (
+    DataError,
     NumericError,
+    ProtocolError,
     SyntheticConfig,
     generate_synthetic,
     write_dataset,
     zero_shot_split,
 )
 from modalmetric.cli import (ABLATION_METHODS, COMMANDS, METRIC_KEYS,
-                             main)
-from modalmetric.config import SCHEMA, load_config
+                             _mean_std, evaluate_params, main)
+from modalmetric.config import SCHEMA, load_config, parse_overrides
 from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
 from modalmetric.training import METHOD_RECIPES
 
@@ -107,16 +109,22 @@ class TestTrainCommand:
             assert a == b, name
 
     def test_checkpoint_meta_reflects_overrides(self, ini, tmp_path):
-        train_once(ini, tmp_path, "--loss.margin", "0.3", "--seed", "5")
+        train_once(ini, tmp_path, "--loss.margin", "0.3", "--seed", "5",
+                   "--sigma", "0.4")
         path = tmp_path / "mathm" / "seed-5" / "checkpoint.json"
         meta = json.loads(path.read_text())["meta"]
+        assert set(meta) == {"data", "train_class_ids", "train"}
+        assert meta["data"] == {
+            "source": "synthetic", "n_classes": 6,
+            "samples_per_class_per_modality": 6, "d_in": 8, "sigma": 0.4,
+            "offset_norm": 0.5, "n_unseen": 2, "seed": 3,
+        }
         assert meta["train"] == {
             "method": "mathm", "d_emb": 4, "classes_per_batch": 3,
             "samples_per_class": 2, "base_lr": 0.001, "total_iters": 20,
             "seed": 5, "margin": 0.3, "lam": 1.0, "eps_g": 1e-06,
             "disc_lr_scale": 100.0,
         }
-        assert meta["n_train_classes"] == 4
         assert len(meta["train_class_ids"]) == 4
 
     def test_checkpoint_records_training_class_ids(self, ini, tmp_path):
@@ -212,58 +220,64 @@ class TestEvalCommand:
     def test_overflowing_data_names_the_data(self, ini, tmp_path,
                                              good_checkpoint, source,
                                              capsys):
-        # finite features whose row norms overflow: the data is at fault,
-        # not the checkpoint (huge_weight below is the converse)
-        argv = ["eval", "--config", ini, "--out", str(tmp_path / "out"),
-                "--checkpoint", str(good_checkpoint)]
+        # finite features whose row norms overflow on the unseen classes
+        # only: the data is at fault, not the checkpoint (huge_weight
+        # below is the converse)
         if source == "synthetic":
-            argv += ["--offset_norm", "1.7e308"]
+            # `eval` scores a checkpoint on its recorded data only, so a
+            # split of other data goes through the library
+            cfg = load_config(ini, parse_overrides(
+                ["--offset_norm", "1.7e308"]))
+            _, test_set = cfg.load_data()
+            params, meta = load_checkpoint(good_checkpoint)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError) as exc:
+                    evaluate_params(params, test_set, cfg,
+                                    meta["train_class_ids"])
+            err = str(exc.value)
             names = ["data.source = 'synthetic'", "data.sigma = 0.25",
                      "data.offset_norm = 1.7e+308"]
+            checkpoint = good_checkpoint
         else:
             ds = generate_synthetic(SyntheticConfig(
                 n_classes=6, samples_per_class_per_modality=6, d_in=8,
                 sigma=0.25, offset_norm=0.5, seed=3))
-            ds.features *= 1e200
+            _, unseen = zero_shot_split(ds, 2, seed=3)  # the ini's split
+            ds.features[np.isin(ds.labels, unseen.class_ids)] *= 1e200
             path = tmp_path / "huge.csv"
             write_dataset(ds, path)
-            argv += ["--source", str(path)]
+            train_once(ini, tmp_path / "train", "--source", str(path))
+            checkpoint = tmp_path / "train" / "mathm" / "seed-0" / (
+                "checkpoint.json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["eval", "--out", str(tmp_path / "out"),
+                           "--checkpoint", str(checkpoint)])
+            err = capsys.readouterr().err
+            assert rc == 3, err
+            assert "Traceback" not in err
+            assert not (tmp_path / "out" / "metrics.json").exists()
             names = [f"data.source = {str(path)!r}"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(argv)
-        err = capsys.readouterr().err
-        assert rc == 3, err
         for name in names:
             assert name in err
         assert "feature rows have non-finite norms" in err
-        assert str(good_checkpoint) not in err
+        assert str(checkpoint) not in err
         assert ("data.sigma" in err) == (source == "synthetic")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_query_modality_photo(self, ini, tmp_path, checkpoint):
         rc = main(["eval", "--config", ini, "--out", str(tmp_path / "p"),
                    "--checkpoint", checkpoint, "--query_modality", "photo"])
         assert rc == 0
 
-    def test_zero_shot_guard(self, ini, tmp_path, checkpoint, capsys):
-        # precondition: the seed-4 split's unseen classes intersect the
-        # seed-3 split's training classes
-        def split(seed):
-            full = generate_synthetic(SyntheticConfig(
-                n_classes=6, samples_per_class_per_modality=6, d_in=8,
-                sigma=0.25, offset_norm=0.5, seed=seed))
-            return zero_shot_split(full, 2, seed=seed)
-
-        train3, _ = split(3)
-        _, test4 = split(4)
-        assert set(train3.class_ids) & set(test4.class_ids)
-
-        rc = main(["eval", "--config", ini, "--out", str(tmp_path / "z"),
-                   "--checkpoint", checkpoint, "--data.seed", "4"])
-        assert rc == 4
-        assert "zero-shot violation" in capsys.readouterr().err
+    def test_zero_shot_guard(self, ini, good_checkpoint):
+        # `eval` rebuilds the checkpoint's own split, so only a library
+        # call can score a model on the classes it was trained on
+        cfg = load_config(ini)
+        train_set, _ = cfg.load_data()
+        params, meta = load_checkpoint(good_checkpoint)
+        with pytest.raises(ProtocolError, match="zero-shot violation"):
+            evaluate_params(params, train_set, cfg, meta["train_class_ids"])
 
     def test_mismatched_splits(self, ini, tmp_path, good_checkpoint, capsys):
         # forge a checkpoint whose recorded training classes differ
@@ -277,6 +291,119 @@ class TestEvalCommand:
         assert rc == 4
         assert "different splits" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMeanStd:
+    def test_sample_std(self):
+        # mean 7/3; squared deviations 16/9, 1/9 and 25/9 sum to 14/3,
+        # over n - 1 = 2 runs
+        out = _mean_std([{"x": 1.0}, {"x": 2.0}, {"x": 4.0}], ["x"])
+        assert out["x"] == pytest.approx(7 / 3, rel=1e-15)
+        assert out["x_std"] == pytest.approx((7 / 3) ** 0.5, rel=1e-15)
+
+    def test_one_run(self):
+        assert _mean_std([{"x": 0.5}], ["x"]) == {"x": 0.5, "x_std": 0.0}
+
+
+class TestDataRecord:
+    """`eval` and `diagnose --checkpoint` build the split from the data
+    each checkpoint records; a config file or flag may only repeat it."""
+
+    @pytest.fixture(scope="class")
+    def sigma_checkpoint(self, tmp_path_factory):
+        """A default-config baseline trained on sigma 0.5 data."""
+        out = tmp_path_factory.mktemp("sigma")
+        assert main(["train", "--method", "baseline", "--total_iters",
+                     "300", "--sigma", "0.5", "--out", str(out)]) == 0
+        return str(out / "baseline" / "seed-0" / "checkpoint.json")
+
+    def test_eval_reads_the_record(self, tmp_path, sigma_checkpoint):
+        # without the flag, eval once scored it on the default sigma 0.3
+        for sub, flags in (("bare", []), ("repeated", ["--sigma", "0.5"])):
+            assert main(["eval", "--out", str(tmp_path / sub),
+                         "--checkpoint", sigma_checkpoint, *flags]) == 0
+        assert ((tmp_path / "bare" / "metrics.json").read_bytes()
+                == (tmp_path / "repeated" / "metrics.json").read_bytes())
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--sigma", "0.9"), ("--offset_norm", "3"), ("--n_unseen", "2"),
+        ("--data.seed", "8"), ("--samples_per_class_per_modality", "8"),
+        # its draw would overflow, but only the record's data is drawn
+        ("--sigma", "1e308")],
+        ids=["sigma", "offset_norm", "n_unseen", "seed",
+             "samples_per_class_per_modality", "sigma-overflowing"])
+    def test_flag_must_repeat_the_record(self, tmp_path, sigma_checkpoint,
+                                         command, flag, value, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--out", str(out), "--checkpoint",
+                       sigma_checkpoint, flag, value])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        key = flag[2:] if "." in flag else f"data.{flag[2:]}"
+        assert f"{key} = " in err and "checkpoint's record" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma, code", [("0.5", 0), ("0.9", 4)])
+    def test_config_file_must_repeat_the_record(self, tmp_path,
+                                                sigma_checkpoint, sigma,
+                                                code):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[data]\nsigma = {sigma}\n")
+        assert main(["eval", "--config", str(path), "--out",
+                     str(tmp_path / "out"), "--checkpoint",
+                     sigma_checkpoint]) == code
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_checkpoints_of_different_data(self, ini, tmp_path,
+                                           good_checkpoint, command,
+                                           capsys):
+        train_once(ini, tmp_path / "other", "--sigma", "0.3")
+        other = tmp_path / "other" / "mathm" / "seed-0" / "checkpoint.json"
+        out = tmp_path / "out"
+        rc = main([command, "--out", str(out), "--checkpoint",
+                   str(good_checkpoint), "--checkpoint", str(other)])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert "different data" in err
+        assert not out.exists()
+
+    def test_v1_checkpoint(self, ini, tmp_path, good_checkpoint, capsys):
+        def to_v1(payload):
+            meta = payload["meta"]
+            meta["d_in"] = meta.pop("data")["d_in"]
+            meta["n_train_classes"] = len(meta["train_class_ids"])
+            payload["format"] = "modalmetric-checkpoint-v1"
+
+        v1 = tmp_path / "v1.json"
+        _edit_payload(to_v1)(good_checkpoint, v1)
+        rc = main(["eval", "--config", ini, "--out", str(tmp_path / "out"),
+                   "--checkpoint", str(v1)])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert str(v1) in err
+        assert "not a modalmetric-checkpoint-v2 file" in err
+
+    def test_relative_csv_source(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=6, samples_per_class_per_modality=6, d_in=8, seed=3))
+        (tmp_path / "data").mkdir()
+        write_dataset(ds, tmp_path / "data" / "ds.csv")
+        monkeypatch.chdir(tmp_path / "data")
+        assert main(["train", "--out", str(tmp_path / "train"),
+                     "--source", "ds.csv", "--n_unseen", "2", "--d_emb",
+                     "4", "--classes_per_batch", "3", "--samples_per_class",
+                     "2", "--total_iters", "8"]) == 0
+        ckpt = tmp_path / "train" / "mathm" / "seed-0" / "checkpoint.json"
+        source = json.loads(ckpt.read_text())["meta"]["data"]["source"]
+        assert os.path.isabs(source)
+        assert os.path.samefile(source, tmp_path / "data" / "ds.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(ckpt)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -354,12 +481,10 @@ CORRUPTIONS = {
         lambda p: p["meta"].update(train_class_ids=[True])), "malformed"),
     "class_ids_repeated": (_edit_payload(lambda p: p["meta"].update(
         train_class_ids=p["meta"]["train_class_ids"] * 2)), "malformed"),
-    # each loads and embeds, but its tensors and class count do not all
-    # fit one model of the 4 training classes and d_emb 4
+    # each loads and embeds, but its tensors do not all fit one model of
+    # the recorded training classes and d_emb 4
     "class_ids_unknown": (_edit_payload(
-        lambda p: p["meta"].update(train_class_ids=[999])), "malformed"),
-    "class_count": (_edit_payload(
-        lambda p: p["meta"].update(n_train_classes=3)), "malformed"),
+        lambda p: p["meta"].update(train_class_ids=[999])), "do not fit"),
     "classifier_rows": (_edit_payload(lambda p: p["tensors"].update({
         "classifier.W_c": {"shape": [3, 4], "data": [0.1] * 12}})),
         "do not fit"),
@@ -383,6 +508,18 @@ CORRUPTIONS = {
         lambda p: p["meta"]["train"].update(method=["mathm"])), "malformed"),
     "train_not_an_object": (_edit_payload(
         lambda p: p["meta"].update(train="mathm")), "malformed"),
+    # the split is rebuilt from the data record, so it must be a
+    # [data] section the [data] rules accept
+    "data_not_an_object": (_edit_payload(
+        lambda p: p["meta"].update(data="synthetic")), "malformed"),
+    "data_missing_key": (_edit_payload(
+        lambda p: p["meta"]["data"].pop("sigma")), "malformed"),
+    "data_extra_key": (_edit_payload(
+        lambda p: p["meta"]["data"].update(scale=2.0)), "malformed"),
+    "data_wrong_type": (_edit_payload(
+        lambda p: p["meta"]["data"].update(n_classes=16.0)), "malformed"),
+    "data_out_of_range": (_edit_payload(
+        lambda p: p["meta"]["data"].update(n_classes=1)), "malformed"),
 }
 
 
@@ -460,6 +597,8 @@ _CHECKPOINT_EDIT = st.one_of(
     st.tuples(st.just("format"), _JSON),
     st.tuples(st.just("class_ids"), _JSON),
     st.tuples(st.just("method"), _JSON),
+    st.tuples(st.just("record"), st.sampled_from(sorted(SCHEMA["data"])),
+              _JSON),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
 )
 
@@ -483,6 +622,8 @@ def _edit_checkpoint(payload, edit):
         payload["meta"]["train_class_ids"] = args[0]
     elif op == "method":
         payload["meta"]["train"]["method"] = args[0]
+    elif op == "record":
+        payload["meta"]["data"][args[0]] = args[1]
 
 
 class TestCorruptedCheckpoints:
@@ -826,14 +967,14 @@ class TestConfigHandling:
         assert not (tmp_path / "mathm").exists()
 
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_overflowing_synthetic_draw(self, ini, tmp_path, good_checkpoint,
-                                        command, capsys):
+    # eval draws only the data its checkpoint records; its --sigma 1e308
+    # is TestDataRecord::test_flag_must_repeat_the_record's case
+    @pytest.mark.parametrize("command", ["train"])
+    def test_overflowing_synthetic_draw(self, ini, tmp_path, command,
+                                        capsys):
         # finite, but sigma times a draw past 1.8 is past the float64 range
         argv = [command, "--config", ini, "--out", str(tmp_path / "out"),
                 "--sigma", "1e308"]
-        if command == "eval":
-            argv += ["--checkpoint", str(good_checkpoint)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(argv)
@@ -1055,39 +1196,46 @@ class TestFailedCommandOutput:
     """A command that fails after creating its output directory removes
     the directories it created that are still empty, and no other."""
 
-    # command -> (flags that make it fail after creating --out, exit code)
+    # command -> (flags that make it fail after creating --out, exit code);
+    # eval fails on the huge_weight checkpoint
     FAILURES = {
         "train": (["--offset_norm", "1e308"], 5),
-        "eval": (["--offset_norm", "1.7e308"], 3),
+        "eval": ([], 3),
         "ablate": (["--offset_norm", "1e308"], 5),
         "diagnose": (["--offset_norm", "1e308"], 5),
         "sweep-lambda": (["--offset_norm", "1e308"], 5),
     }
 
-    def _fail(self, ini, out, command, good_checkpoint, capsys):
+    @pytest.fixture(scope="class")
+    def huge_weight(self, tmp_path_factory, good_checkpoint):
+        bad = tmp_path_factory.mktemp("huge") / "checkpoint.json"
+        CORRUPTIONS["huge_weight"][0](good_checkpoint, bad)
+        return bad
+
+    def _fail(self, ini, out, command, huge_weight, capsys):
         flags, code = self.FAILURES[command]
         argv = [command, "--config", ini, "--out", str(out), *flags]
         if command == "eval":
-            argv += ["--checkpoint", str(good_checkpoint)]
+            argv += ["--checkpoint", str(huge_weight)]
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == code, err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", sorted(FAILURES))
-    def test_new_out_removed(self, ini, tmp_path, good_checkpoint, command,
+    def test_new_out_removed(self, ini, tmp_path, huge_weight, command,
                              capsys):
-        self._fail(ini, tmp_path / "new" / "out", command, good_checkpoint,
+        self._fail(ini, tmp_path / "new" / "out", command, huge_weight,
                    capsys)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(FAILURES))
-    def test_existing_out_kept(self, ini, tmp_path, good_checkpoint, command,
+    def test_existing_out_kept(self, ini, tmp_path, huge_weight, command,
                                capsys):
         # empty, so only its having existed before keeps it
         out = tmp_path / "out"
         out.mkdir()
-        self._fail(ini, out, command, good_checkpoint, capsys)
+        self._fail(ini, out, command, huge_weight, capsys)
         assert out.is_dir()
         assert list(out.iterdir()) == []
 

@@ -1,5 +1,6 @@
 """Tests for config resolution: defaults, file parsing, overrides."""
 
+import os
 import tracemalloc
 from dataclasses import fields
 
@@ -88,6 +89,24 @@ class TestPrecedence:
             cfg = resolved_config(monkeypatch, ["train", *argv])
             assert list(cfg.seeds()) == [9]
             assert cfg.train.seed == 9
+
+    def test_explicit_keys(self, tmp_path, monkeypatch):
+        # what the file or a flag set, whatever its value; not defaults
+        path = tmp_path / "c.ini"
+        path.write_text("[data]\nsigma = 0.3\n[train]\nd_emb = 8\n")
+        cfg = resolved_config(monkeypatch, [
+            "eval", "--config", str(path), "--n_unseen", "4", "--seed", "2"])
+        assert cfg.explicit == {("data", "sigma"), ("train", "d_emb"),
+                                ("data", "n_unseen"), ("run", "base_seed"),
+                                ("run", "n_seeds")}
+        assert load_config().explicit == frozenset()
+
+    def test_csv_source_made_absolute(self, tmp_path, monkeypatch):
+        (tmp_path / "ds.csv").write_text("")
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(overrides={("data", "source"): "ds.csv"})
+        assert os.path.isabs(cfg.data["source"])
+        assert os.path.samefile(cfg.data["source"], tmp_path / "ds.csv")
 
     def test_equals_form(self, tmp_path, monkeypatch):
         cfg = resolved_config(monkeypatch, [

@@ -9,6 +9,7 @@ from conftest import hinge_one, mined_loss, pk_batch, unit_rows
 from modalmetric.geometry import pairwise_distance
 from modalmetric.losses import (
     ALL_KINDS,
+    EPS_DIST,
     LossConfig,
     adversarial_d_loss,
     adversarial_g_loss,
@@ -159,6 +160,18 @@ class TestTripletHinge:
                            np.array([2, 1]), 0.2)
         assert_allclose(report.value, (2.0 - np.sqrt(2.0) + 0.2) / 2, rtol=1e-12)
         assert report.active_fraction == 0.5
+
+    def test_near_zero_pair_weights(self):
+        # two active triplets of anchor 0: positive 1 at distance 1e-9
+        # weighs 1/(N d); positive 3 at 1e-13, below EPS_DIST, weighs
+        # 1/(N EPS_DIST); the negative 2 at distance 2 weighs -1/(N 2)
+        e = np.array([[1.0, 0.0], [1.0, 1e-9], [-1.0, 0.0], [1.0, 1e-13]])
+        _, fractions, weights = triplet_hinge(
+            e, np.array([0, 0]), np.array([[[1, 3], [2, 2]]]), 3.0)
+        assert fractions[0] == 1.0
+        assert weights[0, 0, 0] == pytest.approx(1 / (2 * 1e-9), rel=1e-12)
+        assert weights[0, 0, 1] == 1 / (2 * EPS_DIST)
+        assert_array_equal(weights[0, 1], [-0.25, -0.25])
 
     def test_empty_list(self):
         none = np.array([], dtype=np.int64)

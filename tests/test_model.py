@@ -177,6 +177,13 @@ class TestAdamStep:
         adam_step(p, np.array([1.0]), one_tensor(), 0.1)
         assert_allclose(p, [0.9], atol=1e-8)
 
+    def test_first_step_on_tiny_gradient(self):
+        # m_hat = g and sqrt(v_hat) = |g|, so the step is lr g/(|g| + eps):
+        # half of lr when |g| equals ADAM_EPS
+        p = np.array([0.0])
+        adam_step(p, np.array([1e-8]), one_tensor(), 0.1)
+        assert p[0] == pytest.approx(-0.1 / 2, rel=1e-12)
+
     def test_in_place_update(self):
         arr = np.array([1.0])
         out, _ = adam_step(arr, np.array([0.5]), one_tensor(), 0.1)
@@ -386,6 +393,20 @@ class TestInitParams:
         b = init_params(6, 3, 4, np.random.default_rng(9))
         for name, arr in a.tensors().items():
             assert_array_equal(arr, b.tensors()[name])
+
+    def test_draws_in_order(self):
+        # W, then W_c, then w_d, each scaled by 1/sqrt(fan_in); the rest 0
+        params = init_params(6, 3, 4, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        assert_array_equal(params.embedder.W,
+                           rng.standard_normal((6, 3)) / np.sqrt(6))
+        assert_array_equal(params.classifier.W_c,
+                           rng.standard_normal((4, 3)) / np.sqrt(3))
+        assert_array_equal(params.discriminator.w_d,
+                           rng.standard_normal(3) / np.sqrt(3))
+        assert not params.embedder.b.any()
+        assert not params.embedder.modality_offset.any()
+        assert params.discriminator.b_d == 0.0
 
     def test_d_emb_floor(self):
         with pytest.raises(ValueError):
