@@ -331,7 +331,9 @@ def read_dataset(path):
                 "(expected sketch or photo)"
             )
         try:
-            row[:] = [float(x) for x in fields[3:]]
+            # numpy converts each str through Python's float, so the
+            # accepted spellings and the error text are float()'s
+            row[:] = fields[3:]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         if not np.isfinite(row).all():

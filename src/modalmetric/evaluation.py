@@ -62,6 +62,40 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
     return Ranking(order, distances, relevance)
 
 
+# Distances are non-negative float64s (or NaN), whose bit patterns, read
+# as unsigned integers, order like their values. Shifted up one place
+# (which drops only the sign bit), a pattern leaves the low bit free for
+# the relevance flag; a key above this one holds a NaN.
+_NAN_KEY = np.uint64(0x7FF0_0000_0000_0000 << 1 | 1)
+
+
+def _ranked_relevance(query, gallery, query_labels, gallery_labels):
+    """The (Q, G) relevance flags of `retrieve(query, gallery,
+    query_labels, gallery_labels)`, bit for bit, without its order and
+    distance arrays.
+
+    One integer sort of (distance bits, relevant) keys ranks every row.
+    Tied items of equal relevance give the same flags in any order, so
+    only two kinds of row are sorted again, stably, as `retrieve` sorts
+    them: a row with a tie between a relevant and an irrelevant item
+    (adjacent keys that differ in the low bit alone), and a row holding
+    a NaN, whose keys order by payload, not by gallery index.
+    """
+    dist = pairwise_distance(query, gallery)
+    match = gallery_labels == query_labels[:, None]
+    keys = dist.view(np.uint64) << 1
+    keys |= match
+    keys.sort(axis=1)
+    rel = (keys & 1).astype(bool)
+    again = ((keys[:, 1:] ^ keys[:, :-1]) == 1).any(axis=1)
+    again |= keys[:, -1] > _NAN_KEY
+    if again.any():
+        rows = np.flatnonzero(again)
+        order = np.argsort(dist[rows], axis=1, kind="stable")
+        rel[rows] = np.take_along_axis(match[rows], order, axis=1)
+    return rel
+
+
 def _relevance_totals(rel, offset=0):
     """Each row's count of relevant items in a (B, G) relevance block
     whose first row is query `offset`."""
@@ -245,9 +279,10 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
 
     The queries are ranked and scored in consecutive blocks of
     max(1, QUERY_BLOCK_ENTRIES // G) rows, so memory grows with
-    block x G, never with Q x G. A query's scores are row-local: they
-    equal those of one (Q, G) `retrieve` wherever the BLAS product gives
-    the row the same bits at any block height.
+    block x G, never with Q x G. A block's relevance flags are
+    `retrieve`'s (see `_ranked_relevance`). A query's scores are
+    row-local: they equal those of one (Q, G) `retrieve` wherever the
+    BLAS product gives the row the same bits at any block height.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -264,8 +299,8 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
     scores = np.empty((4, query.shape[0]))
     for start in range(0, query.shape[0], rows):
         block = slice(start, start + rows)
-        rel = retrieve(query[block], gallery, query_labels[block],
-                       gallery_labels).relevance
+        rel = _ranked_relevance(query[block], gallery, query_labels[block],
+                                gallery_labels)
         total = _relevance_totals(rel, offset=start)
         scores[:, block] = (
             _ap_rows(rel, total),

@@ -308,6 +308,23 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="non-finite"):
             read_dataset(path)
 
+    def test_features_read_as_python_floats(self, tmp_path):
+        fields = ["1_0", " 1.5 ", "-0", "+1e5"]
+        path = tmp_path / "spellings.csv"
+        path.write_text("id,class,modality,f0,f1,f2,f3\n"
+                        f"0,0,sketch,{','.join(fields)}\n"
+                        "1,0,photo,0,0,0,0\n")
+        got = read_dataset(path).features[0]
+        want = np.array([float(x) for x in fields])
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
+        for bad in ("1__0", "0x1p3"):
+            path.write_text("id,class,modality,f0\n0,0,sketch,1.0\n"
+                            f"1,0,photo,{bad}\n")
+            with pytest.raises(DataError) as info:
+                read_dataset(path)
+            assert str(info.value) == (
+                f"{path}:3: could not convert string to float: {bad!r}")
+
     def test_non_contiguous_labels(self, tmp_path):
         path = tmp_path / "gap.csv"
         rows = ["id,class,modality,f0"]

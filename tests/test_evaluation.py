@@ -553,6 +553,109 @@ class TestArrayMetricsOracle:
             assert_array_equal(ranking.relevance[i], gl[order] == ql[i])
 
 
+class TestRankedRelevance:
+    """compute_metrics ranks each block by one sort of packed (distance
+    bits, relevant) keys and sorts some rows again. Its flags and scores
+    must be `retrieve`'s bit for bit on blocks that reach each path."""
+
+    @staticmethod
+    def _table(monkeypatch, dist):
+        """Query and gallery rows that hold their own index, with
+        pairwise_distance looking their distances up in `dist`."""
+        dist = np.asarray(dist, dtype=np.float64)
+        monkeypatch.setattr(
+            evaluation, "pairwise_distance",
+            lambda a, b: dist[a[:, :1].astype(int), b[:, 0].astype(int)])
+        return (np.arange(dist.shape[0], dtype=np.float64)[:, None],
+                np.arange(dist.shape[1], dtype=np.float64)[:, None])
+
+    @staticmethod
+    def _check(monkeypatch, query, gallery, ql, gl, resorted):
+        """_ranked_relevance equals retrieve's flags and argsorts
+        `resorted` rows; compute_metrics in blocks of two rows equals the
+        whole ranking's scores."""
+        ranking = retrieve(query, gallery, ql, gl)
+        sorted_rows, argsort = [], np.argsort
+
+        def counted(a, *args, **kwargs):
+            sorted_rows.append(a.shape[0])
+            return argsort(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "argsort", counted)
+            rel = evaluation._ranked_relevance(query, gallery, ql, gl)
+        assert rel.dtype == bool
+        assert_array_equal(rel, ranking.relevance)
+        assert sum(sorted_rows) == resorted
+        metrics = TestArrayMetricsOracle._blocked_metrics(
+            monkeypatch, 2, query, gallery, ql, gl, 3)
+        assert metrics.map_at_all == map_at_all(ranking)
+        assert metrics.prec_at_k == prec_at_k(ranking, 3)
+        assert metrics.map_at_200 == map_at_n(ranking, 200)
+        assert metrics.prec_at_200 == prec_at_k(ranking, 200)
+
+    def test_continuous(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        gl = rng.permutation(np.arange(300) % 3)
+        self._check(monkeypatch, unit_rows(rng, 9, 16),
+                    unit_rows(rng, 300, 16), rng.integers(0, 3, 9), gl, 0)
+
+    def test_ties_of_equal_relevance(self, monkeypatch):
+        # each distance is shared by exactly the gallery items of one class
+        rng = np.random.default_rng(52)
+        gl = rng.permutation(np.arange(300) % 5)
+        dist = (gl[None, :] + 5 * np.arange(6)[:, None] + 1) / 64
+        query, gallery = self._table(monkeypatch, dist)
+        self._check(monkeypatch, query, gallery, rng.integers(0, 5, 6), gl, 0)
+
+    def test_only_rows_with_mixed_ties_sorted_again(self, monkeypatch):
+        # odd rows take four distinct values, so relevant and irrelevant
+        # items tie there; even rows are tie-free
+        rng = np.random.default_rng(53)
+        gl = rng.permutation(np.arange(400) % 3)
+        dist = rng.random((8, 400))
+        dist[1::2] = rng.integers(1, 5, (4, 400)) / 4
+        query, gallery = self._table(monkeypatch, dist)
+        self._check(monkeypatch, query, gallery, rng.integers(0, 3, 8), gl, 4)
+
+    def test_nan_rows(self, monkeypatch):
+        # NaN keys order by payload, and the sign bit is shifted out:
+        # rows 0 and 1 have no tie between a relevant and an irrelevant
+        # key, yet index order puts a relevant NaN first; row 2 holds the
+        # default NaN (sign bit set) alone; row 3 holds no NaN
+        quiet, low, signed = np.array(
+            [0x7FF8_0000_0000_0002, 0x7FF8_0000_0000_0001,
+             0xFFF8_0000_0000_0000], dtype=np.uint64).view(np.float64)
+        dist = np.array([[quiet, low, 0.3, 0.7],
+                         [low, signed, 0.3, 0.7],
+                         [signed] * 4,
+                         [0.1, 0.4, 0.3, 0.2]])
+        query, gallery = self._table(monkeypatch, dist)
+        self._check(monkeypatch, query, gallery, np.zeros(4, int),
+                    np.array([0, 1, 0, 1]), 3)
+
+    def test_distances_at_and_above_two(self, monkeypatch):
+        # 2.0 is 2**62 as bits, so a shifted key overflows int64; the
+        # second query's norm rounds its antipode one ulp past 2
+        query = np.array([[1.0], [1.0 + 3 * 2.0**-52]])
+        gallery = np.array([[-1.0], [1.0], [0.0]])
+        assert_array_equal(pairwise_distance(query, gallery)[:, 0],
+                           [2.0, np.nextafter(2.0, 3.0)])
+        self._check(monkeypatch, query, gallery, np.zeros(2, int),
+                    np.array([0, 1, 1]), 0)
+        above = np.nextafter(2.0, 3.0)
+        query, gallery = self._table(monkeypatch, [[2.0, 0.5, above, 1.0],
+                                                   [above, 0.5, 1.0, 2.0]])
+        self._check(monkeypatch, query, gallery, np.zeros(2, int),
+                    np.array([0, 1, 1, 0]), 0)
+
+    def test_single_gallery_item(self, monkeypatch):
+        query, gallery = self._table(monkeypatch,
+                                     [[0.5], [np.nan], [2.0], [0.0]])
+        self._check(monkeypatch, query, gallery, np.zeros(4, int),
+                    np.zeros(1, int), 1)
+
+
 def cell_set(cells):
     """(embeddings, labels, modalities) of random unit rows, `count` rows
     for each (label, modality, count) in `cells`."""

@@ -65,21 +65,26 @@ def test_weighted_loss_looks_up_the_traced_names(monkeypatch):
 
 def test_compute_metrics_looks_up_the_traced_names(monkeypatch):
     # the evaluation.diagnostics span covers all five diagnostic fields,
-    # and the evaluation.retrieve span counts one call per query block,
-    # only if compute_metrics reaches them through these names
+    # and the geometry.pairwise_distance span counts one call per query
+    # block, only if compute_metrics reaches them through these names;
+    # compute_metrics ranks without `retrieve`, so evaluation.retrieve
+    # reads zero calls in an eval
     calls = count_calls(monkeypatch, evaluation,
                         ("between_class_discrepancy", "modality_gap",
-                         "within_class_similarity", "retrieve"))
+                         "within_class_similarity", "pairwise_distance",
+                         "retrieve"))
     e, labels, mods = pk_batch(np.random.default_rng(0), 7, 2, 6)
     evaluation.compute_metrics(e, labels, mods, k=3)
     assert calls == {"between_class_discrepancy": 1, "modality_gap": 1,
-                     "within_class_similarity": 1, "retrieve": 1}
+                     "within_class_similarity": 1, "pairwise_distance": 1,
+                     "retrieve": 0}
     # 14 queries against 14 photos, in blocks of 5 and of 13 rows
     for rows, blocks in ((5, 3), (13, 2)):
         monkeypatch.setattr(evaluation, "QUERY_BLOCK_ENTRIES", rows * 14)
-        calls["retrieve"] = 0
+        calls["pairwise_distance"] = 0
         evaluation.compute_metrics(e, labels, mods, k=3)
-        assert calls["retrieve"] == blocks
+        assert calls["pairwise_distance"] == blocks
+        assert calls["retrieve"] == 0
 
 
 @pytest.mark.parametrize("method, steps_per_iter", [("cls-only", 1),
