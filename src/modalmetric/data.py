@@ -64,28 +64,23 @@ class Dataset:
             )
         if ((self.modalities != 0) & (self.modalities != 1)).any():
             raise ValueError("modalities must be 0 (sketch) or 1 (photo)")
-        # cell 2c + m holds class c's rows of modality m; the cells are
-        # 0..2n - 1 iff n contiguous labels each have both modalities
-        cells = np.unique(2 * self.labels + self.modalities)
-        complete = (cells.size % 2 == 0
-                    and np.array_equal(cells, np.arange(cells.size)))
-        self.n_classes = cells.size // 2
-        if not complete:
-            # labels past 2**62 wrap in the cells, so read the labels
-            present = np.unique(self.labels)
-            if not np.array_equal(present, np.arange(present.size)):
-                raise DataError(f"labels must be contiguous 0..{present[-1]}, "
-                                f"got {present.tolist()}")
-            self.n_classes = present.size
+        present = np.unique(self.labels)
+        if not np.array_equal(present, np.arange(present.size)):
+            raise DataError(f"labels must be contiguous 0..{present[-1]}, "
+                            f"got {present.tolist()}")
+        self.n_classes = present.size
         self.d_in = self.features.shape[1]
         if class_ids is None:
             class_ids = range(self.n_classes)
         if len(class_ids) != self.n_classes:
             raise ValueError("class_ids must have one entry per class")
         self.class_ids = [int(c) for c in class_ids]
-        if not complete:
-            missing = np.setdiff1d(np.arange(2 * self.n_classes), cells)
-            c, m = divmod(int(missing[0]), 2)
+        # cell 2c + m counts class c's rows of modality m
+        counts = np.bincount(2 * self.labels + self.modalities,
+                             minlength=2 * self.n_classes)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            c, m = divmod(int(empty[0]), 2)
             raise DataError(f"class {c} has no {MODALITY_TAGS[m]} samples")
 
     def __len__(self):
@@ -280,23 +275,23 @@ def read_dataset(path):
     [0, 2**63), repeated sample ids, non-contiguous labels or a class
     missing from a modality.
     """
+    lines = []
     try:
         # surrogateescape turns undecodable bytes into lone surrogates,
-        # which valid UTF-8 never decodes to, so the check below can name
-        # their line; blank lines are skipped but keep their place in the
+        # which valid UTF-8 never decodes to, so the check can name their
+        # line; blank lines are skipped but keep their place in the
         # numbering
         with open(path, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
-            lines = [(lineno, ln.rstrip("\n"))
-                     for lineno, ln in enumerate(fh, start=1)
-                     if ln.strip() != ""]
+            for lineno, ln in enumerate(fh, start=1):
+                if not ln.isascii() and _SURROGATE.search(ln):
+                    raise DataError(f"{path}:{lineno}: not UTF-8 text")
+                if ln.strip() != "":
+                    lines.append((lineno, ln.rstrip("\n")))
     except OSError as exc:
         raise DataError(
             f"{path}: cannot read dataset: {exc.strerror or exc}"
         ) from None
-    for lineno, ln in lines:
-        if not ln.isascii() and _SURROGATE.search(ln):
-            raise DataError(f"{path}:{lineno}: not UTF-8 text")
     if not lines:
         raise DataError(f"{path}: no samples")
     header_line, header = lines[0][0], lines[0][1].split(",")

@@ -47,14 +47,8 @@ def retrieve(query_embeddings, gallery_embeddings, query_labels=None,
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a non-empty 2-d array")
     dist = pairwise_distance(query_embeddings, gallery)
-    order = np.argsort(dist, axis=1)
+    order = np.argsort(dist, axis=1, kind="stable")
     distances = np.take_along_axis(dist, order, axis=1)
-    # a row free of ties and NaN has one ascending order, which any sort
-    # finds; the others are sorted again, stably, so that equal distances
-    # keep gallery index order
-    tied = ~(distances[:, 1:] > distances[:, :-1]).all(axis=1)
-    order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
-    distances[tied] = np.take_along_axis(dist[tied], order[tied], axis=1)
     relevance = None
     if query_labels is not None and gallery_labels is not None:
         relevance = (np.asarray(gallery_labels)[order]

@@ -165,17 +165,15 @@ def embed_forward(params, features, modalities):
     return e, cache
 
 
-def embed_backward(cache, grad_output):
+def embed_backward(cache, grad_output, out):
     """Pull a gradient w.r.t. the normalized embeddings back to the
-    embedder parameters.
+    embedder parameters, written into `out`, an EmbedderParams (in
+    training, the embedder's views of the gradient buffer).
 
     The normalization Jacobian projects out the component of the upstream
     gradient parallel to each embedding row, then divides by the
     pre-normalization norm; degenerate rows (norm below the eps floor)
     were scaled by 1/eps in the forward and get the matching Jacobian.
-
-    Returns:
-        dict with keys "W", "b", "modality_offset".
     """
     de = np.asarray(grad_output, dtype=np.float64)
     if de.shape != cache.embeddings.shape:
@@ -190,14 +188,14 @@ def embed_backward(cache, grad_output):
     if degenerate.any():
         dz[degenerate] = de[degenerate] / EPS_NORM
 
-    d_w = cache.features.T @ dz
-    d_b = dz.sum(axis=0)
+    np.matmul(cache.features.T, dz, out=out.W)
+    dz.sum(axis=0, out=out.b)
     # one in-order bincount: per cell the same sum, in the same order, as
     # a scatter-add over the rows; % 2 wraps negative flags as indexing does
     d = dz.shape[1]
     cells = ((cache.modalities % 2)[:, None] * d + np.arange(d)).ravel()
-    d_off = np.bincount(cells, weights=dz.ravel(), minlength=2 * d)
-    return {"W": d_w, "b": d_b, "modality_offset": d_off.reshape(2, d)}
+    out.modality_offset[...] = np.bincount(
+        cells, weights=dz.ravel(), minlength=2 * d).reshape(2, d)
 
 
 @dataclass

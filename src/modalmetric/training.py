@@ -125,6 +125,15 @@ def _adversarial(params, embeddings, photo, objective):
     return report.value, report.grad * scores * (1.0 - scores)
 
 
+def _embed(params, x, mods):
+    """embed_forward of a batch, with its norms checked: a row whose norm
+    overflows would normalize to zeros."""
+    embeddings, cache = embed_forward(params.embedder, x, mods)
+    if not cache.norms.max() < np.inf:  # NaN fails too
+        raise NumericError("non-finite embedding norm")
+    return embeddings, cache
+
+
 def main_step(params, grads, x, y, mods, plan, config):
     """One batch's gradient on the main group (embedder and classifier),
     written into `grads`, a ModelParams over the flat gradient buffer:
@@ -140,10 +149,7 @@ def main_step(params, grads, x, y, mods, plan, config):
         NumericError: on a non-finite embedding norm or value.
     """
     kinds, weighting, adversarial = METHOD_RECIPES[config.method]
-    embeddings, cache = embed_forward(params.embedder, x, mods)
-    # a row whose norm overflows would normalize to zeros
-    if not cache.norms.max() < np.inf:  # NaN fails too
-        raise NumericError("non-finite embedding norm")
+    embeddings, cache = _embed(params, x, mods)
     cls = softmax_ce(embeddings @ params.classifier.W_c.T, y)
     d_wc = cls.grad.T @ embeddings
     # the classification gradient on the embedding rows
@@ -172,18 +178,16 @@ def main_step(params, grads, x, y, mods, plan, config):
 
     if not np.isfinite(value):
         raise NumericError("non-finite loss")
-    grads_e = embed_backward(cache, d_embed)
-    grads.embedder.W[...] = grads_e["W"]
-    grads.embedder.b[...] = grads_e["b"]
-    grads.embedder.modality_offset[...] = grads_e["modality_offset"]
+    embed_backward(cache, d_embed, grads.embedder)
     grads.classifier.W_c[...] = d_wc
     return value, entries
 
 
 def disc_step(params, grads, x, mods):
     """One batch's gradient on the discriminator group (w_d, b_d), the
-    embedder frozen, written into `grads`; returns l_adv_d."""
-    fresh, _ = embed_forward(params.embedder, x, mods)
+    embedder frozen, written into `grads`; returns l_adv_d. Raises
+    NumericError on a non-finite embedding norm."""
+    fresh, _ = _embed(params, x, mods)
     value, d_raw = _adversarial(params, fresh, mods == 1, adversarial_d_loss)
     grads.discriminator.w_d[...] = fresh.T @ d_raw
     grads.discriminator.b_d[...] = d_raw.sum()
@@ -244,15 +248,15 @@ def train(dataset: Dataset, config: TrainConfig):
         try:
             value, entries = main_step(params, grads, x, labels[idx], mods,
                                        plan, config)
+            adam_step(main_params, main_grads, main_state, lr)
+            row = {"iter": it, "lr": lr, **entries}
+            if adversarial:
+                # the discriminator steps on the freshly updated embedder
+                row["l_adv_d"] = disc_step(params, grads, x, mods)
+                adam_step(disc_params, disc_grads, disc_state,
+                          lr * config.disc_lr_scale)
         except NumericError as err:
             raise NumericError(f"{err} at iteration {it}") from None
-        adam_step(main_params, main_grads, main_state, lr)
-        row = {"iter": it, "lr": lr, **entries}
-        if adversarial:
-            # the discriminator steps on the freshly updated embedder
-            row["l_adv_d"] = disc_step(params, grads, x, mods)
-            adam_step(disc_params, disc_grads, disc_state,
-                      lr * config.disc_lr_scale)
         row["l_total"] = float(value)
         log.append(row)
 

@@ -1452,3 +1452,16 @@ class TestExitCodeMapping:
         assert "non-finite embedding norm at iteration 0" in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("checkpoint.json"))
+
+    def test_overflowing_discriminator_step(self, tmp_path, capsys):
+        # the first Adam step at this rate overflows the embedder's
+        # weights, so the discriminator step's fresh embedding norms do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--method", "gan", "--base_lr", "1e308",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 5, err
+        assert "non-finite embedding norm at iteration 0" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("checkpoint.json"))

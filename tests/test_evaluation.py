@@ -533,7 +533,8 @@ class TestArrayMetricsOracle:
     def test_ranking_resorts_only_tied_rows(self):
         # Query 0 sees 50 gallery rows at exactly sqrt(2) (they are
         # orthogonal to it), query 1 holds a NaN, the random queries see
-        # distinct distances: the rows take different sort paths.
+        # distinct distances: tied, NaN and tie-free rows alike equal
+        # their own stable sort.
         rng = np.random.default_rng(41)
         d = 8
         gallery = unit_rows(rng, 420, d)

@@ -48,6 +48,20 @@ def small_dataset(seed=5):
     )
 
 
+def zero_embedder(like):
+    """An all-zero EmbedderParams shaped like `like`, for embed_backward
+    to write into."""
+    return EmbedderParams(np.zeros_like(like.W), np.zeros_like(like.b),
+                          np.zeros_like(like.modality_offset))
+
+
+def embedder_grads(params, cache, grad_output):
+    """embed_backward's gradient, written into a fresh zero_embedder."""
+    grads = zero_embedder(params)
+    embed_backward(cache, grad_output, grads)
+    return grads
+
+
 def small_config(method, iters=30, **kw):
     kw.setdefault("d_emb", 4)
     kw.setdefault("classes_per_batch", 3)
@@ -103,15 +117,18 @@ class TestEmbedBackward:
         # out by the normalization Jacobian
         params, x, mods = self._setup()
         e, cache = embed_forward(params, x, mods)
-        grads = embed_backward(cache, 3.0 * e)
-        for g in grads.values():
+        grads = embedder_grads(params, cache, 3.0 * e)
+        for g in vars(grads).values():
             assert_allclose(g, np.zeros_like(g), atol=1e-12)
 
     def test_zero_upstream(self):
         params, x, mods = self._setup()
         _, cache = embed_forward(params, x, mods)
-        grads = embed_backward(cache, np.zeros_like(cache.embeddings))
-        for g in grads.values():
+        # the gradient is written over whatever `out` held
+        grads = EmbedderParams(np.ones_like(params.W), np.ones_like(params.b),
+                               np.ones_like(params.modality_offset))
+        embed_backward(cache, np.zeros_like(cache.embeddings), grads)
+        for g in vars(grads).values():
             assert_array_equal(g, np.zeros_like(g))
 
     def test_finite_diff_linear_readout(self):
@@ -128,11 +145,11 @@ class TestEmbedBackward:
             return float((e * r).sum())
 
         e, cache = embed_forward(params, x, mods)
-        grads = embed_backward(cache, r)
-        for attr, key in [("W", "W"), ("b", "b"),
-                          ("modality_offset", "modality_offset")]:
+        grads = embedder_grads(params, cache, r)
+        for attr in ("W", "b", "modality_offset"):
             err = finite_diff_check(
-                lambda v, a=attr: loss_of(a, v), getattr(params, attr), grads[key]
+                lambda v, a=attr: loss_of(a, v), getattr(params, attr),
+                getattr(grads, attr)
             )
             assert err < 1e-6, attr
 
@@ -149,15 +166,15 @@ class TestEmbedBackward:
         assert cache.norms[0] < EPS_NORM
         de = np.array([[1.0, -2.0, 0.5]])
         assert (de * cache.embeddings).sum() != 0.0
-        grads = embed_backward(cache, de)
-        assert_array_equal(grads["b"], de[0] / EPS_NORM)
-        assert_array_equal(grads["modality_offset"][1], de[0] / EPS_NORM)
+        grads = embedder_grads(params, cache, de)
+        assert_array_equal(grads.b, de[0] / EPS_NORM)
+        assert_array_equal(grads.modality_offset[1], de[0] / EPS_NORM)
 
     def test_shape_error(self):
         params, x, mods = self._setup()
         _, cache = embed_forward(params, x, mods)
         with pytest.raises(ValueError, match="grad_output"):
-            embed_backward(cache, np.zeros((2, 3)))
+            embed_backward(cache, np.zeros((2, 3)), zero_embedder(params))
 
 
 def one_tensor(size=1):
@@ -251,8 +268,7 @@ def reference_embed_backward(cache, grad_output):
         dz[degenerate] = de[degenerate] / EPS_NORM
     d_off = np.zeros((2, dz.shape[1]))
     np.add.at(d_off, cache.modalities, dz)
-    return {"W": cache.features.T @ dz, "b": dz.sum(axis=0),
-            "modality_offset": d_off}
+    return EmbedderParams(cache.features.T @ dz, dz.sum(axis=0), d_off)
 
 
 class TestFlatTrainingStepOracle:
@@ -355,10 +371,11 @@ class TestFlatTrainingStepOracle:
             if batch == "degenerate":
                 assert (cache.norms < EPS_NORM).any()
             upstream = rng.standard_normal(e.shape)
-            got = embed_backward(cache, upstream)
+            got = embedder_grads(params, cache, upstream)
             want = reference_embed_backward(cache, upstream)
             for key in ("W", "b", "modality_offset"):
-                assert_array_equal(got[key], want[key], err_msg=key)
+                assert_array_equal(getattr(got, key), getattr(want, key),
+                                   err_msg=key)
 
 
 class TestCosineLr:

@@ -91,8 +91,11 @@ if __name__ == "__main__":
     if os.path.exists(PIN):
         with open(PIN) as fh:
             old = json.load(fh)
-        for worst, name, value, pinned in deviations(values, old)[:10]:
+        moves = [row for row in deviations(values, old)[:10] if row[0] > 0]
+        for worst, name, value, pinned in moves:
             print(f"{worst:.3g}  {name}: {pinned!r} -> {value!r}")
+        if not moves:
+            print("no value moved")
     with open(PIN, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")
