@@ -327,11 +327,10 @@ def cmd_ablate(cfg, args):
 
 def cmd_sweep_lambda(cfg, args):
     try:
-        lambdas = [float(x) for x in args.lambdas.split(",") if x.strip()]
+        lambdas = [float(x) for x in args.lambdas.split(",")]
     except ValueError:
         raise ConfigError(f"bad --lambdas value: {args.lambdas!r}")
-    if not lambdas or any(not (math.isfinite(lam) and lam >= 0)
-                          for lam in lambdas):
+    if any(not (math.isfinite(lam) and lam >= 0) for lam in lambdas):
         raise ConfigError("--lambdas needs comma-separated finite reals >= 0")
     # the table groups runs by label, so equal values would share a row
     for i, lam in enumerate(lambdas):

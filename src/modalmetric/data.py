@@ -40,18 +40,24 @@ class Dataset:
     `d_in` and `n_classes` are read off the columns.
 
     Raises:
-        ValueError: if features is not 2-d, the columns differ in
-            length, a modality is not 0 or 1, or class_ids does not have
-            one entry per class.
+        ValueError: if a float label, modality or id is not a whole
+            number within int64, features is not 2-d, the columns differ
+            in length, a modality is not 0 or 1, or class_ids does not
+            have one entry per class.
         DataError: if the labels are not contiguous from 0 or a class
             lacks a modality.
     """
 
     def __init__(self, features, labels, modalities, ids, class_ids=None):
         self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.modalities = np.asarray(modalities, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
+        for name, col in (("labels", labels), ("modalities", modalities),
+                          ("ids", ids)):
+            col = np.asarray(col)
+            # checked before the int64 cast would truncate it
+            if col.dtype.kind == "f" and not (
+                    (np.abs(col) < 2**63) & (col == np.floor(col))).all():
+                raise ValueError(f"{name} must be whole numbers")
+            setattr(self, name, np.asarray(col, dtype=np.int64))
         if self.features.ndim != 2:
             raise ValueError(
                 f"features must be 2-d, got shape {self.features.shape}"

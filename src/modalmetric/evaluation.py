@@ -90,69 +90,53 @@ def _ranked_relevance(query, gallery, query_labels, gallery_labels):
     return rel
 
 
-def _relevance_totals(rel, offset=0):
-    """Each row's count of relevant items in a (B, G) relevance block
-    whose first row is query `offset`."""
-    total = rel.sum(axis=1)
+def _row_scores(rel, k, n, offset=0):
+    """AP@all, P@k, AP@n and P@n of every row of a (B, G) relevance block
+    whose first row is query `offset`, all read off one running count:
+    hits[:, i] is a row's number of relevant items in its top i + 1.
+
+    A row's non-interpolated AP is the mean, over its relevant ranks i,
+    of the precision hits[:, i] / (i + 1). AP@n keeps only the relevant
+    ranks in the top n and divides by min(total relevant, n). P@k is the
+    fraction of relevant items in the top min(k, G). Each row takes its
+    own division, product and pairwise row sums, so its scores do not
+    depend on the block it sits in.
+    """
+    if rel is None:
+        raise ValueError("ranking carries no relevance flags")
+    hits = np.cumsum(rel, axis=1)
+    G = hits.shape[1]
+    total = hits[:, -1] if G else np.zeros(len(hits), dtype=np.int64)
     empty = np.flatnonzero(total == 0)
     if empty.size:
         raise MetricError(
             f"query {offset + empty[0]} has no relevant gallery item")
-    return total
-
-
-def _relevance(ranking):
-    """The ranking's (Q, G) relevance flags and each query's count of
-    relevant items."""
-    if ranking.relevance is None:
-        raise ValueError("ranking carries no relevance flags")
-    rel = np.asarray(ranking.relevance)
-    return rel, _relevance_totals(rel)
-
-
-def _ap_rows(rel, total, truncate_at=None):
-    """Non-interpolated AP of every row of a relevance block, given each
-    row's relevant count. With truncate_at=n, only the top n positions
-    contribute precision terms and the denominator becomes
-    min(total relevant, n). Each row takes its own cumsum, division,
-    product and pairwise row sum, so its AP does not depend on the block
-    it sits in."""
-    if truncate_at is None:
-        denominator = total
-    else:
-        rel = rel[:, :truncate_at]
-        denominator = np.minimum(total, truncate_at)
-    head = rel.astype(np.float64)
-    precisions = np.cumsum(head, axis=1)
-    precisions /= np.arange(1, head.shape[1] + 1)
-    precisions *= head
-    return precisions.sum(axis=1) / denominator
-
-
-def _prec_rows(rel, k):
-    """Fraction of relevant items in each row's top min(k, G)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = min(k, rel.shape[1])
-    return rel[:, :m].sum(axis=1) / m
+    precisions = hits / np.arange(1, G + 1)
+    precisions *= rel
+    m_k, m_n = min(k, G), min(n, G)
+    return (precisions.sum(axis=1) / total,
+            hits[:, m_k - 1] / m_k,
+            precisions[:, :n].sum(axis=1) / np.minimum(total, n),
+            hits[:, m_n - 1] / m_n)
 
 
 def map_at_all(ranking):
     """Mean non-interpolated AP over queries."""
-    return float(np.mean(_ap_rows(*_relevance(ranking))))
+    return float(np.mean(_row_scores(ranking.relevance, 1, 1)[0]))
 
 
 def map_at_n(ranking, n):
     """Mean AP over lists truncated to their top n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return float(np.mean(_ap_rows(*_relevance(ranking), truncate_at=n)))
+    return float(np.mean(_row_scores(ranking.relevance, 1, n)[2]))
 
 
 def prec_at_k(ranking, k):
     """Mean fraction of relevant items in each query's top min(k, G)."""
-    rel, _ = _relevance(ranking)
-    return float(np.mean(_prec_rows(rel, k)))
+    return float(np.mean(_row_scores(ranking.relevance, k, 1)[1]))
 
 
 def _cell_totals(embeddings, labels, modalities):
@@ -295,13 +279,8 @@ def compute_metrics(embeddings, labels, modalities, k=DEFAULT_PREC_K,
         block = slice(start, start + rows)
         rel = _ranked_relevance(query[block], gallery, query_labels[block],
                                 gallery_labels)
-        total = _relevance_totals(rel, offset=start)
-        scores[:, block] = (
-            _ap_rows(rel, total),
-            _prec_rows(rel, k),
-            _ap_rows(rel, total, truncate_at=DEFAULT_TRUNCATION),
-            _prec_rows(rel, DEFAULT_TRUNCATION),
-        )
+        scores[:, block] = _row_scores(rel, k, DEFAULT_TRUNCATION,
+                                       offset=start)
     map_all, prec_k, map_200, prec_200 = (float(np.mean(s)) for s in scores)
     same, cross = between_class_discrepancy(e, labels, mods)
     within_same, within_cross = within_class_similarity(e, labels, mods)

@@ -840,12 +840,14 @@ class TestSweepLambdaCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops",
-                                     "inf", "0,nan", "1,-inf"])
+                                     "inf", "0,nan", "1,-inf",
+                                     "0,,1", "0,1,"])
     def test_bad_lambdas(self, ini, tmp_path, bad, capsys):
         rc = main(["sweep-lambda", "--config", ini,
                    "--out", str(tmp_path), "--lambdas", bad])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigHandling:

@@ -423,6 +423,21 @@ class TestDatasetValidate:
         # and the class_ids length before a missing modality
         with pytest.raises(ValueError, match="class_ids"):
             Dataset(feats, [0, 1, 1], [0, 1, 1], [0, 1, 2], class_ids=[0])
+        # a float column is checked before the int64 cast truncates it
+        feats = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="labels must be whole"):
+            Dataset(feats, [0, 0.5, 1, 1.7], [0, 1, 0, 1.9], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="modalities must be whole"):
+            Dataset(feats, [0, 0, 1, 1], [0, 1, 0, 1.9], [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="labels must be whole"):
+            Dataset(feats, [0, 0, 1, np.nan], [0, 1, 0, 1], [0, 1, 2, 3])
+        for bad in (np.inf, -np.inf, 2.0**63):
+            with pytest.raises(ValueError, match="ids must be whole"):
+                Dataset(feats, [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 2, bad])
+        ds = Dataset(feats, [0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0],
+                     [-3.0, 1.0, 2.0, 3.0])
+        assert ds.labels.dtype == ds.modalities.dtype == np.int64
+        assert ds.ids.tolist() == [-3, 1, 2, 3]
         ds = Dataset(np.ones((4, 2)), [1, 0, 1, 0], [0, 1, 1, 0],
                      [5, 6, 7, 8])
         assert (ds.d_in, ds.n_classes, len(ds)) == (2, 2, 4)

@@ -163,6 +163,14 @@ class TestMapAggregation:
         with pytest.raises(MetricError, match="query 0"):
             map_at_all(ranked)
 
+    def test_ranking_of_no_items(self):
+        # a hand-built ranking over no gallery item: no query can match
+        ranked = Ranking(None, None, np.zeros((2, 0), dtype=bool))
+        for score in (map_at_all, lambda r: map_at_n(r, 5),
+                      lambda r: prec_at_k(r, 5)):
+            with pytest.raises(MetricError, match="query 0 has no"):
+                score(ranked)
+
 
 def one_class_two_axes():
     """Each class puts its sketches and photos on different axes, so the
