@@ -56,7 +56,7 @@ def write_csv(path, columns, rows):
     needs quoting."""
     lines = [",".join(columns)]
     lines += [",".join([_cell(row[c]) for c in columns]) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _mean_std(dicts, keys):

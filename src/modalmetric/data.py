@@ -23,6 +23,9 @@ CSV_MODALITY_TAGS = {tag: m for m, tag in enumerate(MODALITY_TAGS)}
 # (2, 1) modality index that broadcasts against (P, 2, K) table picks
 _MODALITY_COLUMN = np.arange(2).reshape(2, 1)
 _SURROGATE = re.compile("[\udc80-\udcff]")
+# rows that write_dataset formats, and read_dataset parses into one
+# feature block, at a time
+CSV_CHUNK_ROWS = 1024
 
 
 class Dataset:
@@ -259,48 +262,87 @@ class PKSampler:
         return rows.ravel()
 
 
+def _csv_pieces(ds):
+    """The CSV text of `ds`: its header line, then one string per chunk
+    of CSV_CHUNK_ROWS rows."""
+    yield "id,class,modality," + ",".join(
+        f"f{i}" for i in range(ds.d_in)) + "\n"
+    for start in range(0, len(ds), CSV_CHUNK_ROWS):
+        rows = slice(start, start + CSV_CHUNK_ROWS)
+        yield "".join(
+            f"{sid},{label},{MODALITY_TAGS[m]},{','.join(map(repr, row))}\n"
+            for sid, label, m, row in zip(
+                ds.ids[rows].tolist(), ds.labels[rows].tolist(),
+                ds.modalities[rows].tolist(), ds.features[rows].tolist()))
+
+
 def write_dataset(ds, path):
     """Write `ds` as CSV: header `id,class,modality,f0..f{d-1}`, one
-    sample per row, features at full round-trip precision."""
-    header = "id,class,modality," + ",".join(f"f{i}" for i in range(ds.d_in))
-    lines = [header]
-    for sid, label, m, row in zip(ds.ids.tolist(), ds.labels.tolist(),
-                                  ds.modalities.tolist(),
-                                  ds.features.tolist()):
-        feats = ",".join(map(repr, row))
-        lines.append(f"{sid},{label},{MODALITY_TAGS[m]},{feats}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    sample per row, features at full round-trip precision.
+
+    The text is formatted and written CSV_CHUNK_ROWS rows at a time, so
+    the memory taken beyond `ds` is one chunk's worth, O(chunk).
+    """
+    atomic_write_text(path, _csv_pieces(ds))
+
+
+def _nonblank_lines(fh, path):
+    """Yield (1-based line number, line without its newline) for each line
+    of `fh` that is not blank; blank lines keep their place in the
+    numbering. Raises DataError at the first line holding a byte that is
+    not UTF-8."""
+    # surrogateescape turns undecodable bytes into lone surrogates, which
+    # valid UTF-8 never decodes to, so the check can name their line
+    for lineno, ln in enumerate(fh, start=1):
+        if not ln.isascii() and _SURROGATE.search(ln):
+            raise DataError(f"{path}:{lineno}: not UTF-8 text")
+        if ln.strip() != "":
+            yield lineno, ln.rstrip("\n")
 
 
 def read_dataset(path):
     """Parse a CSV dataset written by `write_dataset`.
 
+    Rows are parsed while the file is read, into feature blocks of
+    CSV_CHUNK_ROWS rows, and the file's lines are never held together:
+    beyond the returned Dataset, the memory taken is O(chunk) for the
+    text, plus the map from each id to its line that the duplicate check
+    needs and the blocks until they are joined into the Dataset's
+    features.
+
     Raises DataError naming the path (and the offending 1-based line
     number where there is one) on an unreadable file, bytes that are not
     UTF-8, malformed rows, unknown modality tags, ids or classes outside
     [0, 2**63), repeated sample ids, non-contiguous labels or a class
-    missing from a modality.
+    missing from a modality. A byte that is not UTF-8 anywhere in the
+    file wins over every other fault; otherwise the earliest line's
+    fault is raised.
     """
-    lines = []
     try:
-        # surrogateescape turns undecodable bytes into lone surrogates,
-        # which valid UTF-8 never decodes to, so the check can name their
-        # line; blank lines are skipped but keep their place in the
-        # numbering
         with open(path, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
-            for lineno, ln in enumerate(fh, start=1):
-                if not ln.isascii() and _SURROGATE.search(ln):
-                    raise DataError(f"{path}:{lineno}: not UTF-8 text")
-                if ln.strip() != "":
-                    lines.append((lineno, ln.rstrip("\n")))
+            lines = _nonblank_lines(fh, path)
+            try:
+                return _parse_csv(lines, path)
+            except DataError as exc:
+                fault = exc
+            # a later line that is not UTF-8 wins over the fault
+            for _ in lines:
+                pass
+            raise fault
     except OSError as exc:
         raise DataError(
             f"{path}: cannot read dataset: {exc.strerror or exc}"
         ) from None
-    if not lines:
+
+
+def _parse_csv(lines, path):
+    """The Dataset of the CSV at `path`, from the (line number, line)
+    pairs of `lines`; read_dataset lists the faults it raises."""
+    header_line, header = next(lines, (None, None))
+    if header is None:
         raise DataError(f"{path}: no samples")
-    header_line, header = lines[0][0], lines[0][1].split(",")
+    header = header.split(",")
     if header[:3] != ["id", "class", "modality"]:
         raise DataError(
             f"{path}:{header_line}: header must start with id,class,modality"
@@ -311,50 +353,71 @@ def read_dataset(path):
             f"{path}:{header_line}: header declares no feature columns"
         )
 
-    features = np.empty((len(lines) - 1, d_in))
+    blocks = []  # full feature blocks, each found finite
+    block = np.empty((0, d_in))
+    linenos = []  # the line of each row of block
+    filled = 0  # rows of block whose features are parsed
     ids, labels, modalities = [], [], []
     first_line = {}
-    for row, (lineno, raw) in zip(features, lines[1:]):
-        fields = raw.split(",")
-        if len(fields) != 3 + d_in:
-            raise DataError(
-                f"{path}:{lineno}: expected {3 + d_in} fields, got {len(fields)}"
-            )
+
+    def check_finite(n):
+        # one check for the block's first n rows, the rows above the
+        # next fault: a non-finite row among them comes first
+        bad = ~np.isfinite(block[:n]).all(axis=1)
+        if bad.any():
+            raise DataError(f"{path}:{linenos[bad.argmax()]}: "
+                            "non-finite feature value")
+
+    for lineno, raw in lines:
+        if filled == len(block):
+            check_finite(filled)
+            blocks.append(block)
+            block, linenos, filled = np.empty((CSV_CHUNK_ROWS, d_in)), [], 0
+        linenos.append(lineno)
         try:
-            sid = int(fields[0])
-            label = int(fields[1])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        tag = fields[2].strip().lower()
-        if tag not in CSV_MODALITY_TAGS:
-            raise DataError(
-                f"{path}:{lineno}: unknown modality {fields[2]!r} "
-                "(expected sketch or photo)"
-            )
-        try:
-            # numpy converts each str through Python's float, so the
-            # accepted spellings and the error text are float()'s
-            row[:] = fields[3:]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(row).all():
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
-        if not (0 <= sid < 2**63 and 0 <= label < 2**63):
-            raise DataError(
-                f"{path}:{lineno}: id and class must be in [0, 2**63)"
-            )
-        if sid in first_line:
-            raise DataError(
-                f"{path}:{lineno}: duplicate id {sid} "
-                f"(first on line {first_line[sid]})"
-            )
+            fields = raw.split(",")
+            if len(fields) != 3 + d_in:
+                raise DataError(f"{path}:{lineno}: expected {3 + d_in} "
+                                f"fields, got {len(fields)}")
+            try:
+                sid = int(fields[0])
+                label = int(fields[1])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            tag = fields[2].strip().lower()
+            if tag not in CSV_MODALITY_TAGS:
+                raise DataError(
+                    f"{path}:{lineno}: unknown modality {fields[2]!r} "
+                    "(expected sketch or photo)"
+                )
+            try:
+                # numpy converts each str through Python's float, so the
+                # accepted spellings and the error text are float()'s
+                block[filled] = fields[3:]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            filled += 1
+            if not (0 <= sid < 2**63 and 0 <= label < 2**63):
+                raise DataError(
+                    f"{path}:{lineno}: id and class must be in [0, 2**63)"
+                )
+            if sid in first_line:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate id {sid} "
+                    f"(first on line {first_line[sid]})"
+                )
+        except DataError:
+            check_finite(filled)
+            raise
         first_line[sid] = lineno
         ids.append(sid)
         labels.append(label)
         modalities.append(CSV_MODALITY_TAGS[tag])
+    check_finite(filled)
     if not ids:
         raise DataError(f"{path}: no samples")
     try:
-        return Dataset(features, labels, modalities, ids)
+        return Dataset(np.concatenate(blocks + [block[:filled]]), labels,
+                       modalities, ids)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

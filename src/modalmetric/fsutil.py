@@ -45,10 +45,12 @@ def output_dir(path):
         raise
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename so readers never see a
-    partially written artifact. The file gets the mode `open()` would
-    give it, 0o666 less the umask, not mkstemp's 0o600.
+def atomic_write_text(path, pieces):
+    """Write the strings of the iterable `pieces`, in order, to path via
+    a temp file + rename so readers never see a partially written
+    artifact. If `pieces` raises, the temp file is removed and path is
+    left as it was. The file gets the mode `open()` would give it, 0o666
+    less the umask, not mkstemp's 0o600.
 
     Raises:
         ConfigError: naming the path, if it cannot be written.
@@ -60,7 +62,7 @@ def atomic_write_text(path, text):
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             umask = os.umask(0)  # reading the umask means setting it
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -77,4 +79,5 @@ def atomic_write_text(path, text):
 def write_json(path, obj):
     """Deterministic JSON dump: sorted keys, two-space indent, trailing
     newline, repr-precision floats."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path,
+                      [json.dumps(obj, indent=2, sort_keys=True) + "\n"])

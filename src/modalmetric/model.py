@@ -285,7 +285,7 @@ def save_checkpoint(path, params, meta):
             "shape": list(arr.shape),
             "data": np.asarray(arr, dtype=np.float64).ravel().tolist(),
         }
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True))
+    atomic_write_text(path, [json.dumps(payload, indent=1, sort_keys=True)])
 
 
 def load_checkpoint(path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import make_dataset
+from modalmetric import data
 from modalmetric import (
     DataError,
     Dataset,
@@ -17,6 +18,7 @@ from modalmetric import (
     write_dataset,
     zero_shot_split,
 )
+from modalmetric.fsutil import atomic_write_text
 
 
 class TestGenerateSynthetic:
@@ -348,14 +350,7 @@ class TestCsvRoundTrip:
         ds = generate_synthetic(SyntheticConfig(n_classes=3,
                                                 samples_per_class_per_modality=2,
                                                 d_in=5, seed=11))
-        # the bytes the plain open/write writer produced
-        header = "id,class,modality," + ",".join(f"f{i}" for i in range(5))
-        rows = [header] + [
-            f"{ds.ids[i]},{ds.labels[i]},{('sketch', 'photo')[ds.modalities[i]]},"
-            + ",".join(repr(float(x)) for x in ds.features[i])
-            for i in range(len(ds))
-        ]
-        want = ("\n".join(rows) + "\n").encode("utf-8")
+        want = _one_string_csv(ds)
         path = tmp_path / "ds.csv"
         path.write_bytes(b"stale contents\n")
         write_dataset(ds, path)
@@ -363,6 +358,168 @@ class TestCsvRoundTrip:
         write_dataset(ds, path)
         assert path.read_bytes() == want
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv"]
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_bytes(b"old contents\n")
+
+        def pieces():
+            yield "id,class,modality,f0\n"
+            yield "0,0,sketch,1.0\n"
+            raise RuntimeError("stopped partway")
+
+        with pytest.raises(RuntimeError, match="stopped partway"):
+            atomic_write_text(path, pieces())
+        assert path.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csv"]
+
+
+def _one_string_csv(ds):
+    """The bytes of `ds` as the writer that built one string produced."""
+    header = "id,class,modality," + ",".join(f"f{i}" for i in range(ds.d_in))
+    rows = [header] + [
+        f"{ds.ids[i]},{ds.labels[i]},{('sketch', 'photo')[ds.modalities[i]]},"
+        + ",".join(repr(float(x)) for x in ds.features[i])
+        for i in range(len(ds))
+    ]
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+_HEADER = "id,class,modality,f0\n"
+
+
+class TestCsvErrorOrder:
+    """The rows are parsed as the file is read, and each read fault is
+    still raised as when the whole file was read first: a byte that is
+    not UTF-8 anywhere wins, and otherwise the earliest line's fault."""
+
+    @pytest.mark.parametrize("head", [
+        _HEADER + "0,0,sketch\n",  # field count
+        "a,b,c,f0\n0,0,sketch,1.0\n",  # header
+        _HEADER + "0,0,sketch,1.0\n0,0,photo,1.0\n",  # duplicate id
+    ], ids=["field_count", "header", "duplicate_id"])
+    def test_later_bytes_not_utf8_win(self, tmp_path, head):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(head.encode() + b"5,0,photo,1.0\n6,0,ph\xffoto,1.0\n")
+        lineno = head.count("\n") + 2
+        with pytest.raises(DataError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}:{lineno}: not UTF-8 text"
+
+    @pytest.mark.parametrize("later", [
+        "2,0,photo",
+        "x,0,photo,1.0",
+        "2,0,video,1.0",
+        "2,0,photo,1_.0",
+        "2,-1,photo,1.0",
+        "0,0,photo,1.0",
+    ], ids=["field_count", "int", "modality", "float", "range", "duplicate"])
+    def test_non_finite_row_wins_over_a_later_fault(self, tmp_path, later):
+        path = tmp_path / "bad.csv"
+        path.write_text(_HEADER + "0,0,sketch,1.0\n1,0,photo,nan\n\n"
+                        + later + "\n3,0,sketch,1.0\n")
+        with pytest.raises(DataError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}:3: non-finite feature value"
+
+    @pytest.mark.parametrize("sid", ["-1", "0"], ids=["range", "duplicate"])
+    def test_non_finite_wins_on_its_own_line(self, tmp_path, sid):
+        # the features are checked before the id's range and repetition
+        path = tmp_path / "bad.csv"
+        path.write_text(_HEADER + f"0,0,sketch,1.0\n{sid},0,photo,-inf\n")
+        with pytest.raises(DataError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}:3: non-finite feature value"
+
+    def test_unconvertible_row_is_not_checked_for_finiteness(self, tmp_path):
+        # numpy fills the row's nan before it meets the "x"
+        path = tmp_path / "bad.csv"
+        path.write_text("id,class,modality,f0,f1\n0,0,sketch,nan,x\n")
+        with pytest.raises(DataError) as info:
+            read_dataset(path)
+        assert str(info.value) == (
+            f"{path}:2: could not convert string to float: 'x'")
+
+
+class TestCsvChunks:
+    """A dataset of two full chunks of CSV_CHUNK_ROWS rows plus a part
+    chunk: row i of the dataset is on line i + 2 of its file."""
+
+    @pytest.fixture(scope="class")
+    def csv(self, tmp_path_factory):
+        ds = generate_synthetic(SyntheticConfig(
+            n_classes=3,
+            samples_per_class_per_modality=data.CSV_CHUNK_ROWS // 3 + 9,
+            d_in=2, seed=7))
+        assert 2 * data.CSV_CHUNK_ROWS < len(ds) < 3 * data.CSV_CHUNK_ROWS
+        path = tmp_path_factory.mktemp("chunks") / "ds.csv"
+        write_dataset(ds, path)
+        return ds, path
+
+    @staticmethod
+    def _read_edited(path, edit):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        edit(lines)
+        bad = path.with_name("bad.csv")
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_dataset(bad)
+        return str(info.value).removeprefix(str(bad))
+
+    def test_writes_the_one_string_bytes(self, csv):
+        ds, path = csv
+        assert path.read_bytes() == _one_string_csv(ds)
+
+    def test_reads_back_bit_identical(self, csv):
+        ds, path = csv
+        back = read_dataset(path)
+        assert_array_equal(back.features.view(np.int64),
+                           ds.features.view(np.int64))
+        for name in ("labels", "modalities", "ids"):
+            assert_array_equal(getattr(back, name), getattr(ds, name))
+
+    def test_duplicate_of_an_earlier_chunk(self, csv):
+        _, path = csv
+        lineno = 2 * data.CSV_CHUNK_ROWS + 5
+
+        def edit(lines):
+            # row 3 is on line 5, in the first chunk
+            lines[lineno - 1] = "3," + lines[lineno - 1].split(",", 1)[1]
+
+        assert self._read_edited(path, edit) == (
+            f":{lineno}: duplicate id 3 (first on line 5)")
+
+    @pytest.mark.parametrize("offset", [0, 1, data.CSV_CHUNK_ROWS - 1])
+    def test_fault_in_the_second_chunk(self, csv, offset):
+        _, path = csv
+        lineno = data.CSV_CHUNK_ROWS + 2 + offset
+
+        def edit(lines):
+            lines[lineno - 1] += ",0.5"
+
+        assert self._read_edited(path, edit) == (
+            f":{lineno}: expected 5 fields, got 6")
+
+    @pytest.mark.parametrize("fault", ["nan", "video"])
+    def test_blank_lines_across_a_boundary(self, csv, fault):
+        _, path = csv
+        # the last row of the first chunk is on line CSV_CHUNK_ROWS + 1
+        end = data.CSV_CHUNK_ROWS + 1
+        target = end + 5  # a row of the second chunk, before the blanks
+
+        def edit(lines):
+            fields = lines[target - 1].split(",")
+            if fault == "nan":
+                fields[-1] = "nan"
+            else:
+                fields[2] = "video"
+            lines[target - 1] = ",".join(fields)
+            lines[end:end] = ["", "  "]
+            lines[end - 2:end - 2] = [""]
+
+        want = (": non-finite feature value" if fault == "nan" else
+                ": unknown modality 'video' (expected sketch or photo)")
+        assert self._read_edited(path, edit) == f":{target + 3}{want}"
 
 
 class TestDatasetValidate:
