@@ -32,9 +32,9 @@ The hinge's gradient lives on pairs of rows: an active triplet weighs
 its (anchor, positive) pair 1/(N d_ap) and its (anchor, negative) pair
 -1/(N d_an), and a pair (i, j) weighted w adds w (e_i - e_j) to row i
 and the negation to row j. `triplet_hinge` returns the pair weights,
-the combination weights scale them, and `pair_gradient` sums every
-kind's pairs into one graph Laplacian L = diag(A 1) - A of the (B, B)
-pair-weight matrix A: one bincount and one product L E per batch.
+the combination weights scale them, and every kind's pairs sum into
+one graph Laplacian L = diag(A 1) - A of the (B, B) pair-weight matrix
+A: one bincount over the plan's cells and one product L E per batch.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ from typing import Tuple
 import numpy as np
 
 from .geometry import pairwise_distance
-from .mining import TripletKind, batch_hard_mine
+from .mining import PAIR_SIGNS, TripletKind, batch_hard_mine
 
 # Floor on d_ap / d_an in the hinge's pair weights, for rows closer than
 # this but not coincident (a pair at distance exactly 0 weighs 0).
@@ -144,7 +144,7 @@ def triplet_hinge(embeddings, anchors, others, margin):
 
     Returns:
         (values, fractions, pair_weights): (k,) arrays, and the (k, 2, N)
-        `pair_gradient` weights of each triplet's (anchor, positive) and
+        gradient weights of each triplet's (anchor, positive) and
         (anchor, negative) pairs, 1/(N d_ap) and -1/(N d_an); 0 for an
         inactive triplet and for a pair at distance exactly 0.
     """
@@ -168,25 +168,6 @@ def triplet_hinge(embeddings, anchors, others, margin):
                             1.0 / (n_trip * np.maximum(dist, EPS_DIST)), 0.0)
     pair_weights[:, 1] *= -1.0  # (anchor, negative) pairs push apart
     return values, fractions, pair_weights
-
-
-def pair_gradient(embeddings, firsts, seconds, weights):
-    """Gradient on the embedding rows of weighted pairs: pair (i, j) =
-    (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j) to row i and
-    the negation to row j. That is L @ E, L = diag(A @ 1) - A the graph
-    Laplacian of the symmetric matrix A of summed pair weights, and one
-    bincount builds L. The three arrays broadcast to one shape; negative
-    indices address rows from the end, as in numpy indexing, and an
-    index outside [-B, B) raises IndexError."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    b = len(e)
-    i, j, w = map(np.ravel, np.broadcast_arrays(firsts, seconds, weights))
-    rows = np.arange(b)
-    i, j = rows[i], rows[j]
-    cells = np.concatenate((i, j, i, j)) * b + np.concatenate((i, j, j, i))
-    laplacian = np.bincount(cells, np.concatenate((w, w, -w, -w)),
-                            minlength=b * b).reshape(b, b)
-    return laplacian @ e
 
 
 def gradient_weights(g, eps_g=LossConfig.eps_g):
@@ -223,8 +204,8 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
     from `gradient_weights` on the active fractions; otherwise every
     included loss gets weight 1 (plain sum).
     The weights are constants of the current step: they are not
-    differentiated through. They scale each kind's pair weights, and one
-    `pair_gradient` call turns all of them into the gradient.
+    differentiated through. They scale each kind's pair weights, and the
+    plan's Laplacian cells turn all of them into the gradient.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     others = batch_hard_mine(pairwise_distance(e, e), plan)
@@ -232,13 +213,16 @@ def weighted_embedding_loss(embeddings, plan, cfg, use_weighting=True):
         e, plan.anchors, others, cfg.margin)
     weights = (gradient_weights(fractions, cfg.eps_g) if use_weighting
                else np.ones(len(values)))
+    cells = plan.pair_base + plan.pair_scale * others.ravel()
+    w = (weights[:, None, None] * pair_weights).ravel()
+    laplacian = np.bincount(cells.ravel(), (PAIR_SIGNS * w).ravel(),
+                            minlength=len(e) ** 2).reshape(len(e), -1)
     return WeightedLossBundle(
         values=tuple(values.tolist()),
         fractions=tuple(fractions.tolist()),
         weights=weights,
         value=float(sum(weights * values)),
-        grad=pair_gradient(e, plan.anchors, others,
-                           weights[:, None, None] * pair_weights),
+        grad=laplacian @ e,
     )
 
 

@@ -16,10 +16,10 @@ Triplets are (N,) anchors and one (k, 2, N) int64 array of k kinds'
 positives and negatives. Which rows are candidates depends only on which
 rows share a class and a modality, so a batch layout has four candidate
 sets, and each kind takes its positives from one and its negatives from
-another (`CELLS`). `mining_plan` builds the four sets once per batch
-layout and checks that every anchor of every requested kind has
-candidates. `batch_hard_mine` then picks, once per batch, the hardest
-row of every set with one argmin and gathers the kinds' triplets.
+another (`CELLS`). Once per batch layout, `mining_plan` keeps the sets
+its kinds use, checks that every anchor of every kind has candidates
+and lays out the pair gradient's fixed cells. `batch_hard_mine` then
+picks the hardest row of every set with one argmin per batch.
 """
 
 from dataclasses import dataclass
@@ -37,33 +37,40 @@ class TripletKind(Enum):
 
 
 # kind -> (positive set, negative set) among a layout's four candidate
-# sets: 0 same class, other modality; 1 same class, the anchor's
-# modality, the anchor itself excluded; 2 other class, other modality;
-# 3 other class, the anchor's modality
+# sets: the positive sets 0 same class, other modality, and 1 same class,
+# the anchor's modality, the anchor itself excluded; the negative sets
+# 2 other class, other modality, and 3 other class, the anchor's modality
 CELLS = {
     TripletKind.CROSS: (0, 2),
     TripletKind.WITHIN: (1, 3),
     TripletKind.HYBRID: (0, 3),
 }
 
-# negates the positive sets' distances, so that one argmin picks the
-# farthest positive and the nearest negative
-SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])[:, None, None]
+# the signs of a weighted pair (i, j)'s Laplacian cells (i, i), (j, j),
+# (i, j) and (j, i)
+PAIR_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
 class MiningPlan:
-    """The four candidate sets of one batch layout.
-
-    `barriers` is (4, B, B): `barriers[s, a, j]` is 0 where row j is in
-    set s for anchor a and +inf elsewhere. The (k, 2) `cells` name kind
-    j's positive set `cells[j, 0]` and negative set `cells[j, 1]`, as
-    `CELLS` maps them; `anchors` is 0..B-1.
-    """
+    """The fixed, read-only indices of one batch layout of B rows and k
+    kinds: `barriers` (s, B, B) of the s candidate sets they use, in
+    `CELLS` order, 0 where row j is in set s for anchor a and +inf
+    elsewhere; `signs` (s, 1, 1), -1 on a positive set; `cells`, kind j's
+    positive and negative set among the s; `anchors`, 0..B-1. The pairs
+    of the (k, 2, B) mined rows j fall in the Laplacian cells
+    `pair_base + pair_scale * j.ravel()`, rows in `PAIR_SIGNS` order."""
 
     anchors: np.ndarray
     barriers: np.ndarray
+    signs: np.ndarray
     cells: np.ndarray
+    pair_base: np.ndarray
+    pair_scale: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.setflags(write=False)
 
 
 def mining_plan(labels, modalities, kinds):
@@ -103,19 +110,25 @@ def mining_plan(labels, modalities, kinds):
                 f"anchor {row}: no valid {role} for kind {kind.value}"
             )
 
-    return MiningPlan(anchors=np.arange(labels.shape[0]),
-                      barriers=np.where(candidates, 0.0, np.inf),
-                      cells=cells)
+    used = np.unique(cells)
+    b = labels.shape[0]
+    anchors = np.arange(b)
+    i = np.tile(anchors, 2 * len(cells))
+    return MiningPlan(anchors=anchors, cells=np.searchsorted(used, cells),
+                      barriers=np.where(candidates[used], 0.0, np.inf),
+                      signs=np.where(used < 2, -1.0, 1.0)[:, None, None],
+                      pair_base=np.array([[b + 1], [0], [b], [1]]) * i,
+                      pair_scale=np.array([[0], [b + 1], [1], [b]]))
 
 
 def batch_hard_mine(dist, plan):
     """Mine the triplets of every kind of `plan`, per anchor.
 
-    The distances of each candidate set, negated for the two positive
-    sets and raised to +inf off the set, meet one argmin: it picks each
-    set's farthest positive and nearest negative, the lowest batch index
-    among ties. Distances are finite, as those of normalized rows are; a
-    non-finite entry may be picked off its set.
+    The distances of each of the plan's candidate sets, negated for the
+    positive sets and raised to +inf off the set, meet one argmin: it
+    picks each set's farthest positive and nearest negative, the lowest
+    batch index among ties. Distances are finite, as those of normalized
+    rows are; a non-finite entry may be picked off its set.
 
     Args:
         dist: (B, B) distance matrix over the batch embeddings.
@@ -129,6 +142,6 @@ def batch_hard_mine(dist, plan):
     if dist.shape != plan.barriers.shape[1:]:
         raise ValueError(
             f"dist must be {plan.barriers.shape[1:]}, got {dist.shape}")
-    scored = dist * SIGNS
+    scored = dist * plan.signs
     scored += plan.barriers
     return scored.argmin(axis=2)[plan.cells]

@@ -49,6 +49,12 @@ KIND_TAGS = {
     TripletKind.HYBRID: "hyb",
 }
 
+# method tag -> the log columns main_step zips its bundle's values,
+# fractions and (weighted recipes only) weights into, in kind order
+KIND_COLUMNS = {method: [f"{stat}_{KIND_TAGS[k]}" for stat in "lgw"[:2 + w]
+                         for k in kinds]
+                for method, (kinds, w, _) in METHOD_RECIPES.items()}
+
 
 @dataclass
 class TrainConfig:
@@ -162,13 +168,9 @@ def main_step(params, grads, x, y, mods, plan, config):
         lam = config.loss.lam
         d_embed = d_embed + lam * bundle.grad
         value = float(value + lam * bundle.value)
-        for k, v in zip(kinds, bundle.values):
-            entries[f"l_{KIND_TAGS[k]}"] = v
-        for k, g in zip(kinds, bundle.fractions):
-            entries[f"g_{KIND_TAGS[k]}"] = g
-        if weighting:
-            for k, w in zip(kinds, bundle.weights):
-                entries[f"w_{KIND_TAGS[k]}"] = float(w)
+        entries.update(zip(KIND_COLUMNS[config.method],
+                           bundle.values + bundle.fractions
+                           + tuple(bundle.weights.tolist())))
 
     if adversarial:
         entries["l_adv_g"], d_raw = _adversarial(

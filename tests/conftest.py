@@ -1,12 +1,14 @@
-"""Shared batch builders, the training step's gradient check, the
-training log's columns and the acceptance-report summary hook."""
+"""Shared batch builders, the general pair gradient the training path's
+fixed-cell Laplacian is checked against, the training step's gradient
+check, the training log's columns and the acceptance-report summary
+hook."""
 
 from collections import namedtuple
 
 import numpy as np
 
 from modalmetric import Dataset
-from modalmetric.losses import (LossConfig, pair_gradient, triplet_hinge,
+from modalmetric.losses import (LossConfig, triplet_hinge,
                                 weighted_embedding_loss)
 from modalmetric.mining import batch_hard_mine, mining_plan
 from modalmetric.model import ModelParams
@@ -88,6 +90,28 @@ def mined_loss(e, labels, mods, kind, margin=0.2):
     bundle = weighted_embedding_loss(e, mining_plan(labels, mods, (kind,)),
                                      LossConfig(margin), use_weighting=False)
     return HingeReport(bundle.values[0], bundle.fractions[0], bundle.grad)
+
+
+def pair_gradient(embeddings, firsts, seconds, weights):
+    """Gradient on the embedding rows of weighted pairs: pair (i, j) =
+    (firsts[p], seconds[p]) adds weights[p] * (e_i - e_j) to row i and
+    the negation to row j. That is L @ E, L = diag(A @ 1) - A the graph
+    Laplacian of the symmetric matrix A of summed pair weights, and one
+    bincount builds L. The three arrays broadcast to one shape; negative
+    indices address rows from the end, as in numpy indexing, and an
+    index outside [-B, B) raises IndexError.
+
+    The reference of `weighted_embedding_loss`'s gradient: over the
+    plan's anchors and mined rows it gives the same bits."""
+    e = np.asarray(embeddings, dtype=np.float64)
+    b = len(e)
+    i, j, w = map(np.ravel, np.broadcast_arrays(firsts, seconds, weights))
+    rows = np.arange(b)
+    i, j = rows[i], rows[j]
+    cells = np.concatenate((i, j, i, j)) * b + np.concatenate((i, j, j, i))
+    laplacian = np.bincount(cells, np.concatenate((w, w, -w, -w)),
+                            minlength=b * b).reshape(b, b)
+    return laplacian @ e
 
 
 def hinge_one(e, anchors, positives, negatives, margin):

@@ -1,11 +1,13 @@
 """Tests for classification, triplet, weighted-combination, and
 adversarial losses."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import hinge_one, mined_loss, pk_batch, unit_rows
+from conftest import hinge_one, mined_loss, pair_gradient, pk_batch, unit_rows
 from modalmetric.geometry import pairwise_distance
 from modalmetric.losses import (
     ALL_KINDS,
@@ -14,12 +16,11 @@ from modalmetric.losses import (
     adversarial_d_loss,
     adversarial_g_loss,
     gradient_weights,
-    pair_gradient,
     softmax_ce,
     triplet_hinge,
     weighted_embedding_loss,
 )
-from modalmetric.mining import TripletKind, mining_plan
+from modalmetric.mining import TripletKind, batch_hard_mine, mining_plan
 from modalmetric.cli import ABLATION_METHODS
 from modalmetric.training import METHOD_RECIPES
 from oracles import brute_force_mine, finite_diff_check
@@ -682,6 +683,51 @@ class TestPairGradient:
                         rtol=1e-15)
         _, _, weights = triplet_hinge(e, [0], [[[0], [1]]], 2.5)
         assert_array_equal(weights, [[[0.0], [-1 / 2]]])
+
+
+class TestPlanCellsGradient:
+    """weighted_embedding_loss builds its gradient from the plan's fixed
+    Laplacian cells; the general pair_gradient over the same mined pairs
+    and weighted pair weights must give the same bits, for every subset
+    of the kinds."""
+
+    SUBSETS = [kinds for n in (1, 2, 3)
+               for kinds in itertools.combinations(ALL_KINDS, n)]
+
+    def test_bit_equal_to_pair_gradient(self):
+        # random rows; codebook rows, tied and coincident across classes;
+        # and one row per (class, modality) cell, where same-cell rows
+        # coincide and, at a small margin, the within kind has no active
+        # triplet while the others do
+        assert len(self.SUBSETS) == 7
+        rng = np.random.default_rng(58)
+        codebook = unit_rows(np.random.default_rng(97), 3, 6)
+        dead_beside_live = coincident = 0
+        for trial in range(60):
+            p, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            e, labels, mods = pk_batch(rng, p, k, 6)
+            if trial % 3 == 1:
+                e = codebook[rng.integers(0, 3, size=len(labels))]
+            elif trial % 3 == 2:
+                e = unit_rows(rng, 2 * p, 6)[2 * labels + mods]
+            dist = pairwise_distance(e, e)
+            coincident += int((dist[~np.eye(len(e), dtype=bool)] == 0).any())
+            cfg = LossConfig(margin=float(rng.choice([0.01, 0.2, 2.5])))
+            for kinds in self.SUBSETS:
+                plan = mining_plan(labels, mods, kinds)
+                others = batch_hard_mine(dist, plan)
+                _, fractions, pair_weights = triplet_hinge(
+                    e, plan.anchors, others, cfg.margin)
+                dead_beside_live += int((fractions == 0).any()
+                                        and (fractions > 0).any())
+                for use_weighting in (False, True):
+                    got = weighted_embedding_loss(e, plan, cfg, use_weighting)
+                    want = pair_gradient(
+                        e, plan.anchors, others,
+                        got.weights[:, None, None] * pair_weights)
+                    assert_array_equal(got.grad, want)
+        assert coincident >= 20
+        assert dead_beside_live > 0
 
 
 class TestAdversarialLosses:

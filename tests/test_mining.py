@@ -9,7 +9,7 @@ from numpy.testing import assert_array_equal
 from conftest import mine_one, pk_batch, unit_rows
 from modalmetric import MiningError
 from modalmetric.geometry import pairwise_distance
-from modalmetric.losses import ALL_KINDS
+from modalmetric.losses import ALL_KINDS, LossConfig, weighted_embedding_loss
 from modalmetric.mining import TripletKind, batch_hard_mine, mining_plan
 from oracles import brute_force_mine, negative_modality, positive_modality
 
@@ -153,23 +153,48 @@ class TestMiningPlan:
             assert_array_equal(plan.barriers == 0.0, want)
 
     @pytest.mark.parametrize("kinds, cells", [
-        ((C,), [(0, 2)]),
-        ((W,), [(1, 3)]),
-        ((H,), [(0, 3)]),
-        ((C, W), [(0, 2), (1, 3)]),
-        ((C, H), [(0, 2), (0, 3)]),
-        ((W, H), [(1, 3), (0, 3)]),
-        ((C, W, H), [(0, 2), (1, 3), (0, 3)]),
+        ((C,), ([0, 2], [(0, 1)])),
+        ((W,), ([1, 3], [(0, 1)])),
+        ((H,), ([0, 3], [(0, 1)])),
+        ((C, W), ([0, 1, 2, 3], [(0, 2), (1, 3)])),
+        ((C, H), ([0, 2, 3], [(0, 1), (0, 2)])),
+        ((W, H), ([0, 1, 3], [(1, 2), (0, 2)])),
+        ((C, W, H), ([0, 1, 2, 3], [(0, 2), (1, 3), (0, 3)])),
     ])
     def test_cells(self, kinds, cells):
-        # each kind is a fixed (positive, negative) pair of the four
-        # sets, in the order the kinds are asked for; the sets do not
-        # depend on the kinds
+        # a plan keeps only the sets its kinds use, in the four-set
+        # numbering's order, with their signs; each kind is a fixed
+        # (positive, negative) pair of the kept sets, in the order the
+        # kinds are asked for
+        used, renumbered = cells
         _, labels, mods = pk_batch(np.random.default_rng(5), 3, 2, 4)
         plan = mining_plan(labels, mods, kinds)
-        assert_array_equal(plan.cells, cells)
-        assert_array_equal(plan.barriers,
-                           mining_plan(labels, mods, KINDS).barriers)
+        full = mining_plan(labels, mods, KINDS)
+        assert_array_equal(plan.cells, renumbered)
+        assert_array_equal(plan.barriers, full.barriers[used])
+        assert_array_equal(plan.signs.ravel(),
+                           [-1.0 if s < 2 else 1.0 for s in used])
+
+    def test_read_only(self):
+        # every step reuses the plan, so none of its arrays can be
+        # written in place, and 100 loss steps leave its bytes as they were
+        rng = np.random.default_rng(10)
+        _, labels, mods = pk_batch(rng, 3, 2, 6)
+        for kinds in (ALL_KINDS, (self.C,)):
+            plan = mining_plan(labels, mods, kinds)
+            before = {name: array.tobytes()
+                      for name, array in vars(plan).items()}
+            assert len(before) == 6
+            for array in vars(plan).values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array += 1
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            for _ in range(100):
+                weighted_embedding_loss(unit_rows(rng, len(labels), 6), plan,
+                                        LossConfig())
+            assert {name: array.tobytes()
+                    for name, array in vars(plan).items()} == before
 
     def test_picks_follow_the_sets(self):
         # every pick of batch_hard_mine is its set's hardest row, the

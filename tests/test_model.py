@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import modalmetric.training as training
-from conftest import LOG_COLUMNS, step_gradient_error
+from conftest import LOG_COLUMNS, make_dataset, step_gradient_error
 from modalmetric import (
     AdamState,
     ConfigError,
@@ -97,6 +97,29 @@ class TestEmbedForward:
         mods = rng.integers(0, 2, size=20)
         e, _ = embed_forward(params.embedder, x, mods)
         assert_allclose(np.linalg.norm(e, axis=1), np.ones(20), atol=1e-12)
+
+    def test_norms_are_linalg_norm(self):
+        # the row norms are np.linalg.norm's bit for bit on random, zero,
+        # tiny (< EPS_NORM) and overflowing rows; the identity embedder
+        # passes the rows through exactly
+        rng = np.random.default_rng(2)
+        params = EmbedderParams(np.eye(4), np.zeros(4), np.zeros((2, 4)))
+        x = np.vstack((rng.standard_normal((6, 4)), np.zeros((1, 4)),
+                       rng.standard_normal((2, 4)) * 1e-14,
+                       np.full((1, 4), 1e-170), np.full((1, 4), 1e154),
+                       [[1e155, 0.0, 0.0, 0.0]], np.full((1, 4), 1e200)))
+        with np.errstate(over="ignore"):
+            _, cache = embed_forward(params, x, np.zeros(len(x), dtype=int))
+            want = np.linalg.norm(x, axis=1)
+        assert_array_equal(cache.norms, want)
+        assert (cache.norms[6:10] < EPS_NORM).all()
+        assert np.isinf(cache.norms[10:]).all()
+        # train still stops at an infinite norm
+        ds = small_dataset()
+        huge = make_dataset(ds.features * 1e200, ds.labels, ds.modalities)
+        with pytest.raises(NumericError,
+                           match="non-finite embedding norm at iteration 0"):
+            train(huge, small_config("mathm", iters=2))
 
     def test_feature_shape_error(self):
         params = self._identity_embedder()
