@@ -30,7 +30,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import SCHEMA, load_config, parse_overrides
+from .config import SCHEMA, convert, load_config, parse_overrides
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, output_dir, write_json
@@ -326,20 +326,18 @@ def cmd_ablate(cfg, args):
 
 
 def cmd_sweep_lambda(cfg, args):
-    try:
-        lambdas = [float(x) for x in args.lambdas.split(",")]
-    except ValueError:
-        raise ConfigError(f"bad --lambdas value: {args.lambdas!r}")
-    if any(not (math.isfinite(lam) and lam >= 0) for lam in lambdas):
-        raise ConfigError("--lambdas needs comma-separated finite reals >= 0")
+    # each entry is read and checked as a --lam value is
+    lambdas = [convert("loss", "lam", x) for x in args.lambdas.split(",")]
+    loss = cfg.train.loss
+    variants = [(lam, replace(cfg.train, loss=replace(loss, lam=lam)))
+                for lam in lambdas]
     # the table groups runs by label, so equal values would share a row
     for i, lam in enumerate(lambdas):
         if lam in lambdas[:i]:
             raise ConfigError(f"--lambdas repeats the value {lam!r}")
-    return _write_table(cfg, "sweep-lambda", "lam", _trained_runs(cfg, [
-        (lam, replace(cfg.train, loss=replace(cfg.train.loss, lam=lam)))
-        for lam in lambdas
-    ]), ("map_at_all", "prec_at_k"))
+    return _write_table(cfg, "sweep-lambda", "lam",
+                        _trained_runs(cfg, variants),
+                        ("map_at_all", "prec_at_k"))
 
 
 COMMANDS = {

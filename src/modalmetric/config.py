@@ -56,7 +56,9 @@ SCHEMA = {
 }
 
 
-def _convert(section, key, raw):
+def convert(section, key, raw):
+    """`raw` as its key's type; ConfigError, naming the key, if the type
+    does not take it or it is a nan or inf float."""
     kind, _ = SCHEMA[section][key]
     try:
         value = kind(raw)
@@ -143,11 +145,8 @@ class RunConfig:
         if d["seed"] < 0:
             raise ConfigError(f"data.seed must be >= 0, got {d['seed']}")
         if d["source"] == "synthetic":
-            try:
-                synth = SyntheticConfig(
-                    **{f.name: d[f.name] for f in fields(SyntheticConfig)})
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            synth = SyntheticConfig(
+                **{f.name: d[f.name] for f in fields(SyntheticConfig)})
             try:
                 full = generate_synthetic(synth)
             except (MemoryError, ValueError):
@@ -162,10 +161,7 @@ class RunConfig:
                                   "overflow the synthetic features") from None
         else:
             full = read_dataset(d["source"])
-        try:
-            return zero_shot_split(full, d["n_unseen"], seed=d["seed"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return zero_shot_split(full, d["n_unseen"], seed=d["seed"])
 
 
 def load_config(path=None, overrides=None):
@@ -200,10 +196,10 @@ def load_config(path=None, overrides=None):
                     raise ConfigError(
                         f"{path}: unknown key {key!r} in [{section}]"
                     )
-                values[section][key] = _convert(section, key, raw)
+                values[section][key] = convert(section, key, raw)
                 explicit.add((section, key))
     for (section, key), raw in (overrides or {}).items():
-        values[section][key] = _convert(section, key, raw)
+        values[section][key] = convert(section, key, raw)
 
     if values["run"]["n_seeds"] < 1:
         raise ConfigError("run.n_seeds must be >= 1")
@@ -225,12 +221,8 @@ def load_config(path=None, overrides=None):
     if values["eval"]["k"] < 1:
         raise ConfigError("eval.k must be >= 1")
 
-    try:
-        loss = LossConfig(**values["loss"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     train = TrainConfig(**values["train"], seed=values["run"]["base_seed"],
-                        loss=loss)
+                        loss=LossConfig(**values["loss"]))
     return RunConfig(
         data=dict(values["data"]),
         train=train,

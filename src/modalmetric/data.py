@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fsutil import atomic_write_text
 
 # modality m is tagged MODALITY_TAGS[m]: 0 = sketch, 1 = photo
@@ -116,15 +116,15 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+            raise ConfigError("n_classes must be >= 2")
         if self.samples_per_class_per_modality < 1:
-            raise ValueError("samples_per_class_per_modality must be >= 1")
+            raise ConfigError("samples_per_class_per_modality must be >= 1")
         if self.d_in < 1:
-            raise ValueError("d_in must be >= 1")
+            raise ConfigError("d_in must be >= 1")
         if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         if self.offset_norm < 0:
-            raise ValueError("offset_norm must be non-negative")
+            raise ConfigError("offset_norm must be non-negative")
 
 
 def generate_synthetic(cfg):
@@ -170,9 +170,10 @@ def zero_shot_split(ds, n_unseen, seed=0):
     Both halves keep the source's row order, are relabeled to contiguous
     0-based labels (in increasing order of the original label) and keep
     `class_ids` pointing back at the source dataset's class identities.
+    Raises ConfigError unless 1 <= n_unseen < ds.n_classes.
     """
     if not 1 <= n_unseen < ds.n_classes:
-        raise ValueError(
+        raise ConfigError(
             f"n_unseen must be in [1, {ds.n_classes - 1}], got {n_unseen}"
         )
     rng = np.random.default_rng(seed)

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Each CLI-facing error class carries the process exit code the command
-layer maps it to. Library code raises plain ValueError for bad call
-arguments (dimension mismatches, out-of-range parameters).
+layer maps it to. A setting that breaks its rule raises ConfigError
+where the rule is declared (the config dataclasses and the zero-shot
+split); ConfigError is also a ValueError. Other bad call arguments
+(dimension mismatches, out-of-range parameters) raise plain ValueError.
 """
 
 
@@ -12,7 +14,7 @@ class ModalMetricError(Exception):
     exit_code = 1
 
 
-class ConfigError(ModalMetricError):
+class ConfigError(ModalMetricError, ValueError):
     """Malformed or inconsistent run configuration."""
 
     exit_code = 2

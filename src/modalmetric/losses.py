@@ -42,6 +42,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import pairwise_distance
 from .mining import PAIR_SIGNS, TripletKind, batch_hard_mine
 
@@ -63,11 +64,11 @@ class LossConfig:
 
     def __post_init__(self):
         if self.margin <= 0:
-            raise ValueError("margin must be positive")
+            raise ConfigError("margin must be positive")
         if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+            raise ConfigError("lam must be non-negative")
         if self.eps_g <= 0:
-            raise ValueError("eps_g must be positive")
+            raise ConfigError("eps_g must be positive")
 
 
 @dataclass

@@ -168,9 +168,10 @@ def main_step(params, grads, x, y, mods, plan, config):
         lam = config.loss.lam
         d_embed = d_embed + lam * bundle.grad
         value = float(value + lam * bundle.value)
-        entries.update(zip(KIND_COLUMNS[config.method],
-                           bundle.values + bundle.fractions
-                           + tuple(bundle.weights.tolist())))
+        stats = bundle.values + bundle.fractions
+        if weighting:
+            stats += tuple(bundle.weights.tolist())
+        entries.update(zip(KIND_COLUMNS[config.method], stats, strict=True))
 
     if adversarial:
         entries["l_adv_g"], d_raw = _adversarial(

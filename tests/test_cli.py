@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import modalmetric
 from conftest import LOG_COLUMNS
 from modalmetric import (
+    ConfigError,
     DataError,
     NumericError,
     ProtocolError,
@@ -839,14 +840,22 @@ class TestSweepLambdaCommand:
         assert f"repeats the value {repeated}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("bad", ["x", "", "-1", "0.5,,oops",
-                                     "inf", "0,nan", "1,-inf",
-                                     "0,,1", "0,1,"])
-    def test_bad_lambdas(self, ini, tmp_path, bad, capsys):
+    # (--lambdas, its first bad entry)
+    BAD_LAMBDAS = [("x", "x"), ("", ""), ("-1", "-1"), ("0.5,,oops", ""),
+                   ("inf", "inf"), ("0,nan", "nan"), ("1,-inf", "-inf"),
+                   ("0,,1", ""), ("0,1,", "")]
+
+    @pytest.mark.parametrize("bad, entry", BAD_LAMBDAS,
+                             ids=[bad for bad, _ in BAD_LAMBDAS])
+    def test_bad_lambdas(self, ini, tmp_path, bad, entry, capsys):
         rc = main(["sweep-lambda", "--config", ini,
                    "--out", str(tmp_path), "--lambdas", bad])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        # the message `--lam <entry>` gets from the config
+        with pytest.raises(ConfigError) as rule:
+            load_config(overrides={("loss", "lam"): entry})
+        assert "lam" in str(rule.value)
+        assert capsys.readouterr().err == f"error: {rule.value}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -987,21 +996,49 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("classes_per_batch", "1"), ("classes_per_batch", "-3"),
-        ("samples_per_class", "1"),
+    # (key, value, the message's start): every rule of LossConfig,
+    # SyntheticConfig, TrainConfig and zero_shot_split's n_unseen, and
+    # sizes past what can be allocated
+    UNUSABLE = [
+        ("margin", "0", "margin must be positive"),
+        ("lam", "-0.1", "lam must be non-negative"),
+        ("eps_g", "0", "eps_g must be positive"),
+        ("n_classes", "1", "n_classes must be >= 2"),
+        ("samples_per_class_per_modality", "0",
+         "samples_per_class_per_modality must be >= 1"),
+        ("d_in", "0", "d_in must be >= 1"),
+        ("sigma", "0", "sigma must be positive"),
+        ("offset_norm", "-0.5", "offset_norm must be non-negative"),
+        ("n_unseen", "0", "n_unseen must be in [1, 5], got 0"),
+        ("n_unseen", "6", "n_unseen must be in [1, 5], got 6"),
+        ("method", "resnet", "unknown method 'resnet'; expected one of"),
+        ("total_iters", "0", "total_iters must be >= 1"),
+        ("base_lr", "0", "base_lr must be positive"),
+        ("d_emb", "1", "d_emb must be >= 2"),
+        ("classes_per_batch", "1", "classes_per_batch must be >= 2"),
+        ("classes_per_batch", "-3", "classes_per_batch must be >= 2"),
+        ("samples_per_class", "1", "samples_per_class must be >= 2"),
+        ("disc_lr_scale", "0", "disc_lr_scale must be positive"),
         # petabyte-scale sizes, which fail at allocation
-        ("d_emb", str(10**14)), ("d_in", str(10**14)),
-        ("n_classes", str(10**13)),
-        ("samples_per_class_per_modality", str(10**16)),
+        ("d_emb", str(10**14), "parameters for"),
+        ("d_in", str(10**14), "data.n_classes x"),
+        ("n_classes", str(10**13), "data.n_classes x"),
+        ("samples_per_class_per_modality", str(10**16), "data.n_classes x"),
         # past int64: numpy rejects the shape before allocating
-        ("d_emb", str(10**19)), ("d_in", str(10**19))])
-    def test_unusable_size(self, ini, tmp_path, key, value, capsys):
+        ("d_emb", str(10**19), "parameters for"),
+        ("d_in", str(10**19), "data.n_classes x")]
+
+    @pytest.mark.parametrize("key, value, message", UNUSABLE,
+                             ids=[f"{k}-{v}" for k, v, _ in UNUSABLE])
+    def test_unusable_size(self, ini, tmp_path, key, value, message,
+                           capsys):
         rc = main(["train", "--config", ini, "--out", str(tmp_path),
                    f"--{key}", value])
         err = capsys.readouterr().err
         assert rc == 2, err
-        assert key in err
+        # one line, the rule's own message, naming the key
+        assert err.startswith(f"error: {message}") and key in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "mathm").exists()
 
     @pytest.mark.parametrize("flag, value, key", [

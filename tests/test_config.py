@@ -6,8 +6,10 @@ from dataclasses import fields
 
 import pytest
 
-from modalmetric import ConfigError, SyntheticConfig, TrainConfig, cli
+from modalmetric import (ConfigError, SyntheticConfig, TrainConfig, cli,
+                         generate_synthetic, zero_shot_split)
 from modalmetric.config import load_config, parse_overrides
+from modalmetric.losses import LossConfig
 
 
 class TestDefaults:
@@ -154,6 +156,19 @@ class TestOverrideParsing:
             load_config(overrides=parse_overrides(["--sigma", "wide"]))
         with pytest.raises(ConfigError, match="n_seeds"):
             load_config(overrides=parse_overrides(["--n_seeds", "0"]))
+
+    @pytest.mark.parametrize("rule", [
+        lambda: LossConfig(margin=0),
+        lambda: SyntheticConfig(n_classes=1),
+        lambda: zero_shot_split(generate_synthetic(SyntheticConfig(
+            n_classes=3, samples_per_class_per_modality=1, d_in=2)), 0)],
+        ids=["LossConfig", "SyntheticConfig", "zero_shot_split"])
+    def test_rule_raises_config_error_as_value_error(self, rule):
+        # the rule raises ConfigError itself; callers that catch
+        # ValueError still do
+        with pytest.raises(ValueError) as caught:
+            rule()
+        assert type(caught.value) is ConfigError
 
     def test_invalid_loss_value_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="margin"):

@@ -4,16 +4,20 @@ produces, against values committed in `regression_pin.json`.
 For each tag of `METHOD_RECIPES`, `train --total_iters 200` and an
 `eval` of its checkpoint give: each final tensor's sum and norm,
 `l_total` and every `w_*`/`g_*` log cell at the iterations in
-`PIN_ITERS`, and every `metrics.json` value. Each must match the pin to
-1e-12 absolute, the bound `TestBlasKernels` holds across OpenBLAS
-kernels and SIMD targets. The pin is derived from the program, so it is
-no oracle; it only says that nothing moved.
+`PIN_ITERS`, and every `metrics.json` value. The desk gallery holds 128
+photos, so there `map_at_200` equals `map_at_all`. So each trained
+embedder is also scored with `compute_metrics` on the fixed `WIDE`
+split, whose gallery of 256 photos makes AP@200 and P@200 cut. Each
+value must match the pin to 1e-12 absolute, the bound `TestBlasKernels`
+holds across OpenBLAS kernels and SIMD targets. The pin is derived from
+the program, so it is no oracle; it only says that nothing moved.
 
 A change that moves results on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_regression_pin.py
 
-and declares the largest moves it prints.
+and declares the largest moves it prints; names it adds or drops are
+counted apart from the moves.
 """
 
 import contextlib
@@ -25,20 +29,27 @@ import tempfile
 
 import numpy as np
 
+from modalmetric import SyntheticConfig, generate_synthetic
 from modalmetric.cli import main
-from modalmetric.model import load_checkpoint
+from modalmetric.evaluation import compute_metrics
+from modalmetric.model import embed_forward, load_checkpoint
 from modalmetric.training import METHOD_RECIPES
 
 PIN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    "regression_pin.json")
 PIN_ITERS = (0, 1, 99, 199)
 TOLERANCE = 1e-12
+# 8 classes of 32 sketches and 32 photos at the default d_in: a gallery
+# past 200 photos
+WIDE = SyntheticConfig(n_classes=8, samples_per_class_per_modality=32,
+                       seed=11)
 
 
 def pin_values(out):
     """Run every method tag into the directory `out`; returns the flat
     `method/part/name` -> value dict the pin holds."""
     values = {}
+    wide = generate_synthetic(WIDE)
     for method in METHOD_RECIPES:
         run = os.path.join(out, method, "seed-0")
         ckpt = os.path.join(run, "checkpoint.json")
@@ -64,6 +75,12 @@ def pin_values(out):
         with open(os.path.join(out, method, "eval", "metrics.json")) as fh:
             for key, value in json.load(fh).items():
                 values[f"{method}/metrics/{key}"] = value
+        embeddings, _ = embed_forward(params.embedder, wide.features,
+                                      wide.modalities)
+        wide_metrics = compute_metrics(embeddings, wide.labels,
+                                       wide.modalities)
+        for key, value in wide_metrics.to_dict().items():
+            values[f"{method}/wide/{key}"] = value
     return values
 
 
@@ -91,11 +108,15 @@ if __name__ == "__main__":
     if os.path.exists(PIN):
         with open(PIN) as fh:
             old = json.load(fh)
-        moves = [row for row in deviations(values, old)[:10] if row[0] > 0]
+        rows = deviations(values, old)
+        moves = [row for row in rows if 0 < row[0] < float("inf")][:10]
         for worst, name, value, pinned in moves:
             print(f"{worst:.3g}  {name}: {pinned!r} -> {value!r}")
         if not moves:
             print("no value moved")
+        added = sum(name not in old for _, name, _, _ in rows)
+        dropped = sum(name not in values for _, name, _, _ in rows)
+        print(f"{added} names added, {dropped} dropped")
     with open(PIN, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")
