@@ -14,15 +14,17 @@ and `diagnose --checkpoint` rebuild the split from the `[data]` section
 each checkpoint records, so a config file or flag may only repeat it,
 and they read and check every checkpoint before they create `--out`.
 
-Any config key, `--method` and `--out` too, is set as `--key value` or
-`--key=value` (`--section.key` when the bare name is ambiguous), and a
-later flag wins; `--seed N` stands for `--base_seed N --n_seeds 1` and
-wins over both. Flags are never abbreviated. Exit codes: 0 success,
-2 config error, 3 data error, 4 zero-shot protocol violation, 5 numeric
-failure.
+Every config key, `--method` and `--out` too, is a flag under its bare
+name and as `--section.key`, set as `--key value` or, for a value that
+starts with `-`, `--key=value`; a later flag wins. `--seed N` stands
+for `--base_seed N --n_seeds 1` and wins over both, so `data.seed` is
+`--data.seed` only. Flags are never abbreviated; `--help` lists them.
+Exit codes: 0 success, 2 config error or malformed command line, 3 data
+error, 4 zero-shot protocol violation, 5 numeric failure.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -30,7 +32,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .config import SCHEMA, convert, load_config, parse_overrides
+from .config import SCHEMA, convert, load_config
 from .errors import ConfigError, DataError, ModalMetricError, ProtocolError
 from .evaluation import RetrievalMetrics, compute_metrics
 from .fsutil import atomic_write_text, output_dir, write_json
@@ -349,14 +351,20 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 with one line, as a bad value does
+        raise ConfigError(message)
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modalmetric",
         description="cross-modality metric learning: train, evaluate, "
                     "and diagnose sketch-photo embedding models",
         allow_abbrev=False,
     )
-    epilog = ("set any config key as --key value or --key=value\n"
+    epilog = ("a value that starts with - takes the --key=value form\n"
               f"--method: {' | '.join(METHOD_RECIPES)}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -377,14 +385,25 @@ def build_parser():
         if name == "sweep-lambda":
             p.add_argument("--lambdas", default=DEFAULT_LAMBDAS,
                            help="comma-separated weight values")
+        for section, keys in SCHEMA.items():
+            group = p.add_argument_group(f"[{section}] keys")
+            for key, (kind, default) in keys.items():
+                # --seed is the shorthand above, so data.seed is only
+                # qualified; argparse %-formats help text
+                bare = [f"--{key}"] if key != "seed" else []
+                group.add_argument(
+                    *bare, f"--{section}.{key}", dest=f"{section}.{key}",
+                    default=argparse.SUPPRESS, metavar=kind.__name__.upper(),
+                    help=f"default: {default}".replace("%", "%%"))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
-        overrides = parse_overrides(extras)
+        args = build_parser().parse_args(argv)
+        # the raw strings of the config keys; load_config converts them
+        overrides = {tuple(dest.split(".")): raw
+                     for dest, raw in vars(args).items() if "." in dest}
         if args.seed is not None:
             overrides[("run", "base_seed")] = args.seed
             overrides[("run", "n_seeds")] = "1"

@@ -75,41 +75,6 @@ def convert(section, key, raw):
     return value
 
 
-def _resolve_key(dotted):
-    """Map 'section.key' or a unique bare 'key' to (section, key)."""
-    if "." in dotted:
-        section, _, key = dotted.partition(".")
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        return section, key
-    hits = [s for s in SCHEMA if dotted in SCHEMA[s]]
-    if not hits:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    if len(hits) > 1:
-        raise ConfigError(
-            f"ambiguous config key {dotted!r}; qualify as one of "
-            + ", ".join(f"{s}.{dotted}" for s in sorted(hits))
-        )
-    return hits[0], dotted
-
-
-def parse_overrides(tokens):
-    """Turn leftover CLI tokens into a {(section, key): raw value} dict.
-    Each override is `--key value`, the value not starting with `--`,
-    or `--key=value`; a repeated key's last value wins."""
-    overrides = {}
-    rest = iter(tokens)
-    for flag in rest:
-        if not flag.startswith("--"):
-            raise ConfigError(f"expected an override flag, got {flag!r}")
-        key, eq, value = flag[2:].partition("=")
-        if not eq and (value := next(rest, "--")).startswith("--"):
-            raise ConfigError(f"{flag} has no value: override flags come "
-                              "in --key value pairs or as --key=value")
-        overrides[_resolve_key(key)] = value
-    return overrides
-
-
 @dataclass
 class RunConfig:
     """Fully resolved experiment description."""
@@ -137,8 +102,9 @@ class RunConfig:
             (train_set, test_set): Datasets with disjoint original
             class ids.
 
-        Raises ConfigError if `data` breaks a rule of its keys, and
-        DataError if a CSV source cannot be read or parsed.
+        Raises ConfigError if `data` breaks a rule of its keys or leaves
+        fewer than 2 evaluation classes, and DataError if a CSV source
+        cannot be read or parsed.
         """
         d = self.data
         # numpy's generators take only non-negative seeds
@@ -161,13 +127,17 @@ class RunConfig:
                                   "overflow the synthetic features") from None
         else:
             full = read_dataset(d["source"])
-        return zero_shot_split(full, d["n_unseen"], seed=d["seed"])
+        split = zero_shot_split(full, d["n_unseen"], seed=d["seed"])
+        if d["n_unseen"] < 2:  # the between-class discrepancy needs two
+            raise ConfigError(f"data.n_unseen must be >= 2 to evaluate, "
+                              f"got {d['n_unseen']}")
+        return split
 
 
 def load_config(path=None, overrides=None):
     """Assemble a RunConfig from defaults <- the INI file at `path` <-
-    `overrides`, a {(section, key): raw value} dict as `parse_overrides`
-    returns; later sources win."""
+    `overrides`, a {(section, key): raw value} dict as `cli.main` builds
+    from the command line; later sources win."""
     values = {s: {k: v for k, (_, v) in keys.items()}
               for s, keys in SCHEMA.items()}
     explicit = set(overrides or ())

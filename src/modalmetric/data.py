@@ -213,6 +213,8 @@ class PKSampler:
         self.P = P
         self.K = K
         self.rng = rng
+        if P < 1 or K < 1:
+            raise ValueError(f"P and K must be >= 1, got P={P}, K={K}")
         if P > ds.n_classes:
             raise DataError(
                 f"P={P} exceeds the {ds.n_classes} available classes"
@@ -313,11 +315,11 @@ def read_dataset(path):
 
     Raises DataError naming the path (and the offending 1-based line
     number where there is one) on an unreadable file, bytes that are not
-    UTF-8, malformed rows, unknown modality tags, ids or classes outside
-    [0, 2**63), repeated sample ids, non-contiguous labels or a class
-    missing from a modality. A byte that is not UTF-8 anywhere in the
-    file wins over every other fault; otherwise the earliest line's
-    fault is raised.
+    UTF-8, a header too wide to allocate a block for, malformed rows,
+    unknown modality tags, ids or classes outside [0, 2**63), repeated
+    sample ids, non-contiguous labels or a class missing from a
+    modality. A byte that is not UTF-8 anywhere in the file wins over
+    every other fault; otherwise the earliest line's fault is raised.
     """
     try:
         with open(path, "r", encoding="utf-8",
@@ -373,7 +375,13 @@ def _parse_csv(lines, path):
         if filled == len(block):
             check_finite(filled)
             blocks.append(block)
-            block, linenos, filled = np.empty((CSV_CHUNK_ROWS, d_in)), [], 0
+            try:
+                block = np.empty((CSV_CHUNK_ROWS, d_in))
+            except (MemoryError, ValueError):  # ValueError: past int64
+                raise DataError(f"{path}:{header_line}: {CSV_CHUNK_ROWS} rows "
+                                f"of {d_in} features are too large to "
+                                "allocate") from None
+            linenos, filled = [], 0
         linenos.append(lineno)
         try:
             fields = raw.split(",")

@@ -30,7 +30,7 @@ from modalmetric import (
 )
 from modalmetric.cli import (ABLATION_METHODS, COMMANDS, METRIC_KEYS,
                              _mean_std, evaluate_params, main)
-from modalmetric.config import SCHEMA, load_config, parse_overrides
+from modalmetric.config import SCHEMA, load_config
 from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
 from modalmetric.training import METHOD_RECIPES
 
@@ -63,6 +63,12 @@ def ini(tmp_path_factory):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_one_error_line(err, flag):
+    """`err` is a single `error:` line that names `flag`."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err, err
 
 
 def train_once(ini, out, *extra):
@@ -227,8 +233,7 @@ class TestEvalCommand:
         if source == "synthetic":
             # `eval` scores a checkpoint on its recorded data only, so a
             # split of other data goes through the library
-            cfg = load_config(ini, parse_overrides(
-                ["--offset_norm", "1.7e308"]))
+            cfg = load_config(ini, {("data", "offset_norm"): "1.7e308"})
             _, test_set = cfg.load_data()
             params, meta = load_checkpoint(good_checkpoint)
             with warnings.catch_warnings():
@@ -741,7 +746,8 @@ class TestDiagnoseCommand:
         rc = main(["diagnose", "--config", ini, "--out", str(tmp_path),
                    flag, runs["mathm"][0]])
         assert rc == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert_one_error_line(capsys.readouterr().err, flag)
+        assert not os.listdir(tmp_path)
 
     def test_mismatched_splits(self, ini, tmp_path, runs, monkeypatch,
                                capsys):
@@ -922,14 +928,15 @@ class TestConfigHandling:
         rc = main(["train", "--config", ini, "--out", str(tmp_path),
                    "--optimizer", "sgd"])
         assert rc == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert_one_error_line(capsys.readouterr().err, "--optimizer")
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("flag", ["--meth", "--conf", "--lambda"])
     def test_flags_are_not_abbreviated(self, ini, tmp_path, flag, capsys):
         rc = main(["sweep-lambda", "--config", ini, "--out", str(tmp_path),
                    flag, "gan"])
         assert rc == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert_one_error_line(capsys.readouterr().err, flag)
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -939,6 +946,40 @@ class TestConfigHandling:
         assert exc.value.code == 0
         named = set(re.findall(r"[\w+-]+", capsys.readouterr().out))
         assert METHOD_RECIPES.keys() <= named, METHOD_RECIPES.keys() - named
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_every_key(self, command, capsys):
+        # under its section, both spellings, with its type and default;
+        # data.seed qualified only, as --seed is the shorthand
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for section, keys in SCHEMA.items():
+            listed = text[text.index(f"[{section}] keys:"):]
+            for key, (kind, default) in keys.items():
+                spelling = f"--{section}.{key} {kind.__name__.upper()}"
+                if (section, key) != ("data", "seed"):
+                    spelling = (f"--{key} {kind.__name__.upper()}, "
+                                + spelling)
+                assert f" {spelling} default: {default} " in listed, spelling
+
+    @pytest.mark.parametrize("argv, named", [
+        (["trian"], "'trian'"), (["eval", "--checkpoint"], "--checkpoint"),
+        ([], "command")], ids=["unknown_command", "flag_without_value",
+                               "empty"])
+    def test_malformed_command_line(self, argv, named, capsys):
+        # argparse's own errors end as a bad value does, with no usage
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured.err, named)
+        assert captured.out == ""
+
+    def test_negative_value_reaches_its_rule(self, tmp_path, capsys):
+        rc = main(["train", "--out", str(tmp_path), "--lam", "-0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: lam must be non-negative\n"
+        assert not os.listdir(tmp_path)
 
     def test_dangling_override_flag(self, ini, tmp_path, capsys):
         rc = main(["train", "--config", ini, "--out", str(tmp_path),
@@ -951,7 +992,7 @@ class TestConfigHandling:
     def test_override_without_value_named(self, ini, tmp_path, tail, capsys):
         rc = main(["train", "--config", ini, "--out", str(tmp_path), *tail])
         assert rc == 2
-        assert "--margin has no value" in capsys.readouterr().err
+        assert_one_error_line(capsys.readouterr().err, "--margin")
         assert not os.listdir(tmp_path)
 
     def test_non_flag_override(self, ini, tmp_path, capsys):
@@ -1011,6 +1052,8 @@ class TestConfigHandling:
         ("offset_norm", "-0.5", "offset_norm must be non-negative"),
         ("n_unseen", "0", "n_unseen must be in [1, 5], got 0"),
         ("n_unseen", "6", "n_unseen must be in [1, 5], got 6"),
+        # one unseen class has no between-class discrepancy to score
+        ("n_unseen", "1", "data.n_unseen must be >= 2 to evaluate, got 1"),
         ("method", "resnet", "unknown method 'resnet'; expected one of"),
         ("total_iters", "0", "total_iters must be >= 1"),
         ("base_lr", "0", "base_lr must be positive"),
@@ -1169,10 +1212,7 @@ class TestGeneratedConfigs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejects a dedicated flag
-                rc = exc.code
+            rc = main(argv)
         event(f"exit {rc}")
         assert rc in (0, 2, 3, 4, 5), err.getvalue()
         assert "Traceback" not in err.getvalue()

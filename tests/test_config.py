@@ -8,8 +8,16 @@ import pytest
 
 from modalmetric import (ConfigError, SyntheticConfig, TrainConfig, cli,
                          generate_synthetic, zero_shot_split)
-from modalmetric.config import load_config, parse_overrides
+from modalmetric.config import load_config
 from modalmetric.losses import LossConfig
+
+
+def overrides(*flags):
+    """The {(section, key): raw value} dict of the config keys that
+    `train` with `flags` sets, as `cli.main` builds it."""
+    args = cli.build_parser().parse_args(["train", *flags])
+    return {tuple(dest.split(".")): raw for dest, raw in vars(args).items()
+            if "." in dest}
 
 
 class TestDefaults:
@@ -34,25 +42,25 @@ class TestDefaults:
         assert SyntheticConfig(**generator) == SyntheticConfig(seed=7)
 
     def test_load_data_split(self):
-        cfg = load_config(overrides=parse_overrides(
-            ["--n_classes", "6", "--samples_per_class_per_modality", "4",
-             "--d_in", "8", "--n_unseen", "2"]))
+        cfg = load_config(overrides=overrides(
+            "--n_classes", "6", "--samples_per_class_per_modality", "4",
+            "--d_in", "8", "--n_unseen", "2"))
         train_set, test_set = cfg.load_data()
         assert train_set.n_classes == 4
         assert test_set.n_classes == 2
         assert not set(train_set.class_ids) & set(test_set.class_ids)
 
     def test_train_config_stamps_seed(self):
-        cfg = load_config(overrides=parse_overrides(["--n_seeds", "3",
-                                                     "--base_seed", "10"]))
+        cfg = load_config(overrides=overrides("--n_seeds", "3",
+                                              "--base_seed", "10"))
         assert list(cfg.seeds()) == [10, 11, 12]
         assert cfg.train_config(11).seed == 11
         assert cfg.train_config(11).method == cfg.train.method
 
     def test_seeds_are_not_materialized(self):
         # a run over many seeds holds one seed at a time
-        cfg = load_config(overrides=parse_overrides(
-            ["--n_seeds", str(10**6), "--base_seed", "5"]))
+        cfg = load_config(overrides=overrides(
+            "--n_seeds", str(10**6), "--base_seed", "5"))
         tracemalloc.start()
         try:
             seeds = cfg.seeds()
@@ -118,44 +126,66 @@ class TestPrecedence:
         assert cfg.out == str(tmp_path)
         assert cfg.data["sigma"] == 0.2
         assert cfg.train.loss.margin == 0.3
+        # a value that starts with - reaches load_config in the = form
+        assert resolved_config(monkeypatch, ["train", "--out=-x"]).out == "-x"
 
     def test_query_modality_mapping(self):
-        cfg = load_config(overrides=parse_overrides(
-            ["--query_modality", "photo"]))
+        cfg = load_config(overrides=overrides("--query_modality", "photo"))
         assert cfg.query_modality == 1
         with pytest.raises(ConfigError, match="query_modality"):
-            load_config(overrides=parse_overrides(
-                ["--query_modality", "audio"]))
+            load_config(overrides=overrides("--query_modality", "audio"))
 
 
 class TestOverrideParsing:
     def test_dotted_and_bare(self):
-        got = parse_overrides(["--loss.margin", "0.3", "--d_emb", "8"])
+        got = overrides("--loss.margin", "0.3", "--d_emb", "8")
         assert got == {("loss", "margin"): "0.3", ("train", "d_emb"): "8"}
 
     def test_equals_form(self):
-        got = parse_overrides(["--loss.margin=0.3", "--d_emb", "8",
-                               "--out=a=b", "--d_emb=9", "--source=--x"])
+        got = overrides("--loss.margin=0.3", "--d_emb", "8", "--out=a=b",
+                        "--d_emb=9", "--source=--x")
         assert got == {("loss", "margin"): "0.3", ("train", "d_emb"): "9",
                        ("run", "out"): "a=b", ("data", "source"): "--x"}
 
+    def test_data_seed_is_qualified(self):
+        # the bare --seed is the single-seed shorthand
+        assert overrides("--data.seed", "3") == {("data", "seed"): "3"}
+        assert overrides("--seed", "3") == {}
+
+    def test_values_starting_with_a_dash(self):
+        # a plain negative number is a value; anything else that starts
+        # with - takes the = form
+        assert overrides("--lam", "-0.5", "--base_seed", "-3") == {
+            ("loss", "lam"): "-0.5", ("run", "base_seed"): "-3"}
+        assert overrides("--lam=-1e-3", "--out=-x") == {
+            ("loss", "lam"): "-1e-3", ("run", "out"): "-x"}
+        for flag, value in [("--lam", "-1e-3"), ("--out", "-x")]:
+            with pytest.raises(ConfigError, match=f"^argument {flag}/"
+                                                  ".*: expected one argument$"):
+                overrides(flag, value)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_overrides(["--beta", "0.5"])
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_overrides(["--train.beta", "0.5"])
+        for flag in ("--beta", "--train.beta", "--data.margin"):
+            with pytest.raises(ConfigError, match=f"^unrecognized arguments: "
+                                                  f"{flag} 0.5$"):
+                overrides(flag, "0.5")
 
     def test_shape_errors(self):
-        with pytest.raises(ConfigError, match="pairs"):
-            parse_overrides(["--margin"])
-        with pytest.raises(ConfigError, match="flag"):
-            parse_overrides(["margin", "0.3"])
+        with pytest.raises(ConfigError, match="^argument --margin/"
+                                              "--loss.margin: expected one"):
+            overrides("--margin")
+        with pytest.raises(ConfigError, match="^unrecognized arguments: "
+                                              "margin 0.3$"):
+            overrides("margin", "0.3")
 
     def test_value_conversion_errors(self):
         with pytest.raises(ConfigError, match="expected float"):
-            load_config(overrides=parse_overrides(["--sigma", "wide"]))
+            load_config(overrides=overrides("--sigma", "wide"))
         with pytest.raises(ConfigError, match="n_seeds"):
-            load_config(overrides=parse_overrides(["--n_seeds", "0"]))
+            load_config(overrides=overrides("--n_seeds", "0"))
 
     @pytest.mark.parametrize("rule", [
         lambda: LossConfig(margin=0),
@@ -172,6 +202,6 @@ class TestOverrideParsing:
 
     def test_invalid_loss_value_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="margin"):
-            load_config(overrides=parse_overrides(["--margin", "-0.5"]))
-        with pytest.raises(ConfigError, match="lam"):
-            load_config(overrides=parse_overrides(["--lam", "-0.1"]))
+            load_config(overrides=overrides("--margin", "-0.5"))
+        with pytest.raises(ConfigError, match="^lam must be non-negative"):
+            load_config(overrides=overrides("--lam", "-0.5"))

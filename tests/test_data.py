@@ -205,6 +205,17 @@ class TestPKSampler:
         with pytest.raises(DataError, match="P=4"):
             PKSampler(ds, 4, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("P, K", [(0, 2), (2, 0), (2, -1)])
+    def test_p_and_k_at_least_one(self, P, K):
+        # below 1 they gave empty batches, or numpy's negative dimensions
+        ds = generate_synthetic(SyntheticConfig(n_classes=3,
+                                                samples_per_class_per_modality=3,
+                                                d_in=4, seed=0))
+        with pytest.raises(ValueError) as exc:
+            PKSampler(ds, P, K, np.random.default_rng(0))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"P and K must be >= 1, got P={P}, K={K}"
+
     def test_uniform_frequencies(self):
         # draws of k of n without replacement give Pearson statistics
         # distributed as (n - k) / (n - 1) times chi-square with n - 1
@@ -302,6 +313,35 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c,f0\n0,0,sketch,1.0\n")
         with pytest.raises(DataError, match="header"):
             read_dataset(path)
+
+    def test_wide_header(self, tmp_path):
+        # 2e6 columns: a 1024-row block would be 15.3 GiB, and one row
+        # has no photo, so the file fails either way, as DataError
+        path = tmp_path / "wide.csv"
+        d_in = 2_000_000
+        path.write_text("id,class,modality,"
+                        + ",".join(f"f{i}" for i in range(d_in))
+                        + "\n0,0,sketch" + ",0" * d_in + "\n")
+        with pytest.raises(DataError) as exc:
+            read_dataset(path)
+        assert type(exc.value) is DataError
+
+    @pytest.mark.parametrize("error", [MemoryError, ValueError])
+    def test_block_allocation_failure(self, tmp_path, monkeypatch, error):
+        path = tmp_path / "ds.csv"
+        path.write_text("\nid,class,modality,f0,f1,f2\n0,0,sketch,1,2,3\n")
+        empty = np.empty
+
+        def failing(shape, *args, **kwargs):
+            if shape == (data.CSV_CHUNK_ROWS, 3):
+                raise error("no room")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing)
+        with pytest.raises(DataError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == (f"{path}:2: {data.CSV_CHUNK_ROWS} rows of "
+                                  "3 features are too large to allocate")
 
     def test_non_finite_feature(self, tmp_path):
         path = tmp_path / "inf.csv"

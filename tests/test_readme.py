@@ -10,7 +10,7 @@ import shlex
 
 import modalmetric
 from modalmetric.cli import build_parser
-from modalmetric.config import SCHEMA, parse_overrides
+from modalmetric.config import SCHEMA
 from modalmetric.training import METHOD_RECIPES
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -77,6 +77,4 @@ def test_command_lines_parse():
              if line.startswith("modalmetric ")]
     assert len(lines) >= 5
     for line in lines:
-        _, extras = build_parser().parse_known_args(
-            shlex.split(line, comments=True)[1:])
-        parse_overrides(extras)
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
