@@ -398,16 +398,21 @@ def build_parser():
     return parser
 
 
+def config_overrides(args):
+    """The {(section, key): raw string} overrides that the parsed `args`
+    set, --seed's two included; load_config converts them."""
+    overrides = {tuple(dest.split(".")): raw
+                 for dest, raw in vars(args).items() if "." in dest}
+    if args.seed is not None:
+        overrides[("run", "base_seed")] = args.seed
+        overrides[("run", "n_seeds")] = "1"
+    return overrides
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        # the raw strings of the config keys; load_config converts them
-        overrides = {tuple(dest.split(".")): raw
-                     for dest, raw in vars(args).items() if "." in dest}
-        if args.seed is not None:
-            overrides[("run", "base_seed")] = args.seed
-            overrides[("run", "n_seeds")] = "1"
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, config_overrides(args))
         return COMMANDS[args.command](cfg, args)
     except ModalMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

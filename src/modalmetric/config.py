@@ -136,8 +136,8 @@ class RunConfig:
 
 def load_config(path=None, overrides=None):
     """Assemble a RunConfig from defaults <- the INI file at `path` <-
-    `overrides`, a {(section, key): raw value} dict as `cli.main` builds
-    from the command line; later sources win."""
+    `overrides`, a {(section, key): raw} dict as `cli.config_overrides`
+    builds from the command line; later sources win."""
     values = {s: {k: v for k, (_, v) in keys.items()}
               for s, keys in SCHEMA.items()}
     explicit = set(overrides or ())
@@ -148,6 +148,8 @@ def load_config(path=None, overrides=None):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
+            sections = {s: parser.items(s) for s in parser.sections()}
+            defaults = parser.defaults()
         except OSError as exc:
             raise ConfigError(
                 f"{path}: cannot read config: {exc.strerror or exc}"
@@ -156,12 +158,15 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{path}: not UTF-8 text") from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
-        if parser.defaults():  # configparser copies them to every section
+        finally:  # the parser and its section proxies refer to each other
+            for obj in [*parser.values(), parser]:
+                vars(obj).clear()
+        if defaults:  # configparser copies them to every section
             raise ConfigError(f"{path}: keys under [DEFAULT] are not allowed")
-        for section in parser.sections():
+        for section, items in sections.items():
             if section not in SCHEMA:
                 raise ConfigError(f"{path}: unknown section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in items:
                 if key not in SCHEMA[section]:
                     raise ConfigError(
                         f"{path}: unknown key {key!r} in [{section}]"

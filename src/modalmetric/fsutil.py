@@ -76,8 +76,29 @@ def atomic_write_text(path, pieces):
                           ) from None
 
 
+def json_text(obj, indent, depth=1):
+    """`json.dumps(obj, indent=indent, sort_keys=True)`, built from the C
+    encoder's one-line pieces: the pure-Python encoder that `indent`
+    selects leaves its closures in a reference cycle on every call."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    pad = "\n" + " " * (indent * depth)
+    items = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+        body = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
+        body = body[1:-1]
+    elif isinstance(obj, dict):  # each key as json writes it, then ": "
+        body = ("," + pad).join(
+            json.dumps({k: 0})[1:-2] + json_text(v, indent, depth + 1)
+            for k, v in sorted(obj.items()))
+    else:
+        body = ("," + pad).join(json_text(item, indent, depth + 1)
+                                for item in obj)
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    return ends[0] + pad + body + pad[:-indent] + ends[1]
+
+
 def write_json(path, obj):
     """Deterministic JSON dump: sorted keys, two-space indent, trailing
     newline, repr-precision floats."""
-    atomic_write_text(path,
-                      [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+    atomic_write_text(path, [json_text(obj, 2) + "\n"])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, json_text
 from .geometry import EPS_NORM
 
 ADAM_BETA1 = 0.9
@@ -286,7 +286,7 @@ def save_checkpoint(path, params, meta):
             "shape": list(arr.shape),
             "data": np.asarray(arr, dtype=np.float64).ravel().tolist(),
         }
-    atomic_write_text(path, [json.dumps(payload, indent=1, sort_keys=True)])
+    atomic_write_text(path, [json_text(payload, 1)])
 
 
 def load_checkpoint(path):

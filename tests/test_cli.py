@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -299,6 +300,35 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+class TestReferenceCycles:
+    def test_commands_leave_no_cyclic_garbage(self, ini, tmp_path):
+        # what a command leaves in a reference cycle waits for the cycle
+        # collector, whose pass then lands in whatever runs next; the INI
+        # parser and json's indenting encoder both used to leave one
+        checkpoint = str(tmp_path / "t" / "mathm" / "seed-0" /
+                         "checkpoint.json")
+        commands = [
+            ["train", "--config", ini, "--out", str(tmp_path / "t")],
+            ["eval", "--config", ini, "--out", str(tmp_path / "e"),
+             "--checkpoint", checkpoint, "--checkpoint", checkpoint],
+            ["sweep-lambda", "--config", ini, "--lambdas", "1",
+             "--total_iters", "2", "--out", str(tmp_path / "s")],
+        ]
+        for argv in commands:  # the first calls fill caches, cycles and all
+            assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in commands:
+                assert main(argv) == 0
+            gc.collect()
+        finally:
+            gc.set_debug(0)
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+        gc.garbage.clear()
+        assert garbage == []
+
+
 class TestMeanStd:
     def test_sample_std(self):
         # mean 7/3; squared deviations 16/9, 1/9 and 25/9 sum to 14/3,
@@ -526,6 +556,10 @@ CORRUPTIONS = {
         lambda p: p["meta"]["data"].update(n_classes=16.0)), "malformed"),
     "data_out_of_range": (_edit_payload(
         lambda p: p["meta"]["data"].update(n_classes=1)), "malformed"),
+    # a split with one evaluation class has no between-class discrepancy
+    "data_one_unseen_class": (_edit_payload(
+        lambda p: p["meta"]["data"].update(n_unseen=1)),
+        "record is rejected: data.n_unseen must be >= 2"),
 }
 
 

@@ -13,11 +13,10 @@ from modalmetric.losses import LossConfig
 
 
 def overrides(*flags):
-    """The {(section, key): raw value} dict of the config keys that
-    `train` with `flags` sets, as `cli.main` builds it."""
-    args = cli.build_parser().parse_args(["train", *flags])
-    return {tuple(dest.split(".")): raw for dest, raw in vars(args).items()
-            if "." in dest}
+    """The overrides that `cli.main` passes to load_config for `train`
+    with `flags`."""
+    return cli.config_overrides(
+        cli.build_parser().parse_args(["train", *flags]))
 
 
 class TestDefaults:
@@ -150,7 +149,8 @@ class TestOverrideParsing:
     def test_data_seed_is_qualified(self):
         # the bare --seed is the single-seed shorthand
         assert overrides("--data.seed", "3") == {("data", "seed"): "3"}
-        assert overrides("--seed", "3") == {}
+        assert overrides("--seed", "3") == {("run", "base_seed"): "3",
+                                            ("run", "n_seeds"): "1"}
 
     def test_values_starting_with_a_dash(self):
         # a plain negative number is a value; anything else that starts

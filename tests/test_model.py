@@ -1,10 +1,13 @@
 """Tests for the embedder forward/backward, optimizer, schedule,
 checkpointing, and the training loop."""
 
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import modalmetric.training as training
@@ -19,6 +22,7 @@ from modalmetric import (
     generate_synthetic,
     train,
 )
+from modalmetric.fsutil import json_text
 from modalmetric.geometry import EPS_NORM
 from modalmetric.losses import LossConfig, softmax_ce
 from modalmetric.mining import TripletKind, mining_plan
@@ -478,6 +482,53 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a"):
             load_checkpoint(path)
+
+    def test_file_is_json_module_text(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params(5, 3, 4, np.random.default_rng(2)),
+                        {"seed": 3, "train": {"lam": 1.0, "kinds": []}})
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonText:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(JSON_VALUES, st.sampled_from([1, 2, 4]))
+    def test_matches_json_dumps(self, obj, indent):
+        assert json_text(obj, indent) == json.dumps(obj, indent=indent,
+                                                    sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": []}, {"b": {}}, [[[]]], {"t": (1, {"u": ()})},
+        # json writes these keys as strings
+        {1: "a", 2.5: "b", 0: "c"}, {None: [1]}, {True: {"x": 1}},
+        {float("nan"): 1, 1.0: 2},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 10**30],
+        [np.float64(0.1), {"x": np.float64(2.5)}],
+        ["é\"\n", {"é": "\u2028"}],
+    ])
+    def test_edge_values(self, obj):
+        for indent in (1, 2):
+            assert json_text(obj, indent) == json.dumps(
+                obj, indent=indent, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": object()}, [np.int64(1)], {(1,): 2}, {(1,): [2]},
+        {1: [2], "a": [3]},
+    ])
+    def test_same_type_error(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(want.value))}$"):
+            json_text(obj, 2)
 
 
 class TestTrainConfig:
