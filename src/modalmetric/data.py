@@ -23,8 +23,7 @@ CSV_MODALITY_TAGS = {tag: m for m, tag in enumerate(MODALITY_TAGS)}
 # (2, 1) modality index that broadcasts against (P, 2, K) table picks
 _MODALITY_COLUMN = np.arange(2).reshape(2, 1)
 _SURROGATE = re.compile("[\udc80-\udcff]")
-# rows that write_dataset formats, and read_dataset parses into one
-# feature block, at a time
+# rows that write_dataset formats and writes at a time
 CSV_CHUNK_ROWS = 1024
 
 
@@ -289,59 +288,52 @@ def write_dataset(ds, path):
     atomic_write_text(path, _csv_pieces(ds))
 
 
-def _nonblank_lines(fh, path):
-    """Yield (1-based line number, line without its newline) for each line
-    of `fh` that is not blank; blank lines keep their place in the
-    numbering. Raises DataError at the first line holding a byte that is
-    not UTF-8."""
-    # surrogateescape turns undecodable bytes into lone surrogates, which
-    # valid UTF-8 never decodes to, so the check can name their line
-    for lineno, ln in enumerate(fh, start=1):
-        if not ln.isascii() and _SURROGATE.search(ln):
-            raise DataError(f"{path}:{lineno}: not UTF-8 text")
-        if ln.strip() != "":
-            yield lineno, ln.rstrip("\n")
-
-
 def read_dataset(path):
     """Parse a CSV dataset written by `write_dataset`.
 
-    Rows are parsed while the file is read, into feature blocks of
-    CSV_CHUNK_ROWS rows, and the file's lines are never held together:
-    beyond the returned Dataset, the memory taken is O(chunk) for the
-    text, plus the map from each id to its line that the duplicate check
-    needs and the blocks until they are joined into the Dataset's
-    features.
+    The file is read in two passes. The first checks every line for
+    bytes that are not UTF-8 and counts the lines. The second parses the
+    rows straight into one feature array, allocated once with a row for
+    each line below the header, and the Dataset takes its filled rows.
+    The file's lines are never held together: beyond the returned
+    Dataset, the memory taken is one line of text, plus the line of each
+    row that the duplicate and finiteness checks name. A source that
+    cannot seek, such as a pipe, is refused.
 
     Raises DataError naming the path (and the offending 1-based line
-    number where there is one) on an unreadable file, bytes that are not
-    UTF-8, a header too wide to allocate a block for, malformed rows,
-    unknown modality tags, ids or classes outside [0, 2**63), repeated
-    sample ids, non-contiguous labels or a class missing from a
-    modality. A byte that is not UTF-8 anywhere in the file wins over
-    every other fault; otherwise the earliest line's fault is raised.
+    number where there is one) on an unreadable or unseekable file, bytes
+    that are not UTF-8, a header too wide to allocate the features for,
+    malformed rows, unknown modality tags, ids or classes outside
+    [0, 2**63), repeated sample ids, non-contiguous labels, a class
+    missing from a modality, or a file that grew between the passes. A
+    byte that is not UTF-8 anywhere in the file wins over every other
+    fault; otherwise the earliest line's fault is raised.
     """
     try:
         with open(path, "r", encoding="utf-8",
                   errors="surrogateescape") as fh:
-            lines = _nonblank_lines(fh, path)
-            try:
-                return _parse_csv(lines, path)
-            except DataError as exc:
-                fault = exc
-            # a later line that is not UTF-8 wins over the fault
-            for _ in lines:
-                pass
-            raise fault
+            # surrogateescape turns undecodable bytes into lone
+            # surrogates, which valid UTF-8 never decodes to, so the check
+            # can name their line
+            n_lines = 0
+            for n_lines, ln in enumerate(fh, start=1):
+                if not ln.isascii() and _SURROGATE.search(ln):
+                    raise DataError(f"{path}:{n_lines}: not UTF-8 text")
+            fh.seek(0)
+            return _parse_csv(fh, n_lines, path)
     except OSError as exc:
         raise DataError(
             f"{path}: cannot read dataset: {exc.strerror or exc}"
         ) from None
 
 
-def _parse_csv(lines, path):
-    """The Dataset of the CSV at `path`, from the (line number, line)
-    pairs of `lines`; read_dataset lists the faults it raises."""
+def _parse_csv(fh, n_lines, path):
+    """The Dataset of the CSV at `path`, from the text lines of `fh`, of
+    which read_dataset's first pass counted `n_lines`; read_dataset lists
+    the faults it raises."""
+    # blank lines keep their place in the numbering
+    lines = ((lineno, ln.rstrip("\n"))
+             for lineno, ln in enumerate(fh, start=1) if ln.strip() != "")
     header_line, header = next(lines, (None, None))
     if header is None:
         raise DataError(f"{path}: no samples")
@@ -355,35 +347,31 @@ def _parse_csv(lines, path):
         raise DataError(
             f"{path}:{header_line}: header declares no feature columns"
         )
-
-    blocks = []  # full feature blocks, each found finite
-    block = np.empty((0, d_in))
-    linenos = []  # the line of each row of block
-    filled = 0  # rows of block whose features are parsed
+    rows = max(n_lines - header_line, 0)
+    try:
+        features = np.empty((rows, d_in))
+    except (MemoryError, ValueError):  # ValueError: past int64
+        raise DataError(f"{path}:{header_line}: {rows} rows of {d_in} "
+                        "features are too large to allocate") from None
+    linenos = []  # the line of each row of features
+    filled = 0  # rows of features that are parsed
     ids, labels, modalities = [], [], []
     first_line = {}
 
-    def check_finite(n):
-        # one check for the block's first n rows, the rows above the
-        # next fault: a non-finite row among them comes first
-        bad = ~np.isfinite(block[:n]).all(axis=1)
+    def check_finite():
+        # one check for the rows parsed so far, the rows above the next
+        # fault: a non-finite row among them comes first
+        bad = ~np.isfinite(features[:filled]).all(axis=1)
         if bad.any():
             raise DataError(f"{path}:{linenos[bad.argmax()]}: "
                             "non-finite feature value")
 
     for lineno, raw in lines:
-        if filled == len(block):
-            check_finite(filled)
-            blocks.append(block)
-            try:
-                block = np.empty((CSV_CHUNK_ROWS, d_in))
-            except (MemoryError, ValueError):  # ValueError: past int64
-                raise DataError(f"{path}:{header_line}: {CSV_CHUNK_ROWS} rows "
-                                f"of {d_in} features are too large to "
-                                "allocate") from None
-            linenos, filled = [], 0
-        linenos.append(lineno)
         try:
+            if filled == rows:
+                raise DataError(f"{path}:{lineno}: the file grew while it "
+                                "was read")
+            linenos.append(lineno)
             fields = raw.split(",")
             if len(fields) != 3 + d_in:
                 raise DataError(f"{path}:{lineno}: expected {3 + d_in} "
@@ -402,7 +390,7 @@ def _parse_csv(lines, path):
             try:
                 # numpy converts each str through Python's float, so the
                 # accepted spellings and the error text are float()'s
-                block[filled] = fields[3:]
+                features[filled] = fields[3:]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             filled += 1
@@ -416,17 +404,16 @@ def _parse_csv(lines, path):
                     f"(first on line {first_line[sid]})"
                 )
         except DataError:
-            check_finite(filled)
+            check_finite()
             raise
         first_line[sid] = lineno
         ids.append(sid)
         labels.append(label)
         modalities.append(CSV_MODALITY_TAGS[tag])
-    check_finite(filled)
+    check_finite()
     if not ids:
         raise DataError(f"{path}: no samples")
     try:
-        return Dataset(np.concatenate(blocks + [block[:filled]]), labels,
-                       modalities, ids)
+        return Dataset(features[:filled], labels, modalities, ids)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

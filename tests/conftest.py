@@ -1,11 +1,13 @@
 """Shared batch builders, the general pair gradient the training path's
 fixed-cell Laplacian is checked against, the training step's gradient
-check, the training log's columns and the acceptance-report summary
-hook."""
+check, the training log's columns, a pipe as a dataset source and the
+acceptance-report summary hook."""
 
+import os
 from collections import namedtuple
 
 import numpy as np
+import pytest
 
 from modalmetric import Dataset
 from modalmetric.losses import (LossConfig, triplet_hinge,
@@ -48,6 +50,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def pipe_source():
+    """A factory: the /dev/fd path of a pipe that holds the given bytes,
+    with its write end already closed, so reading it needs no thread."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    read_ends = []
+
+    def make(data):
+        # a pipe holds at least 16 KiB on the systems with /dev/fd; more
+        # would block this write
+        assert len(data) <= 16384
+        r, w = os.pipe()
+        read_ends.append(r)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for r in read_ends:
+        os.close(r)
 
 
 def unit_rows(rng, n, d):

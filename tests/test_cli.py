@@ -1452,6 +1452,16 @@ class TestDatasetSources:
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "mathm").exists()
 
+    def test_unseekable_csv_source(self, tmp_path, capsys, pipe_source):
+        path = pipe_source(b"id,class,modality,f0\n0,0,sketch,1.0\n"
+                           b"1,0,photo,2.0\n")
+        rc = main(["train", "--out", str(tmp_path / "out"),
+                   "--source", path])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert_one_error_line(err, f"{path}: cannot read dataset: ")
+        assert not (tmp_path / "out" / "mathm").exists()
+
 # the environment variables that pick OpenBLAS's thread count and
 # kernel and numpy's SIMD targets; a child process gets only those set
 _DISPATCH_VARS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE",

@@ -1,5 +1,8 @@
 """Tests for synthetic data generation, splits, sampling, and CSV I/O."""
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,8 +318,8 @@ class TestCsvRoundTrip:
             read_dataset(path)
 
     def test_wide_header(self, tmp_path):
-        # 2e6 columns: a 1024-row block would be 15.3 GiB, and one row
-        # has no photo, so the file fails either way, as DataError
+        # 2e6 columns and one row: the one-row feature array takes 16 MB,
+        # so on every machine the read reaches the row's missing photo
         path = tmp_path / "wide.csv"
         d_in = 2_000_000
         path.write_text("id,class,modality,"
@@ -324,24 +327,62 @@ class TestCsvRoundTrip:
                         + "\n0,0,sketch" + ",0" * d_in + "\n")
         with pytest.raises(DataError) as exc:
             read_dataset(path)
-        assert type(exc.value) is DataError
+        assert str(exc.value) == f"{path}: class 0 has no photo samples"
 
     @pytest.mark.parametrize("error", [MemoryError, ValueError])
     def test_block_allocation_failure(self, tmp_path, monkeypatch, error):
+        # one array row per line below the header, the blank one included
         path = tmp_path / "ds.csv"
-        path.write_text("\nid,class,modality,f0,f1,f2\n0,0,sketch,1,2,3\n")
+        path.write_text("\nid,class,modality,f0,f1,f2\n0,0,sketch,1,2,3\n\n"
+                        "1,0,photo,4,5,6\n")
         empty = np.empty
 
         def failing(shape, *args, **kwargs):
-            if shape == (data.CSV_CHUNK_ROWS, 3):
+            if shape == (3, 3):
                 raise error("no room")
             return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", failing)
         with pytest.raises(DataError) as exc:
             read_dataset(path)
-        assert str(exc.value) == (f"{path}:2: {data.CSV_CHUNK_ROWS} rows of "
-                                  "3 features are too large to allocate")
+        assert str(exc.value) == (f"{path}:2: 3 rows of 3 features are too "
+                                  "large to allocate")
+
+    def test_features_are_held_once(self, tmp_path):
+        # 2048 rows of 256 short spellings: a second copy of the features
+        # would take the peak past twice their bytes
+        n, d_in = 2048, 256
+        row = ",".join(["0.5"] * d_in)
+        path = tmp_path / "ds.csv"
+        path.write_text(
+            "id,class,modality," + ",".join(f"f{i}" for i in range(d_in))
+            + "\n" + "".join(f"{i},{i % 4},{data.MODALITY_TAGS[i // 4 % 2]},"
+                             f"{row}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            ds = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n
+        assert peak < 1.6 * ds.features.nbytes
+
+    def test_file_grown_between_the_passes(self, tmp_path):
+        # the first pass counted 3 lines, and the second meets a fourth
+        path = tmp_path / "ds.csv"
+        text = ("id,class,modality,f0\n0,0,sketch,1.0\n1,0,photo,2.0\n"
+                "2,0,photo,3.0\n")
+        with pytest.raises(DataError) as exc:
+            data._parse_csv(io.StringIO(text), 3, path)
+        assert str(exc.value) == f"{path}:4: the file grew while it was read"
+
+    def test_unseekable_source(self, pipe_source):
+        path = pipe_source(b"id,class,modality,f0\n0,0,sketch,1.0\n"
+                           b"1,0,photo,2.0\n")
+        with pytest.raises(DataError) as exc:
+            read_dataset(path)
+        assert str(exc.value) == (
+            f"{path}: cannot read dataset: underlying stream is not seekable")
 
     def test_non_finite_feature(self, tmp_path):
         path = tmp_path / "inf.csv"
@@ -429,9 +470,9 @@ _HEADER = "id,class,modality,f0\n"
 
 
 class TestCsvErrorOrder:
-    """The rows are parsed as the file is read, and each read fault is
-    still raised as when the whole file was read first: a byte that is
-    not UTF-8 anywhere wins, and otherwise the earliest line's fault."""
+    """Which fault a file with several is reported by: a byte that is not
+    UTF-8 anywhere wins, since the first pass looks for those before any
+    row is parsed, and otherwise the earliest line's fault."""
 
     @pytest.mark.parametrize("head", [
         _HEADER + "0,0,sketch\n",  # field count
@@ -482,8 +523,9 @@ class TestCsvErrorOrder:
 
 
 class TestCsvChunks:
-    """A dataset of two full chunks of CSV_CHUNK_ROWS rows plus a part
-    chunk: row i of the dataset is on line i + 2 of its file."""
+    """A dataset of two full chunks of the writer's CSV_CHUNK_ROWS rows
+    plus a part chunk, read back into one feature array: row i of the
+    dataset is on line i + 2 of its file."""
 
     @pytest.fixture(scope="class")
     def csv(self, tmp_path_factory):
