@@ -3,7 +3,6 @@
 import contextlib
 import json
 import os
-import tempfile
 
 from .errors import ConfigError
 
@@ -49,8 +48,9 @@ def atomic_write_text(path, pieces):
     """Write the strings of the iterable `pieces`, in order, to path via
     a temp file + rename so readers never see a partially written
     artifact. If `pieces` raises, the temp file is removed and path is
-    left as it was. The file gets the mode `open()` would give it, 0o666
-    less the umask, not mkstemp's 0o600.
+    left as it was. The temp file is created as `open()` creates a file,
+    so the artifact gets the same mode: 0o666 less the umask, or what the
+    directory's default ACL allows of 0o666.
 
     Raises:
         ConfigError: naming the path, if it cannot be written.
@@ -58,14 +58,13 @@ def atomic_write_text(path, pieces):
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     ensure_dir(directory)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                     | getattr(os, "O_BINARY", 0), 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(pieces)
-            umask = os.umask(0)  # reading the umask means setting it
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -32,6 +33,7 @@ from modalmetric import (
 from modalmetric.cli import (ABLATION_METHODS, COMMANDS, METRIC_KEYS,
                              _mean_std, evaluate_params, main)
 from modalmetric.config import SCHEMA, load_config
+from modalmetric.fsutil import output_dir
 from modalmetric.model import TENSOR_NAMES, load_checkpoint, save_checkpoint
 from modalmetric.training import METHOD_RECIPES
 
@@ -1342,6 +1344,14 @@ class TestFailedCommandOutput:
                    capsys)
         assert list(tmp_path.iterdir()) == []
 
+    def test_created_dir_with_a_file_kept(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        with pytest.raises(RuntimeError, match="stopped"):
+            with output_dir(out):
+                (out / "file").write_text("kept")
+                raise RuntimeError("stopped")
+        assert (out / "file").read_text() == "kept"
+
     @pytest.mark.parametrize("command", sorted(FAILURES))
     def test_existing_out_kept(self, ini, tmp_path, huge_weight, command,
                                capsys):
@@ -1355,7 +1365,7 @@ class TestFailedCommandOutput:
 
 class TestArtifactModes:
     """Artifacts get the mode `open()` would give them, 0o666 less the
-    umask, not the temp file's 0o600."""
+    umask, as the temp file is created at 0o666."""
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask-022", "umask-077"])
@@ -1374,6 +1384,59 @@ class TestArtifactModes:
             "training_log.csv", "checkpoint.json", "metrics.json"}
         for path in files:
             assert path.stat().st_mode & 0o777 == mode, path
+
+
+def write_every_artifact(ini, out):
+    """Run `train` and `eval` and write a dataset under `out`; return the
+    paths of the files written."""
+    train_once(ini, out)
+    assert main(["eval", "--config", ini, "--out", str(out / "eval"),
+                 "--checkpoint",
+                 str(out / "mathm" / "seed-0" / "checkpoint.json")]) == 0
+    write_dataset(generate_synthetic(SyntheticConfig(
+        n_classes=2, samples_per_class_per_modality=2, d_in=2, seed=0)),
+        out / "ds.csv")
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert {p.name for p in files} == {
+        "training_log.csv", "checkpoint.json", "metrics.json", "ds.csv"}
+    return files
+
+
+class TestArtifactCreation:
+    """Each writer creates its file as `open()` does: the kernel applies
+    the umask or the directory's default ACL, and no writer reads the
+    process-wide umask or chmods a file."""
+
+    @pytest.mark.skipif(not hasattr(os, "setxattr"), reason="no xattrs")
+    def test_mode_follows_default_acl(self, ini, tmp_path):
+        # user::rw-,group::rw-,other::r-- as the kernel stores it: a
+        # version, then (tag, permissions, id) per entry
+        acl = struct.pack("<I", 2) + b"".join(
+            struct.pack("<HHI", tag, perm, 0xFFFFFFFF)
+            for tag, perm in [(0x01, 6), (0x04, 6), (0x20, 4)])
+        try:
+            os.setxattr(tmp_path, "system.posix_acl_default", acl)
+        except OSError as exc:
+            pytest.skip(f"no default ACL: {exc}")
+        previous = os.umask(0o077)
+        try:
+            with open(tmp_path / "beside", "w"):
+                pass
+            files = write_every_artifact(ini, tmp_path / "out")
+        finally:
+            os.umask(previous)
+        mode = (tmp_path / "beside").stat().st_mode & 0o777
+        assert mode == 0o664
+        for path in files:
+            assert path.stat().st_mode & 0o777 == mode, path
+
+    def test_no_umask_or_chmod(self, ini, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("artifact writers must not call this")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        monkeypatch.setattr(os, "chmod", refuse)
+        write_every_artifact(ini, tmp_path)
 
 
 class TestDatasetSources:

@@ -305,6 +305,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no samples"):
             read_dataset(path)
 
+    def test_no_feature_columns(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("id,class,modality\n0,0,sketch\n")
+        with pytest.raises(DataError,
+                           match=":1: header declares no feature columns"):
+            read_dataset(path)
+
     def test_field_count(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("id,class,modality,f0,f1\n0,0,sketch,1.0\n")

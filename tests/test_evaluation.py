@@ -291,6 +291,14 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="query_modality"):
             compute_metrics(e, labels, mods, query_modality=2)
 
+    @pytest.mark.parametrize("metric", [modality_gap, compute_metrics])
+    def test_modality_2_rejected(self, metric):
+        e, labels, mods = self._eval_set()
+        mods = mods.copy()
+        mods[-1] = 2
+        with pytest.raises(ValueError, match="must be 0 .sketch. or 1"):
+            metric(e, labels, mods)
+
 
 def reference_class_similarities(e, labels, mods):
     """Per-class same/cross-modality mean cosine from full N x N masks."""
